@@ -8,7 +8,7 @@ a curriculum training loop, all on numpy.
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import GraphConfig, ModelConfig, RunConfig, TrainConfig, load_config
-from .data import (Normalizer, PredefinedGraph, TrafficSeries, TrafficWindow, WindowSet,
+from .data import (Normalizer, PredefinedGraph, TrafficSeries, WindowSet,
                    fit_normalizer, load_predefined_graph, load_series, make_synthetic,
                    save_series, split_and_window)
 from .decouple import GateParams, PatternFlows, decouple

@@ -4,15 +4,20 @@ Layout: an 8-byte magic, a format version, a record count, then one record
 per parameter in the order given. Each record is
 (name length u16, name utf-8, dtype tag u8, ndim u8, dims u32 each,
 raw little-endian values). Writing the same parameters twice produces
-byte-identical files.
+byte-identical files. A file is written beside its target and moved over it
+when complete, so a failed save leaves an earlier checkpoint untouched.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from collections import OrderedDict
 
 import numpy as np
+
+from .errors import IngestionError
 
 MAGIC = b"FCASTCK1"
 VERSION = 1
@@ -23,40 +28,59 @@ _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 def save_checkpoint(path, params: dict) -> None:
     """Write named arrays (or Tensors) to `path` in declaration order."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(params)))
-        for name, value in params.items():
-            arr = np.asarray(value.data if hasattr(value, "data") else value)
-            tag = _DTYPE_TAGS.get(arr.dtype)
-            if tag is None:
-                raise ValueError(f"checkpoint: unsupported dtype {arr.dtype} for '{name}'")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<BB", tag, arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype=_TAG_DTYPES[tag]).tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(params)))
+            for name, value in params.items():
+                arr = np.asarray(value.data if hasattr(value, "data") else value)
+                tag = _DTYPE_TAGS.get(arr.dtype)
+                if tag is None:
+                    raise ValueError(f"checkpoint: unsupported dtype {arr.dtype} for '{name}'")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<BB", tag, arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(np.ascontiguousarray(arr, dtype=_TAG_DTYPES[tag]).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
-    """Read a checkpoint back as an ordered name -> array mapping."""
+    """Read a checkpoint back as an ordered name -> array mapping.
+
+    Malformed content raises IngestionError naming the file.
+    """
     out = OrderedDict()
     with open(path, "rb") as fh:
-        if fh.read(8) != MAGIC:
-            raise ValueError(f"checkpoint: bad magic in {path}")
-        version, count = struct.unpack("<II", fh.read(8))
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n: int) -> bytes:
+            # n comes from the file itself: check it against the bytes left first
+            if n > size - fh.tell():
+                raise IngestionError(f"checkpoint {path}: truncated at byte {fh.tell()}")
+            return fh.read(n)
+
+        if take(8) != MAGIC:
+            raise IngestionError(f"checkpoint {path}: bad magic")
+        version, count = struct.unpack("<II", take(8))
         if version != VERSION:
-            raise ValueError(f"checkpoint: unsupported format version {version}")
+            raise IngestionError(f"checkpoint {path}: unsupported format version {version}")
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            tag, ndim = struct.unpack("<BB", fh.read(2))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            dtype = _TAG_DTYPES[tag]
-            n_items = int(np.prod(shape)) if ndim else 1
-            raw = fh.read(n_items * dtype.itemsize)
-            if len(raw) != n_items * dtype.itemsize:
-                raise ValueError(f"checkpoint: truncated data for '{name}'")
+            try:
+                name = take(struct.unpack("<H", take(2))[0]).decode("utf-8")
+            except UnicodeDecodeError:
+                raise IngestionError(f"checkpoint {path}: record name is not utf-8") from None
+            tag, ndim = struct.unpack("<BB", take(2))
+            dtype = _TAG_DTYPES.get(tag)
+            if dtype is None:
+                raise IngestionError(f"checkpoint {path}: unknown dtype tag {tag} for '{name}'")
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            raw = take(math.prod(shape) * dtype.itemsize)
             out[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     return out

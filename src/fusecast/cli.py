@@ -16,7 +16,7 @@ import numpy as np
 from . import training
 from .config import RunConfig, load_config, preset_path, write_manifest
 from .data import Normalizer, make_synthetic, save_series
-from .errors import ConfigError, IngestionError, NumericalError
+from .errors import ConfigError, IngestionError, NumericalError, ShapeError
 from .network import Forecaster
 from .optim import grad_check, randomize_parameters
 from .checkpoint import load_checkpoint
@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -46,16 +46,6 @@ class TrafficSeries:
         return tod, dow
 
 
-@dataclass
-class TrafficWindow:
-    """One training sample: history, future target, and calendar indices."""
-
-    history: np.ndarray  # [Th, N, 1]
-    target: np.ndarray   # [Tf, N, 1]
-    tod_index: np.ndarray  # [Th] ints in [0, steps_per_day)
-    dow_index: np.ndarray  # [Th] ints in [0, 7)
-
-
 class WindowSet:
     """Every valid sliding window inside one chronological split.
 
@@ -92,10 +82,6 @@ class WindowSet:
         dow = (self.series.first_step_day_of_week
                + hist_idx // self.series.steps_per_day) % DAYS_PER_WEEK
         return hist, targ, tod, dow
-
-    def window(self, i: int) -> TrafficWindow:
-        hist, targ, tod, dow = self.batch([i])
-        return TrafficWindow(hist[0], targ[0], tod[0], dow[0])
 
 
 @dataclass

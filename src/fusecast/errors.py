@@ -1,7 +1,9 @@
 """Exception types shared across the engine.
 
-The CLI maps these onto stable exit codes: ConfigError -> 2,
-NumericalError -> 3, IngestionError and OSError -> 4.
+The CLI maps these onto stable exit codes: ConfigError and ShapeError -> 2
+(a config whose shapes do not match the checkpoint is a config error),
+NumericalError -> 3, IngestionError and OSError -> 4 (a corrupt or
+truncated checkpoint is an IngestionError).
 """
 
 

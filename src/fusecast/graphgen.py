@@ -140,13 +140,14 @@ def fuse_graphs(a_spatial: Tensor, a_temporal: Tensor, beta: float,
 
 
 def generate_pattern_graph(params: PatternGraphParams, time_features, cfg: GraphConfig,
-                           mode: str, predefined: np.ndarray | None = None,
+                           predefined: np.ndarray | None = None,
                            dtype=np.float64) -> AdjacencySet:
-    """Build one pattern's AdjacencySet in the requested graph mode.
+    """Build one pattern's AdjacencySet in the graph mode `cfg.mode`.
 
     `time_features` is the (daily, weekly) averaged feature pair from
     temporal_feature_matrix; it may carry a leading batch dimension.
     """
+    mode = cfg.mode
     if mode == "predefined":
         if predefined is None:
             raise ConfigError("graph mode 'predefined' needs a loaded road-network adjacency")

@@ -2,6 +2,9 @@
 graphs, residual graph convolution stacks, a GRU over time, and a
 skip-connection regression head.
 
+A pattern's M graph-convolution blocks differ only in their mixing weights,
+so they share one propagation pass mixed by the M weights side by side.
+
 Forward passes accept a leading batch dimension on histories and calendar
 indices; graphs that depend on the window's time indices come out batched
 as well. Parameters are held in a flat ordered mapping whose names are the
@@ -192,7 +195,7 @@ class Forecaster:
 
         self.patterns = []
         self.projections = []
-        self.rgc_stacks = []
+        self.rgc_weights = []
         for g in range(g_pat):
             p = f"pattern{g}"
             emb = SpatialEmbeddings(
@@ -221,10 +224,8 @@ class Forecaster:
                 self._matrix(f"{p}.project.weight", (cfg.channels, d), cfg.channels),
                 self._zeros(f"{p}.project.bias", (d,)),
             ))
-            self.rgc_stacks.append([
-                RgcParams(gamma=cfg.gamma, depth=k,
-                          weight=self._matrix(f"{p}.rgc{m}.weight", (k * d, d), k * d))
-                for m in range(m_iter)
+            self.rgc_weights.append([
+                self._matrix(f"{p}.rgc{m}.weight", (k * d, d), k * d) for m in range(m_iter)
             ])
 
         self.gates = [
@@ -284,16 +285,6 @@ class Forecaster:
 
     # -- forward -----------------------------------------------------------
 
-    def adjacency_sets(self, tod, dow) -> list:
-        """Per-pattern adjacency sets for the given index arrays [..., Th]."""
-        daily_l, weekly_l = self.pools.lookup(np.asarray(tod), np.asarray(dow))
-        time_features = temporal_feature_matrix(daily_l, weekly_l)
-        return [
-            generate_pattern_graph(p, time_features, self.graph_cfg, self.graph_cfg.mode,
-                                   self.predefined_graph, dtype=self.dtype)
-            for p in self.patterns
-        ]
-
     def forward_batch(self, history, tod, dow, training: bool = False, rng=None,
                       collect: bool = False):
         """Predict [B, Tf, N, C] raw-unit flow from raw histories [B, Th, N, C].
@@ -316,8 +307,8 @@ class Forecaster:
             time_features = temporal_feature_matrix(daily_l, weekly_l)
         with _stage("graph-generation"):
             graphs = [
-                generate_pattern_graph(p, time_features, self.graph_cfg, self.graph_cfg.mode,
-                                       self.predefined_graph, dtype=self.dtype)
+                generate_pattern_graph(p, time_features, self.graph_cfg, self.predefined_graph,
+                                       dtype=self.dtype)
                 for p in self.patterns
             ]
 
@@ -329,9 +320,9 @@ class Forecaster:
             for g, flow in enumerate(flows.flows):
                 w, b = self.projections[g]
                 projected = flow @ w + b
-                blocks = [rgc_forward(projected, graphs[g].final, rgc)
-                          for rgc in self.rgc_stacks[g]]
-                pattern_outputs.append(blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=-1))
+                rgc = RgcParams(gamma=cfg.gamma, depth=cfg.depth,
+                                weight=T.concat(self.rgc_weights[g], axis=-1))
+                pattern_outputs.append(rgc_forward(projected, graphs[g].final, rgc))
             x_out = (pattern_outputs[0] if len(pattern_outputs) == 1
                      else T.concat(pattern_outputs, axis=-1))
 
@@ -354,23 +345,12 @@ class Forecaster:
             prediction = T.transpose(mapped, to_node_major)
 
             if self.normalizer:
-                prediction = prediction * self.normalizer.std + self.normalizer.mean
+                prediction = self.normalizer.invert(prediction)
 
         if not collect:
             return prediction
         return prediction, ForwardActivations(graphs=graphs, flows=flows, x_out=x_out,
                                               h_out=h_out, h_skip=h_skip, prediction=prediction)
-
-    def forward_window(self, window, training: bool = False, rng=None) -> ForwardActivations:
-        """Run a single TrafficWindow; activations come back without the batch axis."""
-        pred, acts = self.forward_batch(window.history[None], window.tod_index[None],
-                                        window.dow_index[None], training=training,
-                                        rng=rng, collect=True)
-        acts.x_out = T.reshape(acts.x_out, acts.x_out.shape[1:])
-        acts.h_out = T.reshape(acts.h_out, acts.h_out.shape[1:])
-        acts.h_skip = T.reshape(acts.h_skip, acts.h_skip.shape[1:])
-        acts.prediction = T.reshape(pred, pred.shape[1:])
-        return acts
 
 
 def parameter_count(model_cfg: ModelConfig, graph_cfg: GraphConfig,

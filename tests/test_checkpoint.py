@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fusecast.checkpoint import load_checkpoint, save_checkpoint
+from fusecast.errors import IngestionError
 from fusecast.tensor import Tensor
 
 
@@ -39,6 +40,8 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(path)
+    with pytest.raises(IngestionError, match="junk.bin"):
+        load_checkpoint(path)
 
 
 def test_truncated_file_rejected(tmp_path):
@@ -52,3 +55,45 @@ def test_truncated_file_rejected(tmp_path):
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(ValueError, match="dtype"):
         save_checkpoint(tmp_path / "x.bin", {"w": np.zeros(3, dtype=np.int64)})
+
+
+def test_truncation_at_every_offset_raises_ingestion_error(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _sample_params())
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(IngestionError, match="cut.bin"):
+            load_checkpoint(cut)
+
+
+def test_malformed_fields_raise_ingestion_error(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, {"w": np.zeros((2, 3), dtype=np.float32)})
+    blob = path.read_bytes()
+    name_end = 16 + 2 + 1  # header, name length, name "w"
+    cases = {
+        "version": (8, b"\x07\x00\x00\x00"),
+        "dtype tag": (name_end, b"\x09"),
+        "utf-8": (18, b"\xff"),
+        "truncated": (name_end + 2, b"\xff\xff\xff\xff"),  # a dimension past the file end
+    }
+    for match, (offset, patch) in cases.items():
+        bad = bytearray(blob)
+        bad[offset:offset + len(patch)] = patch
+        path.write_bytes(bytes(bad))
+        with pytest.raises(IngestionError, match=match):
+            load_checkpoint(path)
+
+
+def test_failed_save_leaves_earlier_checkpoint_untouched(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _sample_params())
+    before = path.read_bytes()
+    bad = OrderedDict([("ok", np.zeros(2, dtype=np.float32)),
+                       ("bad", np.zeros(2, dtype=np.int64))])
+    with pytest.raises(ValueError, match="dtype"):
+        save_checkpoint(path, bad)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]

@@ -130,3 +130,30 @@ def test_gradcheck_failure_exits_3(capsys):
     code, stdout, err = run_cli(capsys, "gradcheck", *TOY_ARGS, "--tol", "1e-18")
     assert code == 3
     assert "FAIL" in err
+
+
+def _trained_toy(tmp_path, capsys):
+    csv = _toy_data(tmp_path, capsys)
+    out = tmp_path / "run"
+    code, _, _ = run_cli(capsys, "train", *TOY_ARGS, "--out", str(out),
+                         f"data.series={csv}", "train.max_epochs=1")
+    assert code == 0
+    return csv, out / "checkpoint.bin"
+
+
+def test_eval_truncated_checkpoint_exits_4(tmp_path, capsys):
+    csv, ckpt = _trained_toy(tmp_path, capsys)
+    ckpt.write_bytes(ckpt.read_bytes()[:100])
+    code, _, err = run_cli(capsys, "eval", *TOY_ARGS, "--checkpoint", str(ckpt),
+                           f"data.series={csv}")
+    assert code == 4
+    assert "I/O error" in err and "checkpoint.bin" in err
+    assert "Traceback" not in err
+
+
+def test_eval_with_mismatched_config_exits_2(tmp_path, capsys):
+    csv, ckpt = _trained_toy(tmp_path, capsys)
+    code, _, err = run_cli(capsys, "eval", *TOY_ARGS, "--checkpoint", str(ckpt),
+                           f"data.series={csv}", "model.hidden=8")
+    assert code == 2
+    assert "config error" in err and "shape" in err

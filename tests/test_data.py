@@ -101,10 +101,10 @@ def test_bad_ratios_rejected():
 
 def test_windows_never_straddle_split_boundaries():
     train, val, test = split_and_window(_series(200), 12, 12, (0.6, 0.2, 0.2))
-    last = train.window(len(train) - 1)
+    _, last_target, _, _ = train.batch([len(train) - 1])
     # the last training target ends exactly at the split boundary
     boundary_value = train.series.values[train.split_length - 1]
-    assert np.array_equal(last.target[-1], boundary_value)
+    assert np.array_equal(last_target[0, -1], boundary_value)
     assert val.split_start == train.split_length
 
 
@@ -118,18 +118,18 @@ def test_chronological_integrity():
 def test_window_reconstruction_matches_raw_slice():
     series = _series(80)
     train, _, _ = split_and_window(series, 7, 5, (0.6, 0.2, 0.2))
-    w = train.window(9)
-    stitched = np.concatenate([w.history, w.target], axis=0)
+    hist, targ, _, _ = train.batch([9])
+    stitched = np.concatenate([hist[0], targ[0]], axis=0)
     assert np.array_equal(stitched, series.values[9:9 + 12])
 
 
 def test_tod_index_advances_modulo_steps_per_day():
     series = _series(200, spd=10, first_dow=3)
     train, _, _ = split_and_window(series, 12, 12, (0.6, 0.2, 0.2))
-    w = train.window(5)
-    assert np.array_equal(w.tod_index, (5 + np.arange(12)) % 10)
-    assert np.array_equal(np.diff(w.tod_index) % 10, np.ones(11))
-    assert np.array_equal(w.dow_index, (3 + (5 + np.arange(12)) // 10) % 7)
+    _, _, tod, dow = train.batch([5])
+    assert np.array_equal(tod[0], (5 + np.arange(12)) % 10)
+    assert np.array_equal(np.diff(tod[0]) % 10, np.ones(11))
+    assert np.array_equal(dow[0], (3 + (5 + np.arange(12)) // 10) % 7)
 
 
 def test_normalizer_matches_sample_moments():
@@ -259,9 +259,7 @@ def test_predefined_graph_drops_self_loops_with_warning(tmp_path):
 def test_batch_materialization_matches_single_windows():
     series = _series(90, n=3, spd=9)
     train, _, _ = split_and_window(series, 6, 3, (0.6, 0.2, 0.2))
-    hist, targ, tod, dow = train.batch([2, 7])
-    w7 = train.window(7)
-    assert np.array_equal(hist[1], w7.history)
-    assert np.array_equal(targ[1], w7.target)
-    assert np.array_equal(tod[1], w7.tod_index)
-    assert np.array_equal(dow[1], w7.dow_index)
+    pair = train.batch([2, 7])
+    single = train.batch([7])
+    for batched, alone in zip(pair, single):
+        assert np.array_equal(batched[1], alone[0])

@@ -161,7 +161,7 @@ def test_predefined_mode_passes_graph_through():
     rng = np.random.default_rng(9)
     cfg = toy_graph_config(mode="predefined")
     adj = rng.uniform(0, 2, (4, 4))
-    out = generate_pattern_graph(_pattern(rng, 4, 3, 3), None, cfg, "predefined", adj)
+    out = generate_pattern_graph(_pattern(rng, 4, 3, 3), None, cfg, adj)
     assert np.array_equal(out.final.data, adj)
     assert out.spatial is None and out.temporal is None
 
@@ -169,22 +169,22 @@ def test_predefined_mode_passes_graph_through():
 def test_predefined_mode_requires_graph():
     rng = np.random.default_rng(10)
     with pytest.raises(ConfigError):
-        generate_pattern_graph(_pattern(rng, 4, 3, 3), None, toy_graph_config(), "predefined", None)
+        generate_pattern_graph(_pattern(rng, 4, 3, 3), None, toy_graph_config(mode="predefined"))
 
 
 def test_independent_patterns_produce_different_graphs():
     rng = np.random.default_rng(11)
     cfg = toy_graph_config()
     tf_feats = _time_features(rng, 4, 3)
-    a = generate_pattern_graph(_pattern(rng, 4, 3, 3), tf_feats, cfg, "fused")
-    b = generate_pattern_graph(_pattern(rng, 4, 3, 3), tf_feats, cfg, "fused")
+    a = generate_pattern_graph(_pattern(rng, 4, 3, 3), tf_feats, cfg)
+    b = generate_pattern_graph(_pattern(rng, 4, 3, 3), tf_feats, cfg)
     assert not np.array_equal(a.final.data, b.final.data)
 
 
 def test_spatial_only_mode_inherits_topk_sparsity():
     rng = np.random.default_rng(12)
-    cfg = toy_graph_config(k_spatial=2)
-    out = generate_pattern_graph(_pattern(rng, 6, 3, 3), None, cfg, "spatial_only")
+    cfg = toy_graph_config(k_spatial=2, mode="spatial_only")
+    out = generate_pattern_graph(_pattern(rng, 6, 3, 3), None, cfg)
     assert out.final is out.spatial
     assert ((out.final.data != 0).sum(axis=-1) <= 2).all()
     assert np.all(out.final.data >= 0)
@@ -192,9 +192,8 @@ def test_spatial_only_mode_inherits_topk_sparsity():
 
 def test_temporal_only_mode_uses_time_features():
     rng = np.random.default_rng(13)
-    cfg = toy_graph_config(k_temporal=2)
-    out = generate_pattern_graph(_pattern(rng, 5, 3, 3), _time_features(rng, 5, 3), cfg,
-                                 "temporal_only")
+    cfg = toy_graph_config(k_temporal=2, mode="temporal_only")
+    out = generate_pattern_graph(_pattern(rng, 5, 3, 3), _time_features(rng, 5, 3), cfg)
     assert out.final is out.temporal
     assert out.spatial is None
 
@@ -204,8 +203,8 @@ def test_fused_mode_is_deterministic_and_nonnegative():
     cfg = toy_graph_config()
     pattern = _pattern(rng, 4, 3, 3)
     feats = _time_features(rng, 4, 3)
-    a = generate_pattern_graph(pattern, feats, cfg, "fused")
-    b = generate_pattern_graph(pattern, feats, cfg, "fused")
+    a = generate_pattern_graph(pattern, feats, cfg)
+    b = generate_pattern_graph(pattern, feats, cfg)
     assert np.array_equal(a.final.data, b.final.data)
     assert np.all(a.final.data >= 0)
 
@@ -215,7 +214,7 @@ def test_fused_mode_broadcasts_batched_time_features():
     cfg = toy_graph_config()
     pattern = _pattern(rng, 4, 3, 3)
     feats = _time_features(rng, 4, 3, batch=3)
-    out = generate_pattern_graph(pattern, feats, cfg, "fused")
+    out = generate_pattern_graph(pattern, feats, cfg)
     assert out.final.shape == (3, 4, 4)
     assert out.spatial.shape == (4, 4)
 
@@ -229,7 +228,7 @@ def test_full_fuse_pipeline_gradients_match_finite_differences():
     w = rng.standard_normal((n, n))
 
     def scalar():
-        out = generate_pattern_graph(pattern, feats, cfg, "fused")
+        out = generate_pattern_graph(pattern, feats, cfg)
         return (out.final * w).sum()
 
     params = {

@@ -117,12 +117,13 @@ def test_forward_shapes_and_activations(toy_setup):
 
 def test_forward_window_matches_contract_shapes(toy_setup):
     series, train_ws, model = _toy_model(toy_setup)
-    acts = model.forward_window(train_ws.window(0))
+    hist, _, tod, dow = train_ws.batch([0])
+    pred, acts = model.forward_batch(hist, tod, dow, collect=True)
     cfg = model.cfg
-    assert acts.prediction.shape == (cfg.horizon_steps, 4, 1)
-    assert acts.x_out.shape == (cfg.history_steps, 4,
+    assert pred.shape == acts.prediction.shape == (1, cfg.horizon_steps, 4, 1)
+    assert acts.x_out.shape == (1, cfg.history_steps, 4,
                                 cfg.patterns * cfg.rgc_iterations * cfg.hidden)
-    assert acts.h_out.shape == (cfg.history_steps, 4, cfg.rgc_iterations * cfg.hidden)
+    assert acts.h_out.shape == (1, cfg.history_steps, 4, cfg.rgc_iterations * cfg.hidden)
 
 
 def test_eval_forward_is_deterministic(toy_setup):
@@ -218,8 +219,38 @@ def test_single_pattern_single_block_collapses_to_one_rgc(toy_setup):
     w, b = model.projections[0]
     xn = Tensor(np.asarray(hist, dtype=np.float64))
     projected = xn @ w + b
-    expected = rgc_forward(projected, acts.graphs[0].final, model.rgc_stacks[0][0])
+    rgc = RgcParams(gamma=cfg.gamma, depth=cfg.depth,
+                    weight=model.parameters()["pattern0.rgc0.weight"])
+    expected = rgc_forward(projected, acts.graphs[0].final, rgc)
     assert np.array_equal(acts.x_out.data, expected.data)
+
+
+def test_folded_blocks_equal_per_block_rgc_calls(toy_setup):
+    series, train_ws, _ = _toy_model(toy_setup)
+    cfg = toy_model_config()
+    cfg.patterns, cfg.rgc_iterations, cfg.depth = 2, 3, 3
+    model = Forecaster(series.n_nodes, series.steps_per_day, cfg, toy_graph_config(),
+                       dtype=np.float64, seed=5)
+    params = model.parameters()
+    k_d, d, m_iter = cfg.depth * cfg.hidden, cfg.hidden, cfg.rgc_iterations
+    rgc_names = [(n, p.shape) for n, p in params.items() if ".rgc" in n]
+    assert rgc_names == [(f"pattern{g}.rgc{m}.weight", (k_d, d))
+                         for g in range(cfg.patterns) for m in range(m_iter)]
+    assert model.n_parameters == parameter_count(cfg, model.graph_cfg, series.n_nodes,
+                                                 series.steps_per_day)
+
+    hist, _, tod, dow = train_ws.batch([0, 3])
+    _, acts = model.forward_batch(hist, tod, dow, collect=True)
+    width = m_iter * d
+    for g in range(cfg.patterns):
+        w, b = model.projections[g]
+        projected = acts.flows.flows[g] @ w + b
+        blocks = [rgc_forward(projected, acts.graphs[g].final,
+                              RgcParams(gamma=cfg.gamma, depth=cfg.depth,
+                                        weight=params[f"pattern{g}.rgc{m}.weight"]))
+                  for m in range(m_iter)]
+        expected = np.concatenate([blk.data for blk in blocks], axis=-1)
+        assert np.array_equal(acts.x_out.data[..., g * width:(g + 1) * width], expected)
 
 
 def test_load_state_validates_names_and_shapes(toy_setup):

@@ -249,9 +249,12 @@ def test_spatial_only_cuts_pool_gradients_from_graph_path(toy_setup):
     hist, targ, tod, dow = train_ws.batch([0, 1])
 
     # graphs must not respond to pool values in spatial_only mode
-    before = [g.final.data.copy() for g in model.adjacency_sets(tod, dow)]
+    def graphs():
+        return model.forward_batch(hist, tod, dow, collect=True)[1].graphs
+
+    before = [g.final.data.copy() for g in graphs()]
     model.pools.daily.data = model.pools.daily.data + 0.7
-    after = [g.final.data for g in model.adjacency_sets(tod, dow)]
+    after = [g.final.data for g in graphs()]
     for a, b in zip(before, after):
         assert np.array_equal(a, b)
 
