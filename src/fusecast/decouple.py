@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as T
 from .tensor import Tensor
 
@@ -45,9 +43,7 @@ def decouple(x: Tensor, daily_lookup: Tensor, weekly_lookup: Tensor,
     if not gates:
         return PatternFlows(flows=[x], ratios=[])
     # repeat the per-node embedding over batch and time so concat sees equal dims
-    lead = x.shape[:-2] + (1, 1)
-    embed = T.reshape(node_embed, (1,) * (x.ndim - 2) + node_embed.shape)
-    tiled = T.mul(embed, Tensor(np.ones(lead, dtype=x.dtype)))
+    tiled = T.broadcast_to(node_embed, x.shape[:-2] + node_embed.shape)
     features = T.relu(T.concat([daily_lookup, weekly_lookup, tiled], axis=-1))
 
     flows, ratios = [], []

@@ -2,9 +2,12 @@
 
 Values live in numpy arrays (float32 for training, float64 for gradient
 checking). Operations executed while a Tape is active are recorded in
-execution order; Tape.backward replays the records in reverse, which is a
+execution order; Tape.backward consumes the records in reverse, which is a
 valid reverse-topological order, so every op is visited exactly once and
-every reachable tensor ends up with a fully accumulated gradient.
+every reachable leaf ends up with a fully accumulated gradient. Each record
+is dropped as soon as it has run, together with the activations its pulls
+captured and the intermediate's own .grad, so a tape is single-use and
+backward memory falls as it walks back.
 
 Without an active tape every op is plain numpy with no recording, which
 doubles as inference mode.
@@ -118,7 +121,7 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of executed ops, replayed in reverse for backprop."""
+    """Ordered record of executed ops, consumed in reverse by backward."""
 
     def __init__(self):
         self._records = []  # (output, [(input, pull_fn), ...]) in execution order
@@ -137,22 +140,67 @@ class Tape:
     def backward(self, output: Tensor, seed=None):
         """Accumulate d(output)/d(input) into .grad of every recorded input.
 
-        seed defaults to ones, i.e. the gradient of output.sum().
+        seed defaults to ones, i.e. the gradient of output.sum(). The tape
+        is consumed: each record is popped as it runs and its output's
+        .grad is reset to None, so afterwards the tape is empty and only
+        tensors without a record of their own (leaves) keep a gradient.
         """
         if seed is None:
             seed = np.ones_like(output.data)
         output.grad = seed if output.grad is None else output.grad + seed
-        for out, pulls in reversed(self._records):
+        owned = set()  # ids of tensors whose .grad this pass allocated
+        records = self._records
+        while records:
+            out, pulls = records.pop()
             g = out.grad
             if g is None:
                 continue  # nothing downstream consumed this value
             for t, pull in pulls:
-                piece = pull(g)
-                t.grad = piece if t.grad is None else t.grad + piece
+                _accumulate(t, pull(g), owned)
+            out.grad = None
+            owned.discard(id(out))
 
     def clear(self):
         """Drop all records, releasing the recorded intermediates."""
         self._records.clear()
+
+
+class _Slice:
+    """A gradient that is nonzero only on `index` of its operand."""
+
+    __slots__ = ("index", "grad")
+
+    def __init__(self, index, grad):
+        self.index = index
+        self.grad = grad
+
+
+def _accumulate(t: Tensor, piece, owned: set):
+    """Add one pull's contribution into t.grad.
+
+    Pulls may hand out aliases of the downstream gradient (add, reshape,
+    concat views, sum_'s read-only broadcast), so a first dense
+    contribution is stored as it is, and t.grad is only updated in place
+    once this pass has allocated t a buffer of the right dtype.
+    """
+    index, piece = (piece.index, piece.grad) if isinstance(piece, _Slice) else (..., piece)
+    grad = t.grad
+    if grad is None:
+        if index is ...:
+            t.grad = piece
+            return
+        grad = np.zeros(t.shape, dtype=piece.dtype)
+        grad[index] = piece
+    elif id(t) in owned and np.result_type(grad, piece) == grad.dtype:
+        view = grad[index]
+        np.add(view, piece, out=view)
+    elif index is ...:
+        grad = np.asarray(grad + piece)  # 0-d operands add to a numpy scalar
+    else:
+        grad = grad.astype(np.result_type(grad, piece))
+        grad[index] += piece
+    t.grad = grad
+    owned.add(id(t))
 
 
 def active_tape():
@@ -322,6 +370,11 @@ def mean(x: Tensor, axis=None, keepdims=False):
     return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
+def broadcast_to(x: Tensor, shape):
+    """Read-only broadcast view; backward sums the gradient back down."""
+    return _make(np.broadcast_to(x.data, shape), [(x, lambda g: _unbroadcast(g, x.shape))])
+
+
 def reshape(x: Tensor, shape):
     return _make(x.data.reshape(shape), [(x, lambda g: g.reshape(x.shape))])
 
@@ -355,16 +408,10 @@ def concat(tensors, axis: int = 0):
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int):
-    """Contiguous slice along one axis; backward pads the gradient with zeros."""
+    """Contiguous slice along one axis; backward adds into that slice only."""
     axis = axis % x.ndim
     idx = tuple(slice(None) if i != axis else slice(start, start + length) for i in range(x.ndim))
-
-    def pull(g):
-        full = np.zeros(x.shape, dtype=g.dtype)
-        full[idx] = g
-        return full
-
-    return _make(x.data[idx], [(x, pull)])
+    return _make(x.data[idx], [(x, lambda g: _Slice(idx, g))])
 
 
 def split(x: Tensor, sizes, axis: int = 0):

@@ -8,6 +8,7 @@ from fusecast.errors import ConfigError, ShapeError
 from fusecast.network import (Forecaster, GruParams, RgcParams, gru_forward,
                               normalized_propagation, parameter_count, rgc_forward)
 from fusecast.tensor import Tape, Tensor
+from fusecast.training import masked_mae_loss
 
 
 def test_propagation_rows_sum_to_one_exactly():
@@ -294,3 +295,46 @@ def test_stage_tag_on_lookup_failure(toy_setup):
     hist, _, tod, dow = train_ws.batch([0])
     with pytest.raises(IndexError, match=r"\[time-lookups\]"):
         model.forward_batch(hist, tod + 1000, dow)
+
+
+def _dense_backward(tape, output):
+    """Reference backward: keeps every record, pads slices, never writes in place."""
+    output.grad = np.ones_like(output.data)
+    for out, pulls in reversed(tape._records):
+        if out.grad is None:
+            continue
+        for t, pull in pulls:
+            piece = pull(out.grad)
+            if isinstance(piece, T._Slice):
+                full = np.zeros(t.shape, dtype=piece.grad.dtype)
+                full[piece.index] = piece.grad
+                piece = full
+            t.grad = piece if t.grad is None else t.grad + piece
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_consuming_backward_matches_dense_reference(toy_setup, dtype):
+    series, train_ws, _, _, norm, _ = toy_setup
+    cfg = toy_model_config()
+    assert (cfg.patterns, cfg.rgc_iterations) == (2, 2)
+    model = Forecaster(series.n_nodes, series.steps_per_day, cfg, toy_graph_config(),
+                       normalizer=norm, dtype=dtype, seed=3)
+    hist, targ, tod, dow = train_ws.batch([0, 1, 2])
+
+    def step(backward):
+        with Tape() as tape:
+            loss = masked_mae_loss(model.forward_batch(hist, tod, dow, training=True,
+                                                       rng=np.random.default_rng(0)), targ)
+            backward(tape, loss)
+        grads = {name: p.grad for name, p in model.parameters().items()}
+        for p in model.parameters().values():
+            p.grad = None
+        return tape, grads
+
+    tape, fast = step(lambda tape, loss: tape.backward(loss))
+    assert len(tape) == 0
+    _, dense = step(_dense_backward)
+    assert fast.keys() == dense.keys()
+    for name in fast:
+        assert fast[name].dtype == dense[name].dtype == dtype, name
+        assert fast[name].tobytes() == dense[name].tobytes(), name

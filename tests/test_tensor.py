@@ -246,6 +246,7 @@ OPS = [
     ("reshape", lambda a: a.reshape(6, 4), 1),
     ("transpose", lambda a: a.transpose((2, 0, 1)), 1),
     ("narrow", lambda a: T.narrow(a, 1, 1, 2), 1),
+    ("broadcast_to", lambda a: T.broadcast_to(a, (3, 2, 3, 4)), 1),
     ("top_k", lambda a: T.top_k_rows(a, 2), 1),
 ]
 
@@ -298,3 +299,112 @@ def test_split_roundtrip_gradient():
         tape.backward(parts[0].sum() * 2.0 + parts[1].sum())
     expected = np.concatenate([np.full((2, 2), 2.0), np.ones((2, 4))], axis=1)
     assert np.array_equal(x.grad, expected)
+
+
+def test_broadcast_to_matches_numpy_and_sums_gradient_back():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    with Tape() as tape:
+        out = T.broadcast_to(x, (4, 2, 3))
+        assert np.array_equal(out.data, np.broadcast_to(x.data, (4, 2, 3)))
+        tape.backward(out.sum())
+    assert np.array_equal(x.grad, np.full((2, 3), 4.0))
+
+
+def test_backward_consumes_the_tape():
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    w = Tensor(np.full(4, 3.0), requires_grad=True)
+    with Tape() as tape:
+        hidden = T.tanh(x * w)
+        loss = (hidden * hidden).sum()
+        assert len(tape) > 0
+        tape.backward(loss)
+        assert len(tape) == 0
+    assert hidden.grad is None and loss.grad is None
+    expected = 2 * np.tanh(3 * x.data) * (1 - np.tanh(3 * x.data) ** 2)
+    assert np.allclose(x.grad, expected * 3.0, rtol=1e-14)
+    assert np.allclose(w.grad, expected * x.data, rtol=1e-14)
+
+
+def test_aliased_first_contribution_is_not_written_in_place():
+    # add hands the same gradient array to both operands; x's later
+    # contributions must land in a buffer of x's own, never in y's
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        tape.backward((x * 5.0).sum() + (x * 7.0).sum() + ((x + y) * 1.0).sum())
+    assert x.grad.tolist() == [13.0, 13.0, 13.0]
+    assert y.grad.tolist() == [1.0, 1.0, 1.0]
+
+
+def test_scalar_tensor_accumulates_every_contribution():
+    # products of 0-d arrays are numpy scalars, which cannot be added into in place
+    x = Tensor(2.0, requires_grad=True)
+    with Tape() as tape:
+        tape.backward(x * 1.0 + x * 2.0 + x * 4.0 + x * 8.0)
+    assert x.grad == 15.0
+
+
+def test_overlapping_narrows_mix_with_dense_use():
+    x = Tensor(np.arange(10.0), requires_grad=True)
+    with Tape() as tape:
+        a = T.narrow(x, 0, 0, 6)
+        b = T.narrow(x, 0, 4, 6)
+        tape.backward((a * 2.0).sum() + (b * 3.0).sum() + (x * x).sum())
+    expected = 2 * x.data + np.where(np.arange(10) < 6, 2.0, 0.0) + np.where(np.arange(10) >= 4, 3.0, 0.0)
+    assert np.array_equal(x.grad, expected)
+    # a slice arriving first and dense contributions after it, on an intermediate
+    y = Tensor(np.arange(6.0), requires_grad=True)
+    with Tape() as tape:
+        z = y * 1.0
+        tape.backward(z.sum() + T.narrow(z, 0, 2, 2).sum() * 10.0)
+    assert y.grad.tolist() == [1.0, 1.0, 11.0, 11.0, 1.0, 1.0]
+
+
+def test_read_only_sum_gradient_then_more_accumulation():
+    # sum_'s pull is a read-only broadcast view; accumulating on top must copy it
+    for loss in (lambda x: x.sum() + (x * 2.0).sum() + T.narrow(x, 1, 0, 1).sum(),
+                 lambda x: T.narrow(x, 1, 0, 1).sum() + (x * 2.0).sum() + x.sum(),
+                 lambda x: T.narrow(x, 1, 0, 1).sum() + x.sum() * 3.0):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(loss(x))
+        assert x.grad.tolist() == [[4.0, 3.0, 3.0], [4.0, 3.0, 3.0]]
+
+
+def test_float32_gradients_stay_float32():
+    x = Tensor(np.ones((2, 4), dtype=np.float32), requires_grad=True)
+    with Tape() as tape:
+        parts = T.split(x, [1, 3], axis=1)
+        tape.backward(parts[0].sum() + (parts[1] * 2.0).sum() + x.sum() + x.mean())
+    assert x.grad.dtype == np.float32
+    assert np.allclose(x.grad, [[2.125, 3.125, 3.125, 3.125]] * 2)
+    # a float64 contribution after two float32 ones promotes the sum as
+    # numpy would; the float32 seed keeps the first two pieces float32
+    x.grad = None
+    with Tape() as tape:
+        wide = x * Tensor(np.full(4, 1 + 2.0 ** -40))
+        tape.backward(wide + x * 2.0 + x * 3.0, seed=np.ones((2, 4), dtype=np.float32))
+    assert x.grad.dtype == np.float64
+    assert np.array_equal(x.grad, np.full((2, 4), 6 + 2.0 ** -40))
+
+
+def test_split_backward_memory_stays_linear():
+    # 12 time slices must add into one gradient buffer, not build 12 full arrays
+    import tracemalloc
+
+    x = Tensor(np.random.default_rng(0).standard_normal((4, 12, 50, 16)), requires_grad=True)
+    with Tape() as tape:
+        y = x * 2.0
+        loss = None
+        for i, piece in enumerate(T.split(y, [1] * 12, axis=-3)):
+            term = (piece * float(i)).sum()
+            loss = term if loss is None else loss + term
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(x.grad, np.broadcast_to(2.0 * np.arange(12.0)[:, None, None], x.shape))
+    assert peak < 3 * x.data.nbytes, f"backward peaked at {peak / x.data.nbytes:.1f}x the input"
