@@ -8,9 +8,9 @@ a curriculum training loop, all on numpy.
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import GraphConfig, ModelConfig, RunConfig, TrainConfig, load_config
-from .data import (Normalizer, PredefinedGraph, TrafficSeries, WindowSet,
-                   fit_normalizer, load_predefined_graph, load_series, make_synthetic,
-                   save_series, split_and_window)
+from .data import (Normalizer, TrafficSeries, WindowSet, fit_normalizer,
+                   load_predefined_graph, load_series, make_synthetic, save_series,
+                   split_and_window)
 from .decouple import GateParams, PatternFlows, decouple
 from .errors import (ConfigError, IngestionError, NumericalError, ShapeError, StateError)
 from .graphgen import (AdjacencySet, AttentionFusionParams, PatternGraphParams,
@@ -20,7 +20,7 @@ from .network import (Forecaster, ForwardActivations, GruParams, RgcParams, gru_
                       normalized_propagation, parameter_count, rgc_forward)
 from .optim import Adam, AdamState, GradCheckReport, grad_check
 from .tensor import Tape, Tensor
-from .training import (MetricReport, TrainResult, ablate, curriculum_horizon, evaluate,
+from .training import (MetricReport, TrainResult, curriculum_horizon, evaluate,
                        lr_schedule, masked_mae_loss, metrics, run_training, train)
 
 __version__ = "0.1.0"

@@ -1,7 +1,12 @@
 """Command-line driver: generate / train / eval / ablate / gradcheck.
 
+`ablate --variant V` is `train` with V's overrides from
+training.ABLATION_VARIANTS appended to the command-line ones; its summary
+line adds the variant name.
+
 Exit codes are a stable contract: 0 success, 2 config error, 3 numerical
-failure, 4 I/O error.
+failure (including a non-finite training loss or validation MAE), 4 I/O
+error.
 """
 
 from __future__ import annotations
@@ -90,15 +95,19 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
+    variant = getattr(args, "variant", None)  # given by `ablate` only
+    if variant:
+        training.apply_variant(cfg, variant)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(cfg, out_dir / "manifest.json")
     _, result, test_report = training.run_training(
         cfg, out_dir=out_dir,
         log=lambda rec: print(json.dumps(rec), flush=True))
-    print(json.dumps({"best_epoch": result.best_epoch,
-                      "val": result.val_report.to_dict(),
-                      "test": test_report.to_dict()}))
+    summary = {"variant": variant} if variant else {}
+    summary.update(best_epoch=result.best_epoch, val=result.val_report.to_dict(),
+                   test=test_report.to_dict())
+    print(json.dumps(summary))
     return EXIT_OK
 
 
@@ -111,17 +120,6 @@ def cmd_eval(args) -> int:
     report = training.evaluate(model, windows, batch_size=max(cfg.train.batch_size, 64),
                                mask_threshold=cfg.train.mask_threshold)
     print(json.dumps(report.to_dict()))
-    return EXIT_OK
-
-
-def cmd_ablate(args) -> int:
-    cfg = _load_run_config(args)
-    cfg = training.apply_variant(cfg, args.variant)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(cfg, out_dir / "manifest.json")
-    report = training.ablate(args.variant, cfg, out_dir=out_dir)
-    print(json.dumps({"variant": args.variant, "test": report.to_dict()}))
     return EXIT_OK
 
 
@@ -161,7 +159,7 @@ def main(argv=None) -> int:
         "generate": cmd_generate,
         "train": cmd_train,
         "eval": cmd_eval,
-        "ablate": cmd_ablate,
+        "ablate": cmd_train,
         "gradcheck": cmd_gradcheck,
     }
     try:

@@ -98,7 +98,6 @@ class TrainConfig:
     seed: int = 1
     mask_threshold: float = 0.0
     patience: int = 20
-    lr_ramp: bool = False        # optional linear lr ramp over the warm-up epochs
     split: list = field(default_factory=lambda: [0.6, 0.2, 0.2])
 
     def validate(self):
@@ -226,14 +225,19 @@ def load_config(path=None, overrides=()) -> RunConfig:
                 raise ConfigError(f"{path}:{line_no}: expected key = value, got {line!r}")
             key, raw = stripped.split("=", 1)
             apply_assignment(cfg, key, raw)
+    apply_overrides(cfg, overrides)
+    cfg.validate()
+    return cfg
+
+
+def apply_overrides(cfg: RunConfig, overrides) -> None:
+    """Apply `section.key=value` items and echo each into cfg.overrides."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like section.key=value")
         key, raw = item.split("=", 1)
         apply_assignment(cfg, key, raw)
         cfg.overrides.append(item)
-    cfg.validate()
-    return cfg
 
 
 def preset_path(name: str) -> Path:

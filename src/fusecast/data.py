@@ -265,16 +265,8 @@ def save_series(series: TrafficSeries, csv_path, meta_path=None) -> None:
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
-@dataclass
-class PredefinedGraph:
-    """A road-network adjacency loaded from an edge list."""
-
-    adjacency: np.ndarray  # [N, N], non-negative
-    directed: bool = False
-
-
-def load_predefined_graph(edge_path, n_nodes: int, directed: bool = False) -> PredefinedGraph:
-    """Load `from,to[,weight]` edges into a dense adjacency.
+def load_predefined_graph(edge_path, n_nodes: int, directed: bool = False) -> np.ndarray:
+    """Load `from,to[,weight]` edges into a dense, non-negative [N, N] adjacency.
 
     A header row is skipped if present. Self-loops are dropped with a
     warning; undirected graphs are symmetrized.
@@ -315,4 +307,4 @@ def load_predefined_graph(edge_path, n_nodes: int, directed: bool = False) -> Pr
             n_edges += 1
     if n_edges == 0:
         warnings.warn(f"{edge_path}: no edges loaded, adjacency is all zeros")
-    return PredefinedGraph(adjacency=adjacency, directed=directed)
+    return adjacency

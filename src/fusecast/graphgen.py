@@ -54,10 +54,6 @@ class AttentionFusionParams:
     value: list
     output: Tensor
 
-    @property
-    def n_heads(self) -> int:
-        return len(self.query)
-
 
 @dataclass
 class PatternGraphParams:

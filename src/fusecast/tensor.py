@@ -71,9 +71,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}{flag})"

@@ -1,10 +1,15 @@
-"""Loss, metrics, schedules, the training loop, and the ablation harness.
+"""Loss, metrics, schedules, the training loop, and the ablation variants.
 
 The loss is masked mean absolute error on denormalized predictions:
 entries whose ground truth is exactly 0 are treated as missing and drop
 out of both numerator and denominator. Training follows a warm-up phase on
 the full horizon, then a curriculum that restarts at a one-step horizon
-and grows it by one step every `curriculum_step` epochs.
+and grows it by one step every `curriculum_step` epochs. Validation runs
+once per epoch; a non-finite loss or validation MAE raises NumericalError.
+
+An ablation variant is a name for a tuple of config overrides
+(`ABLATION_VARIANTS`); `apply_variant` applies them like command-line
+overrides, so an ablation run is an ordinary training run.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import save_checkpoint
-from .config import RunConfig, TrainConfig
+from .config import RunConfig, TrainConfig, apply_overrides
 from .data import (WindowSet, fit_normalizer, load_predefined_graph, load_series,
                    split_and_window)
 from .errors import ConfigError, NumericalError, ShapeError
@@ -26,14 +31,21 @@ from .network import Forecaster
 from .optim import Adam
 from .tensor import Tape, Tensor
 
-ABLATION_VARIANTS = ("full", "use_pg", "use_tg", "use_sg", "no_decouple", "g2", "g3")
+ABLATION_VARIANTS = {
+    "full": (),
+    "use_pg": ("graph.mode=predefined",),
+    "use_tg": ("graph.mode=temporal_only",),
+    "use_sg": ("graph.mode=spatial_only",),
+    "no_decouple": ("model.patterns=1",),
+    "g2": ("model.patterns=2",),
+    "g3": ("model.patterns=3",),
+}
 
 
 def masked_mae_loss(pred: Tensor, target: np.ndarray, horizon_limit: int | None = None) -> Tensor:
     """Mean |pred - target| over entries with target > 0, first `horizon_limit` steps.
 
-    An empty mask yields a zero loss, a warning, and bumps
-    masked_mae_loss.empty_mask_count.
+    An empty mask yields a zero loss and a warning.
     """
     target = np.asarray(target)
     if pred.shape != target.shape:
@@ -45,14 +57,10 @@ def masked_mae_loss(pred: Tensor, target: np.ndarray, horizon_limit: int | None 
     mask = (target > 0).astype(pred.dtype)
     count = mask.sum()
     if count == 0:
-        masked_mae_loss.empty_mask_count += 1
         warnings.warn("loss mask is empty (all targets zero); returning 0")
         return Tensor(np.zeros((), dtype=pred.dtype))
     err = T.abs_(pred - Tensor(target.astype(pred.dtype)))
     return (err * mask).sum() * (1.0 / count)
-
-
-masked_mae_loss.empty_mask_count = 0
 
 
 @dataclass
@@ -139,12 +147,9 @@ def curriculum_horizon(epoch: int, cfg: TrainConfig, full_horizon: int) -> int:
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
-    """Base rate decayed once per milestone reached; optional warm-up ramp."""
+    """Base rate decayed once per milestone reached."""
     passed = sum(1 for m in cfg.milestones if epoch >= m)
-    lr = cfg.learning_rate * (cfg.lr_decay ** passed)
-    if cfg.lr_ramp and cfg.warmup_epochs > 0 and epoch <= cfg.warmup_epochs:
-        lr *= epoch / cfg.warmup_epochs
-    return lr
+    return cfg.learning_rate * (cfg.lr_decay ** passed)
 
 
 def evaluate(model: Forecaster, windows: WindowSet, batch_size: int = 64,
@@ -163,18 +168,18 @@ def evaluate(model: Forecaster, windows: WindowSet, batch_size: int = 64,
 class TrainResult:
     history: list
     best_epoch: int
-    best_val_mae: float
     best_state: dict
-    val_report: MetricReport
+    val_report: MetricReport  # the best epoch's validation report
 
 
 def train(model: Forecaster, train_ws: WindowSet, val_ws: WindowSet, cfg: TrainConfig,
           out_dir=None, log=None) -> TrainResult:
     """Mini-batch Adam training with curriculum horizon and best-val selection.
 
-    Writes history.jsonl and checkpoint.bin under out_dir when given. All
-    randomness (shuffling, dropout) derives from cfg.seed, so identical
-    configs reproduce identical artifacts byte for byte.
+    Writes history.jsonl and checkpoint.bin under out_dir when given, and
+    leaves the model holding the best epoch's parameters. All randomness
+    (shuffling, dropout) derives from cfg.seed, so identical configs
+    reproduce identical artifacts byte for byte.
     """
     cfg.validate()
     optimizer = Adam(model.parameters(), learning_rate=cfg.learning_rate,
@@ -183,7 +188,7 @@ def train(model: Forecaster, train_ws: WindowSet, val_ws: WindowSet, cfg: TrainC
     shuffle_seed, dropout_seed = seed_root.spawn(2)
 
     history = []
-    best = (0, np.inf, model.state())
+    best = None  # (epoch, val_report, state)
     since_best = 0
     history_path = Path(out_dir) / "history.jsonl" if out_dir else None
     if history_path:
@@ -218,6 +223,8 @@ def train(model: Forecaster, train_ws: WindowSet, val_ws: WindowSet, cfg: TrainC
 
         val_report = evaluate(model, val_ws, batch_size=max(cfg.batch_size, 64),
                               mask_threshold=cfg.mask_threshold)
+        if not np.isfinite(val_report.mae):
+            raise NumericalError(f"non-finite validation MAE {val_report.mae} at epoch {epoch}")
         record = {
             "epoch": epoch, "lr": lr, "horizon": horizon,
             "train_loss": err_total / max(mask_total, 1),
@@ -231,21 +238,20 @@ def train(model: Forecaster, train_ws: WindowSet, val_ws: WindowSet, cfg: TrainC
         if log:
             log(record)
 
-        if val_report.mae < best[1]:
-            best = (epoch, val_report.mae, model.state())
+        if best is None or val_report.mae < best[1].mae:
+            best = (epoch, val_report, model.state())
             since_best = 0
         else:
             since_best += 1
             if cfg.patience and since_best >= cfg.patience:
                 break
 
-    model.load_state(best[2])
-    final_val = evaluate(model, val_ws, batch_size=max(cfg.batch_size, 64),
-                         mask_threshold=cfg.mask_threshold)
+    best_epoch, val_report, best_state = best
+    model.load_state(best_state)
     if out_dir:
-        save_checkpoint(Path(out_dir) / "checkpoint.bin", best[2])
-    return TrainResult(history=history, best_epoch=best[0], best_val_mae=best[1],
-                       best_state=best[2], val_report=final_val)
+        save_checkpoint(Path(out_dir) / "checkpoint.bin", best_state)
+    return TrainResult(history=history, best_epoch=best_epoch, best_state=best_state,
+                       val_report=val_report)
 
 
 def prepare_data(cfg: RunConfig):
@@ -260,12 +266,11 @@ def prepare_data(cfg: RunConfig):
 
 
 def build_model(cfg: RunConfig, series, normalizer, dtype=np.float32) -> Forecaster:
+    cfg.validate()
     predefined = None
     if cfg.graph.mode == "predefined":
-        if not cfg.data.graph:
-            raise ConfigError("graph.mode=predefined requires data.graph")
         predefined = load_predefined_graph(cfg.data.graph, series.n_nodes,
-                                           cfg.data.directed_graph).adjacency
+                                           cfg.data.directed_graph)
     return Forecaster(series.n_nodes, series.steps_per_day, cfg.model, cfg.graph,
                       normalizer=normalizer, predefined_graph=predefined,
                       dtype=dtype, seed=cfg.train.seed)
@@ -286,28 +291,17 @@ def run_training(cfg: RunConfig, out_dir=None, log=None):
 
 
 def apply_variant(cfg: RunConfig, variant: str) -> RunConfig:
-    """Rewrite a config for one ablation variant."""
+    """Apply one ablation variant's overrides to a config and validate it.
+
+    The overrides are echoed into cfg.overrides, so the run manifest
+    records them like command-line overrides.
+    """
     if variant not in ABLATION_VARIANTS:
-        raise ConfigError(f"unknown ablation variant {variant!r}; choose from {ABLATION_VARIANTS}")
-    if variant == "use_pg":
-        cfg.graph.mode = "predefined"
-        if not cfg.data.graph:
-            raise ConfigError("variant use_pg requires data.graph to point at an edge list")
-    elif variant == "use_tg":
-        cfg.graph.mode = "temporal_only"
-    elif variant == "use_sg":
-        cfg.graph.mode = "spatial_only"
-    elif variant == "no_decouple":
-        cfg.model.patterns = 1
-    elif variant == "g2":
-        cfg.model.patterns = 2
-    elif variant == "g3":
-        cfg.model.patterns = 3
+        raise ConfigError(
+            f"unknown ablation variant {variant!r}; choose from {tuple(ABLATION_VARIANTS)}")
+    apply_overrides(cfg, ABLATION_VARIANTS[variant])
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"variant {variant}: {exc}") from None
     return cfg
-
-
-def ablate(variant: str, cfg: RunConfig, out_dir=None, log=None) -> MetricReport:
-    """Train and evaluate one ablation variant; returns the test report."""
-    cfg = apply_variant(cfg, variant)
-    _, _, test_report = run_training(cfg, out_dir=out_dir, log=log)
-    return test_report

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from fusecast import training
 from fusecast.cli import main
+from fusecast.training import ABLATION_VARIANTS, MetricReport
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +118,39 @@ def test_ablate_use_pg_without_graph_exits_2(tmp_path, capsys):
                            "--out", str(tmp_path / "r"), f"data.series={csv}")
     assert code == 2
     assert "use_pg" in err
+
+
+@pytest.mark.parametrize("variant", ["use_sg", "no_decouple"])
+def test_ablate_equals_train_with_the_variant_overrides(tmp_path, capsys, variant):
+    csv = _toy_data(tmp_path, capsys)
+    common = [f"data.series={csv}", "train.max_epochs=2"]
+    code, ablated, _ = run_cli(capsys, "ablate", *TOY_ARGS, "--variant", variant,
+                               "--out", str(tmp_path / "ablate"), *common)
+    assert code == 0
+    code, trained, _ = run_cli(capsys, "train", *TOY_ARGS, "--out", str(tmp_path / "train"),
+                               *common, *ABLATION_VARIANTS[variant])
+    assert code == 0
+    for name in ("checkpoint.bin", "history.jsonl", "metrics.json", "manifest.json"):
+        assert ((tmp_path / "ablate" / name).read_bytes()
+                == (tmp_path / "train" / name).read_bytes()), name
+    ablated, trained = ablated.splitlines(), trained.splitlines()
+    assert ablated[:-1] == trained[:-1]  # the same epoch lines
+    summary = json.loads(ablated[-1])
+    assert summary.pop("variant") == variant
+    assert summary == json.loads(trained[-1])
+
+
+def test_train_non_finite_validation_mae_exits_3(tmp_path, capsys, monkeypatch):
+    csv = _toy_data(tmp_path, capsys)
+
+    def nan_report(*args, **kwargs):
+        return MetricReport(mae=float("nan"), rmse=float("nan"), mape=float("nan"))
+
+    monkeypatch.setattr(training, "evaluate", nan_report)
+    code, _, err = run_cli(capsys, "train", *TOY_ARGS, "--out", str(tmp_path / "r"),
+                           f"data.series={csv}", "train.max_epochs=1")
+    assert code == 3
+    assert "non-finite validation MAE nan at epoch 1" in err
 
 
 def test_gradcheck_toy_preset_passes(capsys):

@@ -221,15 +221,15 @@ def test_predefined_graph_edges_and_mirrors(tmp_path):
     path.write_text("0,1\n1,2\n")
     g = load_predefined_graph(path, 3)
     expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
-    assert np.array_equal(g.adjacency, expected)
+    assert np.array_equal(g, expected)
 
 
 def test_predefined_graph_directed_and_weighted(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("from,to,weight\n0,1,2.5\n")
     g = load_predefined_graph(path, 2, directed=True)
-    assert g.adjacency[0, 1] == 2.5
-    assert g.adjacency[1, 0] == 0.0
+    assert g[0, 1] == 2.5
+    assert g[1, 0] == 0.0
 
 
 def test_predefined_graph_empty_warns(tmp_path):
@@ -237,7 +237,7 @@ def test_predefined_graph_empty_warns(tmp_path):
     path.write_text("")
     with pytest.warns(UserWarning, match="no edges"):
         g = load_predefined_graph(path, 3)
-    assert not g.adjacency.any()
+    assert not g.any()
 
 
 def test_predefined_graph_out_of_range_cites_row(tmp_path):
@@ -252,8 +252,8 @@ def test_predefined_graph_drops_self_loops_with_warning(tmp_path):
     path.write_text("1,1\n0,1\n")
     with pytest.warns(UserWarning, match="self-loop"):
         g = load_predefined_graph(path, 2)
-    assert g.adjacency[1, 1] == 0.0
-    assert g.adjacency[0, 1] == 1.0
+    assert g[1, 1] == 0.0
+    assert g[0, 1] == 1.0
 
 
 def test_batch_materialization_matches_single_windows():

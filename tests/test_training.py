@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -21,12 +22,10 @@ def test_masked_mae_hand_example():
 
 
 def test_masked_mae_all_zero_targets_warns_and_counts():
-    before = masked_mae_loss.empty_mask_count
     pred = Tensor(np.ones((2, 3, 1)))
     with pytest.warns(UserWarning, match="mask"):
         loss = masked_mae_loss(pred, np.zeros((2, 3, 1)))
     assert loss.item() == 0.0
-    assert masked_mae_loss.empty_mask_count == before + 1
 
 
 def test_masked_mae_horizon_limit():
@@ -125,13 +124,6 @@ def test_lr_schedule_examples():
     assert lr_schedule(100, cfg) == pytest.approx(0.001)
 
 
-def test_lr_ramp_flag():
-    cfg = _tcfg(lr_ramp=True, warmup_epochs=10)
-    assert lr_schedule(1, cfg) == pytest.approx(0.0004)
-    assert lr_schedule(10, cfg) == pytest.approx(0.004)
-    assert lr_schedule(11, cfg) == pytest.approx(0.004)
-
-
 def _toy_float32(toy_setup):
     series, train_ws, val_ws, test_ws, norm, _ = toy_setup
     model = Forecaster(series.n_nodes, series.steps_per_day, toy_model_config(),
@@ -185,6 +177,47 @@ def test_non_finite_loss_aborts_with_batch_index(toy_setup):
         train(model, train_ws, val_ws, _tcfg(max_epochs=1))
 
 
+def _scripted_evaluate(monkeypatch, maes):
+    """Replace training.evaluate by the real one with its MAE taken from `maes`.
+
+    Returns the list of reports handed to train(), one per call.
+    """
+    real, reports = fc.training.evaluate, []
+
+    def scripted(*args, **kwargs):
+        report = dataclasses.replace(real(*args, **kwargs), mae=maes[len(reports)])
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(fc.training, "evaluate", scripted)
+    return reports
+
+
+def test_patience_stop_evaluates_once_per_epoch_and_keeps_best_report(toy_setup, tmp_path,
+                                                                     monkeypatch):
+    series, train_ws, val_ws, test_ws, model = _toy_float32(toy_setup)
+    real_evaluate = fc.training.evaluate
+    reports = _scripted_evaluate(monkeypatch, [5.0, 3.0, 4.0, 4.0, 1.0])
+    result = train(model, train_ws, val_ws, _tcfg(max_epochs=5, patience=2), out_dir=tmp_path)
+    assert len(reports) == len(result.history) == 4  # stopped by patience at epoch 4
+    assert result.best_epoch == 2
+    assert json.dumps(result.val_report.to_dict()) == json.dumps(reports[1].to_dict())
+    # the model and checkpoint hold the best epoch's parameters
+    again = real_evaluate(model, val_ws, batch_size=64)
+    assert json.dumps(dataclasses.replace(again, mae=3.0).to_dict()) == \
+        json.dumps(reports[1].to_dict())
+    saved = fc.load_checkpoint(tmp_path / "checkpoint.bin")
+    assert all(np.array_equal(saved[k], v) for k, v in model.state().items())
+
+
+def test_non_finite_validation_mae_raises_numerical_error(toy_setup, tmp_path, monkeypatch):
+    series, train_ws, val_ws, test_ws, model = _toy_float32(toy_setup)
+    _scripted_evaluate(monkeypatch, [float("nan")])
+    with pytest.raises(NumericalError, match="validation MAE nan at epoch 1"):
+        train(model, train_ws, val_ws, _tcfg(max_epochs=2), out_dir=tmp_path)
+    assert (tmp_path / "history.jsonl").read_text() == ""
+
+
 def test_evaluate_runs_without_tape(toy_setup):
     series, train_ws, val_ws, test_ws, model = _toy_float32(toy_setup)
     report = evaluate(model, val_ws, batch_size=4)
@@ -227,6 +260,14 @@ def test_apply_variant_rewrites_config(tmp_path, toy_series):
         apply_variant(cfg, "nope")
     with pytest.raises(ConfigError, match="use_pg"):
         apply_variant(cfg, "use_pg")  # no graph file configured
+
+
+def test_build_model_rejects_predefined_mode_without_graph(tmp_path, toy_series):
+    cfg = _run_cfg(tmp_path, toy_series)
+    series, train_ws, val_ws, test_ws, norm = fc.training.prepare_data(cfg)
+    cfg.graph.mode = "predefined"
+    with pytest.raises(ConfigError, match="data.graph"):
+        fc.training.build_model(cfg, series, norm)
 
 
 def test_no_decouple_has_single_stream_and_no_gates(tmp_path, toy_series):
