@@ -22,7 +22,6 @@ from . import training
 from .config import RunConfig, load_config, preset_path, write_manifest
 from .data import Normalizer, make_synthetic, save_series
 from .errors import ConfigError, IngestionError, NumericalError, ShapeError
-from .network import Forecaster
 from .optim import grad_check, randomize_parameters
 from .checkpoint import load_checkpoint
 from .training import masked_mae_loss
@@ -129,8 +128,7 @@ def cmd_gradcheck(args) -> int:
                                steps_per_day=max(8, 2 * cfg.model.history_steps),
                                noise_std=1.0)
     norm = Normalizer(mean=float(series.values.mean()), std=float(series.values.std()))
-    model = Forecaster(series.n_nodes, series.steps_per_day, cfg.model, cfg.graph,
-                       normalizer=norm, dtype=np.float64, seed=cfg.train.seed)
+    model = training.build_model(cfg, series, norm, dtype=np.float64)
     randomize_parameters(model.parameters(), seed=cfg.train.seed)
     th, tf = cfg.model.history_steps, cfg.model.horizon_steps
     hist = series.values[None, :th]

@@ -36,11 +36,10 @@ class ModelConfig:
     head_channels: int = 64
 
     def validate(self):
-        for name in ("history_steps", "horizon_steps", "channels", "patterns",
-                     "rgc_iterations", "hidden", "depth", "node_embed_dim",
-                     "time_embed_dim", "gate_hidden", "head_hidden", "head_channels"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"model.{name} must be >= 1, got {getattr(self, name)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is int and value < 1:
+                raise ConfigError(f"model.{f.name} must be >= 1, got {value}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"model.gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 <= self.dropout < 1.0:
@@ -138,16 +137,6 @@ class RunConfig:
         if self.graph.mode == "predefined" and not self.data.graph:
             raise ConfigError("graph.mode=predefined requires data.graph to point at an edge list")
 
-    def manifest(self) -> dict:
-        out = {
-            "model": asdict(self.model),
-            "graph": asdict(self.graph),
-            "train": asdict(self.train),
-            "data": asdict(self.data),
-            "overrides": list(self.overrides),
-        }
-        return out
-
 
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
@@ -158,41 +147,23 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_int_list(raw: str) -> list:
-    raw = raw.strip()
-    return [int(x) for x in raw.split(",")] if raw else []
-
-
-def _parse_float_list(raw: str) -> list:
-    raw = raw.strip()
-    return [float(x) for x in raw.split(",")] if raw else []
-
-
 _SECTIONS = {"model": ModelConfig, "graph": GraphConfig, "train": TrainConfig, "data": DataConfig}
 
-_PARSERS = {
-    int: int,
-    float: float,
-    str: lambda s: s.strip(),
-    bool: _parse_bool,
-}
+
+def _parser(default):
+    """Text parser for a field, chosen by the type of its default value."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, list):
+        item = type(default[0])
+        return lambda raw: [item(x) for x in raw.split(",")] if raw.strip() else []
+    if isinstance(default, str):
+        return str.strip
+    return type(default)
 
 
-def _field_types():
-    table = {}
-    for section, cls in _SECTIONS.items():
-        for f in fields(cls):
-            if f.name == "milestones":
-                parser = _parse_int_list
-            elif f.name == "split":
-                parser = _parse_float_list
-            else:
-                parser = _PARSERS[f.type if isinstance(f.type, type) else eval(f.type)]
-            table[f"{section}.{f.name}"] = parser
-    return table
-
-
-_SCHEMA = _field_types()
+_SCHEMA = {f"{section}.{f.name}": _parser(getattr(cls(), f.name))
+           for section, cls in _SECTIONS.items() for f in fields(cls)}
 
 
 def schema_keys():
@@ -249,4 +220,4 @@ def preset_path(name: str) -> Path:
 
 
 def write_manifest(cfg: RunConfig, path) -> None:
-    Path(path).write_text(json.dumps(cfg.manifest(), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")

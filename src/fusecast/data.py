@@ -104,26 +104,44 @@ def load_series(data_path, meta_path=None) -> TrafficSeries:
     meta_path = Path(meta_path) if meta_path else data_path.with_suffix(".json")
     try:
         meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
         raise IngestionError(f"{meta_path}: invalid JSON sidecar: {exc}") from None
-    for key in ("steps_per_day", "first_step_day_of_week"):
-        if key not in meta:
-            raise IngestionError(f"{meta_path}: missing metadata key '{key}'")
+    if not isinstance(meta, dict):
+        raise IngestionError(
+            f"{meta_path}: sidecar must be a JSON object, got {type(meta).__name__}")
+    steps_per_day = _meta_int(meta_path, meta, "steps_per_day", 1)
+    first_dow = _meta_int(meta_path, meta, "first_step_day_of_week", 0, DAYS_PER_WEEK - 1)
+    nodes = _meta_int(meta_path, meta, "nodes") if "nodes" in meta else None
 
     values = _read_numeric_csv(data_path)
-    if "nodes" in meta and values.shape[1] != int(meta["nodes"]):
+    if nodes is not None and values.shape[1] != nodes:
         raise IngestionError(
-            f"{data_path}: expected {meta['nodes']} columns per metadata, found {values.shape[1]}")
+            f"{data_path}: expected {nodes} columns per metadata, found {values.shape[1]}")
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         r, c = bad[0]
         raise IngestionError(f"{data_path}: non-finite value at row {r + 1}, column {c + 1}")
     return TrafficSeries(
         values=values[:, :, None],
-        steps_per_day=int(meta["steps_per_day"]),
-        first_step_day_of_week=int(meta["first_step_day_of_week"]),
+        steps_per_day=steps_per_day,
+        first_step_day_of_week=first_dow,
         name=str(meta.get("name", data_path.stem)),
     )
+
+
+def _meta_int(meta_path, meta: dict, key: str, low=-math.inf, high=math.inf) -> int:
+    """Sidecar value `key` as an int in [low, high]; IngestionError otherwise."""
+    if key not in meta:
+        raise IngestionError(f"{meta_path}: missing metadata key '{key}'")
+    try:
+        value = int(meta[key])
+    except (TypeError, ValueError, OverflowError):
+        raise IngestionError(f"{meta_path}: metadata key '{key}' is not an integer: "
+                             f"{meta[key]!r}") from None
+    if not low <= value <= high:
+        raise IngestionError(f"{meta_path}: metadata key '{key}' must lie in [{low}, {high}], "
+                             f"got {value}")
+    return value
 
 
 def _read_numeric_csv(path: Path) -> np.ndarray:

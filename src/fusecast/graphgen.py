@@ -94,9 +94,6 @@ def build_directed_graph(f1: Tensor, f2: Tensor, w1: Tensor, w2: Tensor,
     zero and at most one direction of each pair survives the ReLU), then
     keeps the top k entries per row.
     """
-    n = f1.shape[-2]
-    if k > n:
-        raise ConfigError(f"top-k retention k={k} exceeds node count {n}")
     m1 = T.tanh(T.mul(T.matmul(f1, w1), alpha))
     m2 = T.tanh(T.mul(T.matmul(f2, w2), alpha))
     score = T.sub(T.matmul(m1, _swap_last(m2)), T.matmul(m2, _swap_last(m1)))
@@ -136,8 +133,7 @@ def fuse_graphs(a_spatial: Tensor, a_temporal: Tensor, beta: float,
 
 
 def generate_pattern_graph(params: PatternGraphParams, time_features, cfg: GraphConfig,
-                           predefined: np.ndarray | None = None,
-                           dtype=np.float64) -> AdjacencySet:
+                           predefined: np.ndarray | None = None) -> AdjacencySet:
     """Build one pattern's AdjacencySet in the graph mode `cfg.mode`.
 
     `time_features` is the (daily, weekly) averaged feature pair from
@@ -148,7 +144,7 @@ def generate_pattern_graph(params: PatternGraphParams, time_features, cfg: Graph
         if predefined is None:
             raise ConfigError("graph mode 'predefined' needs a loaded road-network adjacency")
         return AdjacencySet(spatial=None, temporal=None, fused=None,
-                            final=Tensor(np.asarray(predefined, dtype=dtype)))
+                            final=Tensor(predefined))
 
     spatial = temporal = fused = None
     if mode in ("fused", "spatial_only"):

@@ -307,8 +307,7 @@ class Forecaster:
             time_features = temporal_feature_matrix(daily_l, weekly_l)
         with _stage("graph-generation"):
             graphs = [
-                generate_pattern_graph(p, time_features, self.graph_cfg, self.predefined_graph,
-                                       dtype=self.dtype)
+                generate_pattern_graph(p, time_features, self.graph_cfg, self.predefined_graph)
                 for p in self.patterns
             ]
 

@@ -184,8 +184,6 @@ def train(model: Forecaster, train_ws: WindowSet, val_ws: WindowSet, cfg: TrainC
     cfg.validate()
     optimizer = Adam(model.parameters(), learning_rate=cfg.learning_rate,
                      eps=cfg.eps, weight_decay=cfg.weight_decay)
-    seed_root = np.random.SeedSequence(cfg.seed)
-    shuffle_seed, dropout_seed = seed_root.spawn(2)
 
     history = []
     best = None  # (epoch, val_report, state)
@@ -199,8 +197,11 @@ def train(model: Forecaster, train_ws: WindowSet, val_ws: WindowSet, cfg: TrainC
         horizon = curriculum_horizon(epoch, cfg, model.cfg.horizon_steps)
         optimizer.set_lr(lr)
 
-        order = np.random.default_rng(shuffle_seed.spawn(1)[0]).permutation(len(train_ws))
-        epoch_dropout = np.random.default_rng(dropout_seed.spawn(1)[0])
+        # epoch e's streams depend only on (seed, e), so a resumed run needs no saved rng state
+        shuffle, epoch_dropout = (
+            np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(stream, epoch - 1)))
+            for stream in (0, 1))
+        order = shuffle.permutation(len(train_ws))
         # mask-weighted so the epoch loss is independent of batch grouping
         err_total, mask_total = 0.0, 0
         for batch_no, start in enumerate(range(0, len(train_ws), cfg.batch_size)):

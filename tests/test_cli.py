@@ -100,6 +100,15 @@ def test_eval_missing_checkpoint_exits_4(tmp_path, capsys):
     assert "I/O error" in err
 
 
+def test_train_malformed_sidecar_exits_4(tmp_path, capsys):
+    csv = _toy_data(tmp_path, capsys)
+    csv.with_suffix(".json").write_text('{"steps_per_day": 0, "first_step_day_of_week": 0}')
+    code, _, err = run_cli(capsys, "train", *TOY_ARGS, "--out", str(tmp_path / "r"),
+                           f"data.series={csv}")
+    assert code == 4
+    assert err.startswith("I/O error:") and "steps_per_day" in err
+
+
 def test_ablate_smoke(tmp_path, capsys):
     csv = _toy_data(tmp_path, capsys)
     out = tmp_path / "ablate_sg"

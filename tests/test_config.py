@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from fusecast.config import (GraphConfig, RunConfig, load_config, preset_path,
-                             schema_keys, write_manifest)
+from fusecast.config import (GraphConfig, RunConfig, apply_assignment, load_config,
+                             preset_path, schema_keys, write_manifest)
 from fusecast.errors import ConfigError
 
 
@@ -113,6 +113,18 @@ def test_graph_invariants_for_node_count():
         GraphConfig(k_spatial=20).validate_for_nodes(8)
     with pytest.raises(ConfigError, match="head_dim"):
         GraphConfig(k_spatial=2, k_temporal=2, heads=4, head_dim=4).validate_for_nodes(8)
+
+
+def test_every_schema_key_round_trips_its_default():
+    defaults = RunConfig()
+    for key in schema_keys():
+        section, name = key.split(".")
+        default = getattr(getattr(defaults, section), name)
+        text = ",".join(map(str, default)) if isinstance(default, list) else str(default)
+        cfg = RunConfig()
+        apply_assignment(cfg, key, text)
+        # repr tells 1 from 1.0 and True, also inside lists
+        assert repr(getattr(getattr(cfg, section), name)) == repr(default), key
 
 
 def test_schema_covers_all_sections():

@@ -64,6 +64,25 @@ def test_load_series_missing_metadata_key(tmp_path):
         load_series(csv)
 
 
+@pytest.mark.parametrize("sidecar, key", [
+    ("\xff{}", "invalid JSON"),
+    ("5", "JSON object"),
+    ('{"steps_per_day": "abc", "first_step_day_of_week": 0}', "steps_per_day"),
+    ('{"steps_per_day": null, "first_step_day_of_week": 0}', "steps_per_day"),
+    ('{"steps_per_day": 288, "first_step_day_of_week": "mon"}', "first_step_day_of_week"),
+    ('{"steps_per_day": 288, "first_step_day_of_week": 0, "nodes": "x"}', "nodes"),
+    ('{"steps_per_day": 0, "first_step_day_of_week": 0}', "steps_per_day"),
+    ('{"steps_per_day": -3, "first_step_day_of_week": 0}', "steps_per_day"),
+    ('{"steps_per_day": 288, "first_step_day_of_week": 7}', "first_step_day_of_week"),
+])
+def test_load_series_malformed_sidecar_names_file_and_key(tmp_path, sidecar, key):
+    csv = tmp_path / "series.csv"
+    np.savetxt(csv, np.ones((4, 2)), delimiter=",")
+    csv.with_suffix(".json").write_bytes(sidecar.encode("latin-1"))
+    with pytest.raises(IngestionError, match=f"series.json.*{key}"):
+        load_series(csv)
+
+
 def test_load_series_node_count_mismatch(tmp_path):
     csv = _write_series(tmp_path, np.ones((4, 2)), nodes=3)
     with pytest.raises(IngestionError, match="3 columns"):

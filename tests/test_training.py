@@ -160,6 +160,21 @@ def test_seeded_training_is_reproducible(toy_setup, tmp_path):
     assert (outs[0] / "history.jsonl").read_bytes() == (outs[1] / "history.jsonl").read_bytes()
 
 
+def test_epoch_shuffle_depends_only_on_seed_and_epoch(toy_setup, monkeypatch):
+    series, train_ws, val_ws, test_ws, model = _toy_float32(toy_setup)
+    batches, real_batch = [], train_ws.batch
+    monkeypatch.setattr(train_ws, "batch", lambda idx: batches.append(idx) or real_batch(idx))
+    cfg = _tcfg(max_epochs=3, seed=11)
+    train(model, train_ws, val_ws, cfg)
+    n = len(train_ws)
+    per_epoch = -(-n // cfg.batch_size)
+    assert len(batches) == 3 * per_epoch
+    for epoch in (1, 2, 3):
+        order = np.concatenate(batches[(epoch - 1) * per_epoch:epoch * per_epoch])
+        seed = np.random.SeedSequence(11, spawn_key=(0, epoch - 1))
+        assert np.array_equal(order, np.random.default_rng(seed).permutation(n)), epoch
+
+
 def test_history_records_have_contract_keys(toy_setup, tmp_path):
     series, train_ws, val_ws, test_ws, model = _toy_float32(toy_setup)
     train(model, train_ws, val_ws, _tcfg(max_epochs=2), out_dir=tmp_path)
