@@ -12,7 +12,7 @@ from .data import (Normalizer, TrafficSeries, WindowSet, fit_normalizer,
                    load_predefined_graph, load_series, make_synthetic, save_series,
                    split_and_window)
 from .decouple import GateParams, PatternFlows, decouple
-from .errors import (ConfigError, IngestionError, NumericalError, ShapeError, StateError)
+from .errors import (ConfigError, IngestionError, NumericalError, ShapeError)
 from .graphgen import (AdjacencySet, AttentionFusionParams, PatternGraphParams,
                        SpatialEmbeddings, TimeEmbeddingPools, build_directed_graph,
                        fuse_graphs, generate_pattern_graph, temporal_feature_matrix)

@@ -133,7 +133,7 @@ def cmd_gradcheck(args) -> int:
     th, tf = cfg.model.history_steps, cfg.model.horizon_steps
     hist = series.values[None, :th]
     targ = series.values[None, th:th + tf]
-    tod, dow = series.time_indices(0, th)
+    tod, dow = series.time_indices(np.arange(th))
 
     def loss_fn():
         pred = model.forward_batch(hist, tod[None], dow[None], training=False)

@@ -38,9 +38,8 @@ class TrafficSeries:
     def n_nodes(self) -> int:
         return self.values.shape[1]
 
-    def time_indices(self, start: int, length: int):
-        """(time-of-day, day-of-week) integer indices for an absolute span."""
-        t = np.arange(start, start + length)
+    def time_indices(self, t):
+        """(time-of-day, day-of-week) integer indices for an array of absolute steps."""
         tod = t % self.steps_per_day
         dow = (self.first_step_day_of_week + t // self.steps_per_day) % DAYS_PER_WEEK
         return tod, dow
@@ -76,12 +75,7 @@ class WindowSet:
         hist_idx = starts[:, None] + np.arange(th)[None, :]
         targ_idx = starts[:, None] + th + np.arange(tf)[None, :]
         values = self.series.values
-        hist = values[hist_idx]
-        targ = values[targ_idx]
-        tod = hist_idx % self.series.steps_per_day
-        dow = (self.series.first_step_day_of_week
-               + hist_idx // self.series.steps_per_day) % DAYS_PER_WEEK
-        return hist, targ, tod, dow
+        return (values[hist_idx], values[targ_idx]) + self.series.time_indices(hist_idx)
 
 
 @dataclass
@@ -134,7 +128,9 @@ def _meta_int(meta_path, meta: dict, key: str, low=-math.inf, high=math.inf) -> 
     if key not in meta:
         raise IngestionError(f"{meta_path}: missing metadata key '{key}'")
     try:
-        value = int(meta[key])
+        value = int(meta[key])  # 288.0 passes; 47.9, "288" and true do not
+        if value != meta[key] or isinstance(meta[key], bool):
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise IngestionError(f"{meta_path}: metadata key '{key}' is not an integer: "
                              f"{meta[key]!r}") from None
@@ -144,36 +140,41 @@ def _meta_int(meta_path, meta: dict, key: str, low=-math.inf, high=math.inf) -> 
     return value
 
 
+def _text_rows(path):
+    """(row number, stripped text) of each non-blank line of a UTF-8 file."""
+    # undecodable bytes become lone surrogates, which a strict encode rejects
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for row_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise IngestionError(f"{path}: row {row_no} is not valid UTF-8") from None
+            if line.strip():
+                yield row_no, line.strip()
+
+
 def _read_numeric_csv(path: Path) -> np.ndarray:
     try:
         arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-        if arr.size == 0:
-            raise IngestionError(f"{path}: file contains no data rows")
-        return arr
-    except OSError:
-        raise
-    except IngestionError:
-        raise
-    except ValueError:
-        pass  # fall through to the slow scan that pinpoints the bad cell
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for row_no, line in enumerate(fh, start=1):
-            cells = line.strip().split(",")
-            if line.strip() == "":
-                continue
+    except ValueError:  # the slow scan pinpoints the bad row or cell
+        width = None
+        for row_no, line in _text_rows(path):
+            cells = line.split(",")
             if width is None:
                 width = len(cells)
             elif len(cells) != width:
                 raise IngestionError(
-                    f"{path}: row {row_no} has {len(cells)} columns, expected {width}")
+                    f"{path}: row {row_no} has {len(cells)} columns, expected {width}") from None
             for col_no, cell in enumerate(cells, start=1):
                 try:
                     float(cell)
                 except ValueError:
                     raise IngestionError(
                         f"{path}: non-numeric cell at row {row_no}, column {col_no}: {cell!r}") from None
-    raise IngestionError(f"{path}: could not parse CSV")
+        raise IngestionError(f"{path}: could not parse CSV") from None
+    if arr.size == 0:
+        raise IngestionError(f"{path}: file contains no data rows")
+    return arr
 
 
 def split_and_window(series: TrafficSeries, history_steps: int, horizon_steps: int,
@@ -291,38 +292,36 @@ def load_predefined_graph(edge_path, n_nodes: int, directed: bool = False) -> np
     """
     adjacency = np.zeros((n_nodes, n_nodes))
     n_edges = 0
-    with open(edge_path, "r", encoding="utf-8") as fh:
-        for row_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) not in (2, 3):
-                raise IngestionError(f"{edge_path}: row {row_no} has {len(cells)} fields, expected 2 or 3")
+    for row_no, line in _text_rows(edge_path):
+        cells = line.split(",")
+        if len(cells) not in (2, 3):
+            raise IngestionError(f"{edge_path}: row {row_no} has {len(cells)} fields, expected 2 or 3")
+        try:
+            src, dst = int(cells[0]), int(cells[1])
+        except ValueError:
+            if row_no == 1:
+                continue  # header row
+            raise IngestionError(f"{edge_path}: non-integer node id at row {row_no}") from None
+        if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
+            raise IngestionError(
+                f"{edge_path}: row {row_no} references node ({src}, {dst}) outside 0..{n_nodes - 1}")
+        weight = 1.0
+        if len(cells) == 3:
             try:
-                src, dst = int(cells[0]), int(cells[1])
+                weight = float(cells[2])
             except ValueError:
-                if row_no == 1:
-                    continue  # header row
-                raise IngestionError(f"{edge_path}: non-integer node id at row {row_no}") from None
-            if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
+                raise IngestionError(f"{edge_path}: non-numeric weight at row {row_no}") from None
+            if not 0 <= weight < math.inf:
                 raise IngestionError(
-                    f"{edge_path}: row {row_no} references node ({src}, {dst}) outside 0..{n_nodes - 1}")
-            weight = 1.0
-            if len(cells) == 3:
-                try:
-                    weight = float(cells[2])
-                except ValueError:
-                    raise IngestionError(f"{edge_path}: non-numeric weight at row {row_no}") from None
-                if weight < 0:
-                    raise IngestionError(f"{edge_path}: negative weight at row {row_no}")
-            if src == dst:
-                warnings.warn(f"{edge_path}: dropping self-loop on node {src} at row {row_no}")
-                continue
-            adjacency[src, dst] = weight
-            if not directed:
-                adjacency[dst, src] = weight
-            n_edges += 1
+                    f"{edge_path}: weight at row {row_no} must be finite and non-negative, "
+                    f"got {cells[2]!r}")
+        if src == dst:
+            warnings.warn(f"{edge_path}: dropping self-loop on node {src} at row {row_no}")
+            continue
+        adjacency[src, dst] = weight
+        if not directed:
+            adjacency[dst, src] = weight
+        n_edges += 1
     if n_edges == 0:
         warnings.warn(f"{edge_path}: no edges loaded, adjacency is all zeros")
     return adjacency

@@ -19,9 +19,5 @@ class IngestionError(ValueError):
     """An input file could not be parsed; message carries the location."""
 
 
-class StateError(RuntimeError):
-    """Optimizer state no longer matches the parameters it was built for."""
-
-
 class NumericalError(RuntimeError):
     """A non-finite value appeared where the computation requires finite ones."""

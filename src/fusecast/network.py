@@ -69,9 +69,6 @@ class ForwardActivations:
     graphs: list            # per-pattern AdjacencySet
     flows: PatternFlows
     x_out: Tensor           # [..., Th, N, G*M*d]
-    h_out: Tensor           # [..., Th, N, M*d]
-    h_skip: Tensor          # [..., Th, N, skip width]
-    prediction: Tensor      # [..., Tf, N, C], raw flow units
 
 
 @contextmanager
@@ -348,8 +345,7 @@ class Forecaster:
 
         if not collect:
             return prediction
-        return prediction, ForwardActivations(graphs=graphs, flows=flows, x_out=x_out,
-                                              h_out=h_out, h_skip=h_skip, prediction=prediction)
+        return prediction, ForwardActivations(graphs=graphs, flows=flows, x_out=x_out)
 
 
 def parameter_count(model_cfg: ModelConfig, graph_cfg: GraphConfig,

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StateError
 from .tensor import Tape, Tensor
 
 
@@ -35,9 +34,6 @@ class Adam:
             self.state.m[name] = np.zeros_like(p.data)
             self.state.v[name] = np.zeros_like(p.data)
 
-    def set_lr(self, lr: float):
-        self.state.learning_rate = lr
-
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
@@ -50,9 +46,6 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            if p.grad.shape != s.m[name].shape:
-                raise StateError(
-                    f"parameter '{name}' changed shape: state {s.m[name].shape}, grad {p.grad.shape}")
             g = p.grad
             if s.weight_decay != 0.0:
                 g = g + s.weight_decay * p.data
@@ -67,10 +60,6 @@ class Adam:
 class GradCheckReport:
     max_rel_error: float
     worst_param: str
-    per_param: dict[str, float]
-
-    def passed(self, tol: float) -> bool:
-        return self.max_rel_error < tol
 
 
 def grad_check(f, params: dict[str, Tensor], h: float = 1e-6,
@@ -100,7 +89,6 @@ def grad_check(f, params: dict[str, Tensor], h: float = 1e-6,
     for p in params.values():
         p.grad = None
 
-    per_param = {}
     worst = ("", 0.0)
     for name, p in params.items():
         flat = p.data.reshape(-1)
@@ -117,10 +105,9 @@ def grad_check(f, params: dict[str, Tensor], h: float = 1e-6,
             rel = abs(fd - ana[i]) / max(abs(fd), abs(ana[i]), floor)
             if rel > worst_here:
                 worst_here = rel
-        per_param[name] = worst_here
         if worst_here > worst[1]:
             worst = (name, worst_here)
-    return GradCheckReport(max_rel_error=worst[1], worst_param=worst[0], per_param=per_param)
+    return GradCheckReport(max_rel_error=worst[1], worst_param=worst[0])
 
 
 def randomize_parameters(params: dict[str, Tensor], seed: int, scale: float = 0.5):

@@ -15,22 +15,11 @@ doubles as inference mode.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 
-# one tape stack per thread: independent tapes may run concurrently as long
-# as gradient reduction into shared parameters is serialized by the caller
-_LOCAL = threading.local()
-
-
-def _stack() -> list:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = _LOCAL.stack = []
-    return stack
+_TAPES = []  # active tapes, innermost last; ops record into the innermost
 
 
 def _coerce(data, dtype=None) -> np.ndarray:
@@ -98,9 +87,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -124,11 +110,11 @@ class Tape:
         self._records = []  # (output, [(input, pull_fn), ...]) in execution order
 
     def __enter__(self):
-        _stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _stack().pop()
+        _TAPES.pop()
         return False
 
     def __len__(self):
@@ -156,10 +142,6 @@ class Tape:
                 _accumulate(t, pull(g), owned)
             out.grad = None
             owned.discard(id(out))
-
-    def clear(self):
-        """Drop all records, releasing the recorded intermediates."""
-        self._records.clear()
 
 
 class _Slice:
@@ -201,8 +183,7 @@ def _accumulate(t: Tensor, piece, owned: set):
 
 
 def active_tape():
-    stack = _stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 def _as_tensor(value, like: Tensor) -> Tensor:
@@ -283,10 +264,6 @@ def div(a, b):
         (a, lambda g: _unbroadcast(g / b.data, a.shape)),
         (b, lambda g: _unbroadcast(-g * out_data / b.data, b.shape)),
     ])
-
-
-def neg(a: Tensor):
-    return _make(-a.data, [(a, lambda g: -g)])
 
 
 def matmul(a: Tensor, b: Tensor):

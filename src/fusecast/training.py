@@ -195,7 +195,7 @@ def train(model: Forecaster, train_ws: WindowSet, val_ws: WindowSet, cfg: TrainC
     for epoch in range(1, cfg.max_epochs + 1):
         lr = lr_schedule(epoch, cfg)
         horizon = curriculum_horizon(epoch, cfg, model.cfg.horizon_steps)
-        optimizer.set_lr(lr)
+        optimizer.state.learning_rate = lr
 
         # epoch e's streams depend only on (seed, e), so a resumed run needs no saved rng state
         shuffle, epoch_dropout = (

@@ -197,7 +197,8 @@ def test_beats_naive_baselines(trained_synthetic):
     spd = series.steps_per_day
     tr = series.values[train_ws.split_start:
                        train_ws.split_start + train_ws.split_length, :, 0]
-    tods = series.time_indices(train_ws.split_start, train_ws.split_length)[0]
+    tods = series.time_indices(
+        np.arange(train_ws.split_start, train_ws.split_start + train_ws.split_length))[0]
     avg = np.zeros((spd, series.n_nodes))
     for slot in range(spd):
         avg[slot] = tr[tods == slot].mean(axis=0)

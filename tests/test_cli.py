@@ -201,3 +201,36 @@ def test_eval_with_mismatched_config_exits_2(tmp_path, capsys):
                            f"data.series={csv}", "model.hidden=8")
     assert code == 2
     assert "config error" in err and "shape" in err
+
+
+def _corrupt(data: bytes, rng) -> bytes:
+    """One seeded truncation or single-byte flip of `data`."""
+    pos = int(rng.integers(len(data)))
+    if rng.random() < 0.5:
+        return data[:pos]
+    return data[:pos] + bytes([data[pos] ^ int(rng.integers(1, 256))]) + data[pos + 1:]
+
+
+def test_corrupted_inputs_exit_with_a_documented_code(tmp_path, capsys):
+    csv = tmp_path / "toy.csv"
+    run_cli(capsys, "generate", "--nodes", "6", "--days", "2", "--seed", "3",
+            "--steps-per-day", "24", "--out", str(csv))
+    edges = tmp_path / "edges.csv"
+    edges.write_text("from,to,weight\n" + "".join(f"{i},{(i + 1) % 6},1.5\n" for i in range(6)))
+    common = [*TOY_ARGS, f"data.series={csv}", f"data.graph={edges}", "train.max_epochs=1"]
+    ckpt = tmp_path / "run" / "checkpoint.bin"
+    assert main(["train", "--out", str(ckpt.parent), *common]) == 0
+    train = ["train", "--out", str(tmp_path / "r"), *common]
+    targets = [(csv, train), (csv.with_suffix(".json"), train),
+               (edges, train + ["graph.mode=predefined"]),
+               (ckpt, ["eval", "--checkpoint", str(ckpt), *common])]
+    rng = np.random.default_rng(0)
+    codes = []
+    for path, argv in targets:
+        clean = path.read_bytes()
+        for _ in range(24):
+            path.write_bytes(_corrupt(clean, rng))
+            codes.append((path.name, main(argv)))  # an exception escaping main fails the test
+        path.write_bytes(clean)
+    capsys.readouterr()
+    assert {code for _, code in codes} <= {0, 2, 3, 4}, codes

@@ -74,12 +74,28 @@ def test_load_series_missing_metadata_key(tmp_path):
     ('{"steps_per_day": 0, "first_step_day_of_week": 0}', "steps_per_day"),
     ('{"steps_per_day": -3, "first_step_day_of_week": 0}', "steps_per_day"),
     ('{"steps_per_day": 288, "first_step_day_of_week": 7}', "first_step_day_of_week"),
+    ('{"steps_per_day": 47.9, "first_step_day_of_week": 0}', "steps_per_day"),
+    ('{"steps_per_day": 288, "first_step_day_of_week": 2.5}', "first_step_day_of_week"),
+    ('{"steps_per_day": true, "first_step_day_of_week": 0}', "steps_per_day"),
 ])
 def test_load_series_malformed_sidecar_names_file_and_key(tmp_path, sidecar, key):
     csv = tmp_path / "series.csv"
     np.savetxt(csv, np.ones((4, 2)), delimiter=",")
     csv.with_suffix(".json").write_bytes(sidecar.encode("latin-1"))
     with pytest.raises(IngestionError, match=f"series.json.*{key}"):
+        load_series(csv)
+
+
+def test_load_series_accepts_integral_float_sidecar_values(tmp_path):
+    csv = _write_series(tmp_path, np.ones((4, 2)), steps_per_day=288.0, first_dow=2.0)
+    series = load_series(csv)
+    assert (series.steps_per_day, series.first_step_day_of_week) == (288, 2)
+
+
+def test_load_series_non_utf8_row_cites_location(tmp_path):
+    csv = _write_series(tmp_path, np.ones((3, 3)))
+    csv.write_bytes(b"1,2,3\n4,\xff,6\n7,8,9\n")
+    with pytest.raises(IngestionError, match="series.csv: row 2 is not valid UTF-8"):
         load_series(csv)
 
 
@@ -264,6 +280,21 @@ def test_predefined_graph_out_of_range_cites_row(tmp_path):
     path.write_text("0,1\n999,0\n")
     with pytest.raises(IngestionError, match="row 2"):
         load_predefined_graph(path, 170)
+
+
+def test_predefined_graph_non_utf8_row_cites_location(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_bytes(b"0,1\n1,\xff\n")
+    with pytest.raises(IngestionError, match="edges.csv: row 2 is not valid UTF-8"):
+        load_predefined_graph(path, 3)
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_predefined_graph_non_finite_weight_cites_row(tmp_path, weight):
+    path = tmp_path / "edges.csv"
+    path.write_text(f"0,1,1.0\n0,2,{weight}\n")
+    with pytest.raises(IngestionError, match=f"weight at row 2 .*'{weight}'"):
+        load_predefined_graph(path, 3)
 
 
 def test_predefined_graph_drops_self_loops_with_warning(tmp_path):

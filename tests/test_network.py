@@ -111,7 +111,7 @@ def test_forward_shapes_and_activations(toy_setup):
     md = cfg.rgc_iterations * cfg.hidden
     assert pred.shape == (3, cfg.horizon_steps, 4, 1)
     assert acts.x_out.shape == (3, cfg.history_steps, 4, gmd)
-    assert acts.h_out.shape == (3, cfg.history_steps, 4, md)
+    assert gru_forward(acts.x_out, model.gru, 0.0, False).shape == (3, cfg.history_steps, 4, md)
     assert len(acts.graphs) == cfg.patterns
     assert len(acts.flows.flows) == cfg.patterns
 
@@ -121,10 +121,11 @@ def test_forward_window_matches_contract_shapes(toy_setup):
     hist, _, tod, dow = train_ws.batch([0])
     pred, acts = model.forward_batch(hist, tod, dow, collect=True)
     cfg = model.cfg
-    assert pred.shape == acts.prediction.shape == (1, cfg.horizon_steps, 4, 1)
+    assert pred.shape == (1, cfg.horizon_steps, 4, 1)
     assert acts.x_out.shape == (1, cfg.history_steps, 4,
                                 cfg.patterns * cfg.rgc_iterations * cfg.hidden)
-    assert acts.h_out.shape == (1, cfg.history_steps, 4, cfg.rgc_iterations * cfg.hidden)
+    assert (gru_forward(acts.x_out, model.gru, 0.0, False).shape
+            == (1, cfg.history_steps, 4, cfg.rgc_iterations * cfg.hidden))
 
 
 def test_eval_forward_is_deterministic(toy_setup):

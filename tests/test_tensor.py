@@ -6,7 +6,7 @@ import pytest
 from conftest import fd_gradient, rel_err
 from fusecast import tensor as T
 from fusecast.errors import ConfigError, ShapeError
-from fusecast.tensor import Tape, Tensor
+from fusecast.tensor import Tape, Tensor, active_tape
 
 
 def test_matmul_identity():
@@ -199,35 +199,28 @@ def test_no_tape_records_nothing():
     assert y.grad is None
 
 
-def test_independent_tapes_on_threads_do_not_interleave():
-    import threading
-
-    results = {}
-
-    def worker(key, scale):
-        x = Tensor(np.full(4, scale), requires_grad=True)
-        for _ in range(50):
-            with Tape() as tape:
-                tape.backward((x * x).sum())
-            results[key] = x.grad.copy()
-            x.grad = None
-
-    threads = [threading.Thread(target=worker, args=(k, s)) for k, s in (("a", 2.0), ("b", 5.0))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert np.array_equal(results["a"], np.full(4, 4.0))
-    assert np.array_equal(results["b"], np.full(4, 10.0))
+def test_nested_tapes_record_only_into_the_innermost():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as outer:
+        x * 2.0
+        assert len(outer) == 1
+        with Tape() as inner:
+            x * 3.0
+            assert active_tape() is inner
+        assert (len(outer), len(inner)) == (1, 1)
+        assert active_tape() is outer
+        x * 4.0
+        assert len(outer) == 2
+    assert active_tape() is None
 
 
-def test_tape_clear_frees_records():
-    x = Tensor([1.0], requires_grad=True)
-    with Tape() as tape:
-        (x * 2.0).sum()
-        assert len(tape) > 0
-        tape.clear()
-        assert len(tape) == 0
+def test_exception_inside_tape_restores_the_active_tape():
+    with Tape() as outer:
+        with pytest.raises(RuntimeError):
+            with Tape():
+                raise RuntimeError("boom")
+        assert active_tape() is outer
+    assert active_tape() is None
 
 
 OPS = [
