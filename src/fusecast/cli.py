@@ -5,8 +5,8 @@ training.ABLATION_VARIANTS appended to the command-line ones; its summary
 line adds the variant name.
 
 Exit codes are a stable contract: 0 success, 2 config error, 3 numerical
-failure (including a non-finite training loss or validation MAE), 4 I/O
-error.
+failure (including a non-finite training loss or validation MAE, or
+non-finite `eval` metrics), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -118,6 +118,11 @@ def cmd_eval(args) -> int:
     windows = val_ws if args.split == "val" else test_ws
     report = training.evaluate(model, windows, batch_size=max(cfg.train.batch_size, 64),
                                mask_threshold=cfg.train.mask_threshold)
+    # the totals sum every horizon, so a non-finite one shows in them
+    if not np.isfinite([report.mae, report.rmse, report.mape]).all():
+        raise NumericalError(
+            f"non-finite {args.split} metrics (mae {report.mae}, rmse {report.rmse}, "
+            f"mape {report.mape}) from checkpoint {args.checkpoint}")
     print(json.dumps(report.to_dict()))
     return EXIT_OK
 

@@ -102,17 +102,24 @@ def rgc_forward(h_in: Tensor, adjacency: Tensor, params: RgcParams) -> Tensor:
     Adds self-loops, row-normalizes by degree, then alternates between
     retaining gamma of the input and propagating the rest, concatenating
     every depth level before the mixing weights.
+
+    Runs node-major: features are transposed once to [..., N, Th*d], so
+    the [..., N, N] (or [N, N]) operator propagates all Th steps in one
+    product and its gradient never materializes [..., Th, N, N]. Levels
+    are mixed as [..., N, Th, depth*d], then transposed back.
     """
     prop = normalized_propagation(adjacency)
-    while prop.ndim >= 3 and prop.ndim < h_in.ndim:
-        prop = T.reshape(prop, prop.shape[:-2] + (1,) + prop.shape[-2:])
-    levels = [h_in]
-    h = h_in
+    lead, (th, n, d) = h_in.shape[:-3], h_in.shape[-3:]
+    swap = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)  # Th <-> N
+    node_major = T.transpose(h_in, swap)
+    x = T.reshape(node_major, lead + (n, th * d))
+    levels = [node_major]
+    h = x
     for _ in range(params.depth - 1):
-        h = T.add(T.mul(h_in, params.gamma), T.mul(T.matmul(prop, h), 1.0 - params.gamma))
-        levels.append(h)
+        h = T.add(T.mul(x, params.gamma), T.mul(T.matmul(prop, h), 1.0 - params.gamma))
+        levels.append(T.reshape(h, lead + (n, th, d)))
     stacked = levels[0] if params.depth == 1 else T.concat(levels, axis=-1)
-    return T.matmul(stacked, params.weight)
+    return T.transpose(T.matmul(stacked, params.weight), swap)
 
 
 def gru_forward(x_seq: Tensor, params: GruParams, dropout_rate: float,

@@ -304,10 +304,14 @@ def abs_(x: Tensor):
 
 
 def softmax(x: Tensor, axis: int = -1):
-    """Numerically stabilized softmax along one axis."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    """Numerically stabilized softmax along one axis.
+
+    The exponent and the normalization run in place in the freshly
+    allocated shifted copy, so x.data is never written.
+    """
+    out_data = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def pull(g):
         return out_data * (g - (g * out_data).sum(axis=axis, keepdims=True))
@@ -435,15 +439,35 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 def top_k_rows(x: Tensor, k: int):
     """Keep the k largest entries of each row (last axis), zero the rest.
 
-    Ties break toward the lower column index. The selection mask is a
-    constant during backward, so gradient flows only through survivors.
+    Selects exactly what a stable descending sort would: ties go to the
+    lower column index, and NaN ranks below every number (it stays NaN in
+    the output either way). A partition finds each row's k-th largest
+    value; entries above it are kept and the open slots go to the
+    lowest-index entries equal to it, resolved only on rows with more
+    such ties than slots (saturated tanh scores, rows of zeros). The mask
+    is a constant during backward, so gradient flows only through survivors.
     """
     n = x.shape[-1]
     if k > n:
         raise ConfigError(f"top-k: k={k} exceeds row length {n}")
     if k == n:
         return x
-    order = np.argsort(-x.data, axis=-1, kind="stable")
-    mask = np.zeros(x.shape, dtype=x.dtype)
-    np.put_along_axis(mask, order[..., :k], 1.0, axis=-1)
+    rows = x.data.reshape(-1, n)
+    neg = -rows
+    neg.partition(k - 1, axis=-1)
+    kth = -neg[:, k - 1:k]  # partition sorts NaN last, as the descending order ranks it
+    del neg
+    keep = rows > kth
+    tied = rows == kth
+    short = np.isnan(kth[:, 0])  # fewer than k numbers: all are kept, NaNs fill the rest
+    nan = np.isnan(rows[short])
+    keep[short] = ~nan
+    tied[short] = nan
+    open_slots = k - keep.sum(axis=-1)
+    over = np.flatnonzero(tied.sum(axis=-1) > open_slots)
+    ties = tied[over]
+    ties &= np.cumsum(ties, axis=-1, dtype=np.int32) <= open_slots[over, None]
+    tied[over] = ties
+    keep |= tied
+    mask = keep.reshape(x.shape).astype(x.dtype)
     return _make(x.data * mask, [(x, lambda g: g * mask)])

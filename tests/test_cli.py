@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fusecast import training
+from fusecast.checkpoint import load_checkpoint, save_checkpoint
 from fusecast.cli import main
 from fusecast.training import ABLATION_VARIANTS, MetricReport
 
@@ -193,6 +194,19 @@ def test_eval_truncated_checkpoint_exits_4(tmp_path, capsys):
     assert code == 4
     assert "I/O error" in err and "checkpoint.bin" in err
     assert "Traceback" not in err
+
+
+def test_eval_non_finite_checkpoint_exits_3(tmp_path, capsys):
+    csv, ckpt = _trained_toy(tmp_path, capsys)
+    state = load_checkpoint(ckpt)
+    state["time_pool.daily"][:] = np.nan
+    save_checkpoint(ckpt, state)
+    code, stdout, err = run_cli(capsys, "eval", *TOY_ARGS, "--checkpoint", str(ckpt),
+                                f"data.series={csv}")
+    assert code == 3
+    assert stdout == ""
+    assert "numerical failure: non-finite test metrics (mae nan" in err
+    assert "checkpoint.bin" in err
 
 
 def test_eval_with_mismatched_config_exits_2(tmp_path, capsys):

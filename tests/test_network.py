@@ -58,6 +58,63 @@ def test_rgc_gradients_match_finite_differences():
         assert rel_err(t.grad, fd, floor=1e-6) < 1e-5
 
 
+def _broadcast_rgc(h_in, adjacency, params):
+    """Reference RGC: the operator broadcast over the Th axis of [..., Th, N, d]."""
+    prop = normalized_propagation(adjacency)
+    if prop.ndim == 3:
+        prop = T.reshape(prop, prop.shape[:-2] + (1,) + prop.shape[-2:])
+    levels = [h_in]
+    h = h_in
+    for _ in range(params.depth - 1):
+        h = T.add(T.mul(h_in, params.gamma), T.mul(T.matmul(prop, h), 1.0 - params.gamma))
+        levels.append(h)
+    stacked = levels[0] if params.depth == 1 else T.concat(levels, axis=-1)
+    return T.matmul(stacked, params.weight)
+
+
+# (lead, batched adjacency, Th, N, d, depth, d_out): the toy preset's and
+# PEMS08's graph-convolution shapes, d_out being rgc_iterations * hidden
+RGC_SHAPES = [
+    ((3,), True, 4, 6, 4, 2, 8),
+    ((3,), False, 4, 6, 4, 2, 8),
+    ((), False, 4, 6, 4, 2, 8),
+    ((2,), True, 12, 170, 32, 3, 64),
+    ((2,), False, 12, 170, 32, 3, 64),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", RGC_SHAPES,
+                         ids=["toy-batched-adj", "toy-shared-adj", "toy-unbatched",
+                              "pems08-batched-adj", "pems08-shared-adj"])
+def test_node_major_rgc_matches_broadcast_reference(shape, dtype):
+    lead, batched, th, n, d, depth, d_out = shape
+    rng = np.random.default_rng(n * depth + len(lead))
+    h = Tensor(rng.standard_normal(lead + (th, n, d)).astype(dtype), requires_grad=True)
+    a = Tensor(np.maximum(rng.standard_normal((lead if batched else ()) + (n, n)), 0.0)
+               .astype(dtype), requires_grad=True)
+    w = Tensor(rng.standard_normal((depth * d, d_out)).astype(dtype), requires_grad=True)
+    params = RgcParams(gamma=0.1, depth=depth, weight=w)
+    seed = rng.standard_normal(lead + (th, n, d_out)).astype(dtype)
+    results = []
+    for rgc in (rgc_forward, _broadcast_rgc):
+        with Tape() as tape:
+            out = rgc(h, a, params)
+            tape.backward(out, seed=seed)
+        results.append((out, [t.grad for t in (h, a, w)]))
+        for t in (h, a, w):
+            t.grad = None
+    (out, grads), (ref, ref_grads) = results
+    assert out.shape == ref.shape == lead + (th, n, d_out)
+    assert out.data.tobytes() == np.ascontiguousarray(ref.data).tobytes()
+    if dtype == np.float64:
+        # the gradients only reassociate sums, so they agree to float64
+        # rounding relative to each gradient's scale
+        for got, want in zip(grads, ref_grads):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_channel_lift_matches_linear_map():
     x = Tensor(np.full((1, 1, 1), 3.0))
     w = Tensor(np.ones((1, 2)))

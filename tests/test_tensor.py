@@ -90,6 +90,17 @@ def test_softmax_gradient_matches_finite_differences():
     assert rel_err(x.grad, fd) < 1e-6
 
 
+def test_softmax_leaves_its_input_unchanged():
+    rng = np.random.default_rng(3)
+    data = rng.standard_normal((3, 4, 5)).astype(np.float32)
+    x = Tensor(data.copy(), requires_grad=True)
+    with Tape() as tape:
+        out = T.softmax(x, axis=-1)
+        tape.backward(out.sum())
+    assert x.data.tobytes() == data.tobytes()
+    assert not np.shares_memory(out.data, x.data)
+
+
 def test_concat_axis1():
     a = Tensor([[1.0], [2.0]])
     b = Tensor([[3.0], [4.0]])
@@ -165,6 +176,52 @@ def test_top_k_rows_gradient_only_through_survivors():
 def test_top_k_exceeding_row_length():
     with pytest.raises(ConfigError):
         T.top_k_rows(Tensor(np.zeros((2, 3))), 4)
+
+
+def _top_k_mask_by_stable_sort(x: np.ndarray, k: int) -> np.ndarray:
+    """Reference selection: the first k columns of a stable descending sort."""
+    order = np.argsort(-x, axis=-1, kind="stable")
+    mask = np.zeros(x.shape, dtype=x.dtype)
+    np.put_along_axis(mask, order[..., :k], 1.0, axis=-1)
+    return mask
+
+
+def _top_k_case(rng, kind, shape):
+    x = rng.standard_normal(shape)
+    if kind == "saturated":
+        return np.tanh(9.0 * 3.0 * x)  # about half the entries are exactly +-1.0
+    if kind == "few_positive":
+        return np.maximum(np.tanh(9.0 * (x - 1.5)), 0.0)  # fewer than k positives: zero ties
+    if kind == "nan":
+        x = np.maximum(np.tanh(9.0 * 3.0 * x), 0.0)
+        x[..., 0, 3] = np.nan
+        x[..., 1, ::2] = np.nan  # half the row: fewer than k numbers once k > n/2
+        x[..., 2, :] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(9, 12), (3, 9, 12)], ids=["2d", "batched"])
+@pytest.mark.parametrize("kind", ["distinct", "saturated", "few_positive", "nan"])
+def test_top_k_rows_equals_stable_sort_selection(kind, shape, dtype):
+    # property test against the sort it replaces: masks, outputs and
+    # gradients bitwise equal, ties and NaN included
+    rng = np.random.default_rng(zlib.crc32(f"{kind}{shape}{dtype.__name__}".encode()))
+    n = shape[-1]
+    for trial in range(4):
+        data = _top_k_case(rng, kind, shape).astype(dtype)
+        seed = rng.standard_normal(shape).astype(dtype)
+        for k in (1, 2, n // 2, n - 1):
+            mask = _top_k_mask_by_stable_sort(data, k)
+            x = Tensor(data.copy(), requires_grad=True)
+            with Tape() as tape:
+                out = T.top_k_rows(x, k)
+                tape.backward(out, seed=seed)
+            assert out.dtype == x.grad.dtype == dtype
+            assert out.data.tobytes() == (data * mask).tobytes(), (trial, k)
+            assert x.grad.tobytes() == (seed * mask).tobytes(), (trial, k)
+            assert np.array_equal(x.grad != 0, mask == 1)  # the seed has no zeros
+            assert np.array_equal(np.isnan(out.data), np.isnan(data))
 
 
 def test_gather_scatter_adds_repeated_rows():
