@@ -4,9 +4,10 @@
 training.ABLATION_VARIANTS appended to the command-line ones; its summary
 line adds the variant name.
 
-Exit codes are a stable contract: 0 success, 2 config error, 3 numerical
-failure (including a non-finite training loss or validation MAE, or
-non-finite `eval` metrics), 4 I/O error.
+Exit codes are a stable contract: 0 success, 2 config error (including a
+step too big for memory, which a smaller batch fixes), 3 numerical failure
+(including a non-finite training loss or validation MAE, or non-finite
+`eval` metrics), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -169,6 +170,10 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (ConfigError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print(f"out of memory: `{args.command}` needs more memory than this process may use; "
+              "try a smaller train.batch_size", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

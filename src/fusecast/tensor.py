@@ -4,10 +4,15 @@ Values live in numpy arrays (float32 for training, float64 for gradient
 checking). Operations executed while a Tape is active are recorded in
 execution order; Tape.backward consumes the records in reverse, which is a
 valid reverse-topological order, so every op is visited exactly once and
-every reachable leaf ends up with a fully accumulated gradient. Each record
-is dropped as soon as it has run, together with the activations its pulls
-captured and the intermediate's own .grad, so a tape is single-use and
-backward memory falls as it walks back.
+every reachable leaf ends up with a fully accumulated gradient.
+
+A record holds no Tensor of an op's output or inputs, only the output's
+gradient slot (its shape and .grad), the inputs' slots (a leaf is its own)
+and pulls that capture just the arrays and shapes they read. An
+intermediate's buffer is therefore freed as soon as the forward code drops
+it, unless a pull reads it. Each record is dropped as soon as it has run,
+together with what its pulls captured and the slot's .grad, so a tape is
+single-use and backward memory falls as it walks back.
 
 Without an active tape every op is plain numpy with no recording, which
 doubles as inference mode.
@@ -34,12 +39,13 @@ def _coerce(data, dtype=None) -> np.ndarray:
 class Tensor:
     """An n-dimensional float array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_slot")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _coerce(data, dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None  # numpy array, same shape as data, once accumulated
+        self._slot = None  # an op output's _GradSlot; None for leaves
 
     @property
     def shape(self):
@@ -103,11 +109,35 @@ class Tensor:
         return transpose(self, axes)
 
 
+class _GradSlot:
+    """Where backward accumulates the gradient of one recorded op output.
+
+    It stands for the output in the tape, so the tape keeps the output's
+    shape and gradient alive but never its data.
+    """
+
+    __slots__ = ("shape", "grad")
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.grad = None
+
+
+def _grad_target(t: Tensor):
+    """Where t's gradient accumulates: an op output's slot, or a leaf itself."""
+    return t if t._slot is None else t._slot
+
+
 class Tape:
-    """Ordered record of executed ops, consumed in reverse by backward."""
+    """Ordered record of executed ops, consumed in reverse by backward.
+
+    A record is (output slot, [(input slot or leaf, pull_fn), ...]); the
+    pulls capture arrays and shapes, never a Tensor (see the module
+    docstring).
+    """
 
     def __init__(self):
-        self._records = []  # (output, [(input, pull_fn), ...]) in execution order
+        self._records = []  # (output slot, [(input target, pull_fn), ...]) in execution order
 
     def __enter__(self):
         _TAPES.append(self)
@@ -123,15 +153,17 @@ class Tape:
     def backward(self, output: Tensor, seed=None):
         """Accumulate d(output)/d(input) into .grad of every recorded input.
 
-        seed defaults to ones, i.e. the gradient of output.sum(). The tape
-        is consumed: each record is popped as it runs and its output's
-        .grad is reset to None, so afterwards the tape is empty and only
-        tensors without a record of their own (leaves) keep a gradient.
+        seed defaults to ones, i.e. the gradient of output.sum(), and goes
+        into output's gradient slot (or into .grad when output is a leaf).
+        The tape is consumed: each record is popped as it runs and its
+        slot's .grad is reset to None, so afterwards the tape is empty and
+        only leaves keep a gradient.
         """
         if seed is None:
             seed = np.ones_like(output.data)
-        output.grad = seed if output.grad is None else output.grad + seed
-        owned = set()  # ids of tensors whose .grad this pass allocated
+        target = _grad_target(output)
+        target.grad = seed if target.grad is None else target.grad + seed
+        owned = set()  # ids of the leaves and slots whose .grad this pass allocated
         records = self._records
         while records:
             out, pulls = records.pop()
@@ -154,8 +186,8 @@ class _Slice:
         self.grad = grad
 
 
-def _accumulate(t: Tensor, piece, owned: set):
-    """Add one pull's contribution into t.grad.
+def _accumulate(t, piece, owned: set):
+    """Add one pull's contribution into t.grad (t is a leaf or a slot).
 
     Pulls may hand out aliases of the downstream gradient (add, reshape,
     concat views, sum_'s read-only broadcast), so a first dense
@@ -193,15 +225,24 @@ def _as_tensor(value, like: Tensor) -> Tensor:
 
 
 def _make(out_data: np.ndarray, pulls) -> Tensor:
-    """Wrap an op result, recording it when a tape is active and a pull exists."""
+    """Wrap an op result, recording it when a tape is active and a pull exists.
+
+    pulls pair each operand with the function that maps the output's
+    gradient to that operand's. The pulls of operands that need no gradient
+    are dropped here with whatever they captured, and the record keeps the
+    others against gradient slots, so a pull must close over arrays and
+    shapes only: one that mentions a Tensor (even just for `x.shape`)
+    keeps that tensor's data alive until backward.
+    """
     tape = active_tape()
     if tape is None:
         return Tensor(out_data)
-    live = [(t, fn) for t, fn in pulls if t.requires_grad]
+    live = [(_grad_target(t), fn) for t, fn in pulls if t.requires_grad]
     if not live:
         return Tensor(out_data)
     out = Tensor(out_data, requires_grad=True)
-    tape._records.append((out, live))
+    out._slot = _GradSlot(out.shape)
+    tape._records.append((out._slot, live))
     return out
 
 
@@ -229,9 +270,10 @@ def add(a, b):
     a = a if isinstance(a, Tensor) else _as_tensor(a, b)
     b = _as_tensor(b, a)
     _check_broadcast(a, b, "add")
+    a_shape, b_shape = a.shape, b.shape
     return _make(a.data + b.data, [
-        (a, lambda g: _unbroadcast(g, a.shape)),
-        (b, lambda g: _unbroadcast(g, b.shape)),
+        (a, lambda g: _unbroadcast(g, a_shape)),
+        (b, lambda g: _unbroadcast(g, b_shape)),
     ])
 
 
@@ -239,9 +281,10 @@ def sub(a, b):
     a = a if isinstance(a, Tensor) else _as_tensor(a, b)
     b = _as_tensor(b, a)
     _check_broadcast(a, b, "sub")
+    a_shape, b_shape = a.shape, b.shape
     return _make(a.data - b.data, [
-        (a, lambda g: _unbroadcast(g, a.shape)),
-        (b, lambda g: _unbroadcast(-g, b.shape)),
+        (a, lambda g: _unbroadcast(g, a_shape)),
+        (b, lambda g: _unbroadcast(-g, b_shape)),
     ])
 
 
@@ -249,9 +292,11 @@ def mul(a, b):
     a = a if isinstance(a, Tensor) else _as_tensor(a, b)
     b = _as_tensor(b, a)
     _check_broadcast(a, b, "mul")
-    return _make(a.data * b.data, [
-        (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-        (b, lambda g: _unbroadcast(g * a.data, b.shape)),
+    a_data, b_data = a.data, b.data
+    a_shape, b_shape = a.shape, b.shape
+    return _make(a_data * b_data, [
+        (a, lambda g: _unbroadcast(g * b_data, a_shape)),
+        (b, lambda g: _unbroadcast(g * a_data, b_shape)),
     ])
 
 
@@ -259,10 +304,12 @@ def div(a, b):
     a = a if isinstance(a, Tensor) else _as_tensor(a, b)
     b = _as_tensor(b, a)
     _check_broadcast(a, b, "div")
-    out_data = a.data / b.data
+    b_data = b.data
+    a_shape, b_shape = a.shape, b.shape
+    out_data = a.data / b_data
     return _make(out_data, [
-        (a, lambda g: _unbroadcast(g / b.data, a.shape)),
-        (b, lambda g: _unbroadcast(-g * out_data / b.data, b.shape)),
+        (a, lambda g: _unbroadcast(g / b_data, a_shape)),
+        (b, lambda g: _unbroadcast(-g * out_data / b_data, b_shape)),
     ])
 
 
@@ -276,10 +323,11 @@ def matmul(a: Tensor, b: Tensor):
         np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError:
         raise ShapeError(f"matmul: batch dimensions of {a.shape} and {b.shape} are not broadcastable") from None
-    swap = lambda x: np.swapaxes(x, -1, -2)
-    return _make(a.data @ b.data, [
-        (a, lambda g: _unbroadcast(g @ swap(b.data), a.shape)),
-        (b, lambda g: _unbroadcast(swap(a.data) @ g, b.shape)),
+    a_data, b_data = a.data, b.data
+    a_shape, b_shape = a.shape, b.shape
+    return _make(a_data @ b_data, [
+        (a, lambda g: _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape)),
+        (b, lambda g: _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape)),
     ])
 
 
@@ -295,12 +343,15 @@ def sigmoid(x: Tensor):
 
 
 def relu(x: Tensor):
+    # the output is positive exactly where x is (NaN and -0.0 included), so
+    # the pull reads the mask from it and x's buffer can be freed
     out_data = np.maximum(x.data, 0.0)
-    return _make(out_data, [(x, lambda g: g * (x.data > 0))])
+    return _make(out_data, [(x, lambda g: g * (out_data > 0))])
 
 
 def abs_(x: Tensor):
-    return _make(np.abs(x.data), [(x, lambda g: g * np.sign(x.data))])
+    x_data = x.data
+    return _make(np.abs(x_data), [(x, lambda g: g * np.sign(x_data))])
 
 
 def softmax(x: Tensor, axis: int = -1):
@@ -327,11 +378,12 @@ def sum_(x: Tensor, axis=None, keepdims=False):
     else:
         axes = tuple(a % x.ndim for a in axis)
     out_data = x.data.sum(axis=axes, keepdims=keepdims)
+    x_shape = x.shape
 
     def pull(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return np.broadcast_to(g, x.shape)
+        return np.broadcast_to(g, x_shape)
 
     return _make(out_data, [(x, pull)])
 
@@ -350,11 +402,13 @@ def mean(x: Tensor, axis=None, keepdims=False):
 
 def broadcast_to(x: Tensor, shape):
     """Read-only broadcast view; backward sums the gradient back down."""
-    return _make(np.broadcast_to(x.data, shape), [(x, lambda g: _unbroadcast(g, x.shape))])
+    x_shape = x.shape
+    return _make(np.broadcast_to(x.data, shape), [(x, lambda g: _unbroadcast(g, x_shape))])
 
 
 def reshape(x: Tensor, shape):
-    return _make(x.data.reshape(shape), [(x, lambda g: g.reshape(x.shape))])
+    x_shape = x.shape
+    return _make(x.data.reshape(shape), [(x, lambda g: g.reshape(x_shape))])
 
 
 def transpose(x: Tensor, axes):
@@ -415,10 +469,11 @@ def gather(table: Tensor, index: np.ndarray):
         raise IndexError(
             f"gather: index range [{index.min()}, {index.max()}] outside table of {table.shape[0]} rows")
     out_data = table.data[index]
+    table_shape = table.shape
 
     def pull(g):
-        full = np.zeros(table.shape, dtype=g.dtype)
-        np.add.at(full, index.reshape(-1), g.reshape((-1,) + table.shape[1:]))
+        full = np.zeros(table_shape, dtype=g.dtype)
+        np.add.at(full, index.reshape(-1), g.reshape((-1,) + table_shape[1:]))
         return full
 
     return _make(out_data, [(table, pull)])

@@ -6,6 +6,7 @@ import pytest
 from fusecast import training
 from fusecast.checkpoint import load_checkpoint, save_checkpoint
 from fusecast.cli import main
+from fusecast.network import Forecaster
 from fusecast.training import ABLATION_VARIANTS, MetricReport
 
 
@@ -161,6 +162,21 @@ def test_train_non_finite_validation_mae_exits_3(tmp_path, capsys, monkeypatch):
                            f"data.series={csv}", "train.max_epochs=1")
     assert code == 3
     assert "non-finite validation MAE nan at epoch 1" in err
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command):
+    def oom(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(Forecaster, "forward_batch", oom)
+    argv = [command, *TOY_ARGS]
+    if command == "train":
+        argv += ["--out", str(tmp_path / "r"), f"data.series={_toy_data(tmp_path, capsys)}"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "out of memory" in err and "train.batch_size" in err
+    assert "Traceback" not in err
 
 
 def test_gradcheck_toy_preset_passes(capsys):

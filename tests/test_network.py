@@ -357,7 +357,7 @@ def test_stage_tag_on_lookup_failure(toy_setup):
 
 def _dense_backward(tape, output):
     """Reference backward: keeps every record, pads slices, never writes in place."""
-    output.grad = np.ones_like(output.data)
+    output._slot.grad = np.ones_like(output.data)
     for out, pulls in reversed(tape._records):
         if out.grad is None:
             continue

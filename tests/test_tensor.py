@@ -1,3 +1,5 @@
+import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -440,8 +442,6 @@ def test_float32_gradients_stay_float32():
 
 def test_split_backward_memory_stays_linear():
     # 12 time slices must add into one gradient buffer, not build 12 full arrays
-    import tracemalloc
-
     x = Tensor(np.random.default_rng(0).standard_normal((4, 12, 50, 16)), requires_grad=True)
     with Tape() as tape:
         y = x * 2.0
@@ -458,3 +458,79 @@ def test_split_backward_memory_stays_linear():
             tracemalloc.stop()
     assert np.array_equal(x.grad, np.broadcast_to(2.0 * np.arange(12.0)[:, None, None], x.shape))
     assert peak < 3 * x.data.nbytes, f"backward peaked at {peak / x.data.nbytes:.1f}x the input"
+
+
+def _tensors_in(value):
+    if isinstance(value, Tensor):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _tensors_in(item)
+
+
+def test_tape_pulls_capture_no_tensor(toy_setup):
+    # A pull that mentions a Tensor, even only for `x.shape`, keeps x and its
+    # data alive until backward, and a captured view keeps its whole base
+    # buffer, so one such pull per op pins every activation of the step.
+    series, train_ws, _, _, norm, model = toy_setup
+    assert (model.cfg.patterns, model.cfg.rgc_iterations) == (2, 2)
+    hist, _, tod, dow = train_ws.batch([0, 1, 2])
+    with Tape() as tape:
+        model.forward_batch(hist, tod, dow, training=True, rng=np.random.default_rng(0))
+        assert len(tape) > 100
+        for slot, pulls in tape._records:
+            assert not isinstance(slot, Tensor)
+            for _, pull in pulls:
+                captured = [cell.cell_contents for cell in pull.__closure__ or ()]
+                captured += list(pull.__defaults__ or ())
+                held = list(_tensors_in(captured))
+                assert not held, f"{pull.__qualname__} holds {held}"
+
+
+def test_dropped_intermediate_is_freed_unless_a_pull_reads_it():
+    x = Tensor(np.linspace(-1.0, 1.0, 5), requires_grad=True)
+    with Tape() as tape:
+        y = T.mul(x, 2.0)
+        z = T.add(y, 1.0)
+        y_data = weakref.ref(y.data)
+        del y
+        assert y_data() is None  # add's pulls read shapes only
+        h = T.tanh(z)
+        loss = h.sum()
+        h_data = weakref.ref(h.data)
+        del h
+        assert h_data() is not None  # tanh's pull reads its output
+        tape.backward(loss)
+    assert h_data() is None  # and lets go of it once it has run
+    assert np.allclose(x.grad, 2.0 * (1.0 - np.tanh(2.0 * x.data + 1.0) ** 2), rtol=1e-14)
+
+
+def test_add_chain_memory_stays_flat():
+    # every link of the chain is dropped by the loop; a tape holding the
+    # links would peak near 50x the input
+    x = Tensor(np.ones(1 << 17), requires_grad=True)  # 1 MB of float64
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            y = x
+            for _ in range(50):
+                y = T.add(y, 1.0)
+            tape.backward(y)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(y.data, np.full(x.shape, 51.0))
+    assert np.array_equal(x.grad, np.ones(x.shape))
+    assert peak < 3 * x.data.nbytes, f"the chain peaked at {peak / x.data.nbytes:.1f}x the input"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_mask_from_its_output_matches_the_input_sign(dtype):
+    x = Tensor(np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 2.5, -1.5, 1e-30], dtype=dtype),
+               requires_grad=True)
+    with Tape() as tape:
+        y = T.relu(x)
+        tape.backward(y)
+    assert np.array_equal(y.data > 0, x.data > 0)
+    assert x.grad.tobytes() == (x.data > 0).astype(dtype).tobytes()
