@@ -18,6 +18,14 @@ from .errors import ConfigError
 GRAPH_MODES = ("fused", "spatial_only", "temporal_only", "predefined")
 
 
+def _require_at_least(section: str, cfg, minimums):
+    """Reject the first (field, lowest allowed value) pair that cfg falls below."""
+    for name, low in minimums:
+        value = getattr(cfg, name)
+        if value < low:
+            raise ConfigError(f"{section}.{name} must be >= {low}, got {value}")
+
+
 @dataclass
 class ModelConfig:
     history_steps: int = 12      # Th
@@ -36,10 +44,7 @@ class ModelConfig:
     head_channels: int = 64
 
     def validate(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(f.default) is int and value < 1:
-                raise ConfigError(f"model.{f.name} must be >= 1, got {value}")
+        _require_at_least("model", self, [(f.name, 1) for f in fields(self) if type(f.default) is int])
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"model.gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 <= self.dropout < 1.0:
@@ -59,10 +64,8 @@ class GraphConfig:
     def validate(self):
         if self.mode not in GRAPH_MODES:
             raise ConfigError(f"graph.mode must be one of {GRAPH_MODES}, got {self.mode!r}")
-        if self.heads < 1:
-            raise ConfigError(f"graph.heads must be >= 1, got {self.heads}")
-        if self.head_dim < 0:
-            raise ConfigError(f"graph.head_dim must be >= 0, got {self.head_dim}")
+        _require_at_least("graph", self, [("heads", 1), ("head_dim", 0),
+                                          ("k_spatial", 1), ("k_temporal", 1)])
 
     def resolve_head_dim(self, n_nodes: int) -> int:
         """Default head width: N/4 floored with a minimum of 8, clamped so
@@ -100,14 +103,9 @@ class TrainConfig:
     split: list = field(default_factory=lambda: [0.6, 0.2, 0.2])
 
     def validate(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
-        if self.warmup_epochs < 0:
-            raise ConfigError(f"train.warmup_epochs must be >= 0, got {self.warmup_epochs}")
-        if self.curriculum_step < 1:
-            raise ConfigError(f"train.curriculum_step must be >= 1, got {self.curriculum_step}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"train.max_epochs must be >= 1, got {self.max_epochs}")
+        _require_at_least("train", self, [("batch_size", 1), ("warmup_epochs", 0),
+                                          ("curriculum_step", 1), ("max_epochs", 1),
+                                          ("seed", 0), ("patience", 0)])
         if sorted(self.milestones) != list(self.milestones):
             raise ConfigError(f"train.milestones must be sorted ascending, got {self.milestones}")
         if len(self.split) != 3:

@@ -236,6 +236,13 @@ def make_synthetic(n_nodes: int, days: int, seed: int, coupling: float, *,
         raise ConfigError(f"synthetic series needs at least 2 nodes, got {n_nodes}")
     if days < 2:
         raise ConfigError(f"synthetic series needs at least 2 days, got {days}")
+    if seed < 0 or steps_per_day < 1:
+        raise ConfigError(f"synthetic series needs seed >= 0 and steps_per_day >= 1, "
+                          f"got {seed} and {steps_per_day}")
+    if not 0.0 <= coupling <= 1.0:  # NaN fails the comparison too
+        raise ConfigError(f"synthetic coupling must be in [0, 1], got {coupling}")
+    if not 0.0 <= noise_std < np.inf:
+        raise ConfigError(f"synthetic noise must be finite and >= 0, got {noise_std}")
     rng = np.random.default_rng(seed)
     total = days * steps_per_day
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n_nodes)

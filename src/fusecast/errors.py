@@ -2,8 +2,9 @@
 
 The CLI maps these onto stable exit codes: ConfigError and ShapeError -> 2
 (a config whose shapes do not match the checkpoint is a config error, and
-so is a MemoryError, which a smaller batch fixes), NumericalError -> 3, IngestionError and OSError -> 4 (a corrupt or
-truncated checkpoint is an IngestionError).
+so is a MemoryError, which a smaller batch fixes), NumericalError -> 3,
+IngestionError and OSError -> 4 (a corrupt or truncated checkpoint is an
+IngestionError).
 """
 
 

@@ -80,11 +80,6 @@ class AdjacencySet:
     final: Tensor
 
 
-def _swap_last(t: Tensor) -> Tensor:
-    axes = tuple(range(t.ndim - 2)) + (t.ndim - 1, t.ndim - 2)
-    return T.transpose(t, axes)
-
-
 def build_directed_graph(f1: Tensor, f2: Tensor, w1: Tensor, w2: Tensor,
                          alpha: float, k: int) -> Tensor:
     """Directed adjacency from two feature matrices [..., N, F].
@@ -96,7 +91,7 @@ def build_directed_graph(f1: Tensor, f2: Tensor, w1: Tensor, w2: Tensor,
     """
     m1 = T.tanh(T.mul(T.matmul(f1, w1), alpha))
     m2 = T.tanh(T.mul(T.matmul(f2, w2), alpha))
-    score = T.sub(T.matmul(m1, _swap_last(m2)), T.matmul(m2, _swap_last(m1)))
+    score = T.sub(T.matmul(m1, T.swapaxes(m2, -1, -2)), T.matmul(m2, T.swapaxes(m1, -1, -2)))
     raw = T.relu(T.tanh(T.mul(score, alpha)))
     return T.top_k_rows(raw, k)
 
@@ -122,11 +117,10 @@ def fuse_graphs(a_spatial: Tensor, a_temporal: Tensor, beta: float,
         k = T.matmul(a_temporal, wk)
         v = T.matmul(fused, wv)
         scale = 1.0 / np.sqrt(wq.shape[-1])
-        scores = T.softmax(T.mul(T.matmul(q, _swap_last(k)), scale), axis=-1)
+        scores = T.softmax(T.mul(T.matmul(q, T.swapaxes(k, -1, -2)), scale), axis=-1)
         head_scores.append(scores)
         head_outputs.append(T.matmul(scores, v))
-    stacked = head_outputs[0] if len(head_outputs) == 1 else T.concat(head_outputs, axis=-1)
-    final = T.relu(T.matmul(stacked, params.output))
+    final = T.relu(T.matmul(T.concat(head_outputs, axis=-1), params.output))
     if return_scores:
         return fused, final, head_scores
     return fused, final

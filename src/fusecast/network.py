@@ -110,16 +110,14 @@ def rgc_forward(h_in: Tensor, adjacency: Tensor, params: RgcParams) -> Tensor:
     """
     prop = normalized_propagation(adjacency)
     lead, (th, n, d) = h_in.shape[:-3], h_in.shape[-3:]
-    swap = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)  # Th <-> N
-    node_major = T.transpose(h_in, swap)
+    node_major = T.swapaxes(h_in, -3, -2)
     x = T.reshape(node_major, lead + (n, th * d))
     levels = [node_major]
     h = x
     for _ in range(params.depth - 1):
         h = T.add(T.mul(x, params.gamma), T.mul(T.matmul(prop, h), 1.0 - params.gamma))
         levels.append(T.reshape(h, lead + (n, th, d)))
-    stacked = levels[0] if params.depth == 1 else T.concat(levels, axis=-1)
-    return T.transpose(T.matmul(stacked, params.weight), swap)
+    return T.swapaxes(T.matmul(T.concat(levels, axis=-1), params.weight), -3, -2)
 
 
 def gru_forward(x_seq: Tensor, params: GruParams, dropout_rate: float,
@@ -326,8 +324,7 @@ class Forecaster:
                 rgc = RgcParams(gamma=cfg.gamma, depth=cfg.depth,
                                 weight=T.concat(self.rgc_weights[g], axis=-1))
                 pattern_outputs.append(rgc_forward(projected, graphs[g].final, rgc))
-            x_out = (pattern_outputs[0] if len(pattern_outputs) == 1
-                     else T.concat(pattern_outputs, axis=-1))
+            x_out = T.concat(pattern_outputs, axis=-1)
 
         with _stage("temporal-sequence"):
             h_out = gru_forward(x_out, self.gru, cfg.dropout, training, rng)
@@ -338,14 +335,12 @@ class Forecaster:
                       @ self.head_w2 + self.head_b2)
 
             # fold time into channels per node, map to the full horizon at once
-            nd_ = hidden.ndim
-            to_node_major = tuple(range(nd_ - 3)) + (nd_ - 2, nd_ - 3, nd_ - 1)
-            per_node = T.transpose(hidden, to_node_major)
+            per_node = T.swapaxes(hidden, -3, -2)
             lead = per_node.shape[:-2]
             flat = T.reshape(per_node, lead + (cfg.history_steps * cfg.head_channels,))
             mapped = flat @ self.head_out_w + self.head_out_b
             mapped = T.reshape(mapped, lead + (cfg.horizon_steps, cfg.channels))
-            prediction = T.transpose(mapped, to_node_major)
+            prediction = T.swapaxes(mapped, -3, -2)
 
             if self.normalizer:
                 prediction = self.normalizer.invert(prediction)

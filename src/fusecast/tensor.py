@@ -6,13 +6,14 @@ execution order; Tape.backward consumes the records in reverse, which is a
 valid reverse-topological order, so every op is visited exactly once and
 every reachable leaf ends up with a fully accumulated gradient.
 
-A record holds no Tensor of an op's output or inputs, only the output's
-gradient slot (its shape and .grad), the inputs' slots (a leaf is its own)
-and pulls that capture just the arrays and shapes they read. An
+A tensor that needs a gradient, a leaf or a recorded op output alike, owns
+a gradient slot (its shape and .grad); Tensor.grad reads and writes that
+slot. A record holds no Tensor of an op's output or inputs, only their
+slots and pulls that capture just the arrays and shapes they read. An
 intermediate's buffer is therefore freed as soon as the forward code drops
 it, unless a pull reads it. Each record is dropped as soon as it has run,
-together with what its pulls captured and the slot's .grad, so a tape is
-single-use and backward memory falls as it walks back.
+together with what its pulls captured and the output slot's .grad, so a
+tape is single-use and backward memory falls as it walks back.
 
 Without an active tape every op is plain numpy with no recording, which
 doubles as inference mode.
@@ -37,15 +38,27 @@ def _coerce(data, dtype=None) -> np.ndarray:
 
 
 class Tensor:
-    """An n-dimensional float array, optionally tracked for gradients."""
+    """An n-dimensional float array; one that needs a gradient owns a slot for it."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_slot")
+    __slots__ = ("data", "_slot")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _coerce(data, dtype)
-        self.requires_grad = bool(requires_grad)
-        self.grad = None  # numpy array, same shape as data, once accumulated
-        self._slot = None  # an op output's _GradSlot; None for leaves
+        self._slot = _GradSlot(self.data.shape) if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self._slot is not None
+
+    @property
+    def grad(self):
+        """numpy array, same shape as data, once accumulated; None without a slot."""
+        return None if self._slot is None else self._slot.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._slot is not None:  # a tensor with no slot has no gradient to clear
+            self._slot.grad = value
 
     @property
     def shape(self):
@@ -105,14 +118,11 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
 
-    def transpose(self, axes):
-        return transpose(self, axes)
-
 
 class _GradSlot:
-    """Where backward accumulates the gradient of one recorded op output.
+    """Where backward accumulates the gradient of one tensor.
 
-    It stands for the output in the tape, so the tape keeps the output's
+    It stands for the tensor in the tape, so the tape keeps the tensor's
     shape and gradient alive but never its data.
     """
 
@@ -123,21 +133,15 @@ class _GradSlot:
         self.grad = None
 
 
-def _grad_target(t: Tensor):
-    """Where t's gradient accumulates: an op output's slot, or a leaf itself."""
-    return t if t._slot is None else t._slot
-
-
 class Tape:
     """Ordered record of executed ops, consumed in reverse by backward.
 
-    A record is (output slot, [(input slot or leaf, pull_fn), ...]); the
-    pulls capture arrays and shapes, never a Tensor (see the module
-    docstring).
+    A record is (output slot, [(input slot, pull_fn), ...]); the pulls
+    capture arrays and shapes, never a Tensor (see the module docstring).
     """
 
     def __init__(self):
-        self._records = []  # (output slot, [(input target, pull_fn), ...]) in execution order
+        self._records = []  # (output slot, [(input slot, pull_fn), ...]) in execution order
 
     def __enter__(self):
         _TAPES.append(self)
@@ -154,16 +158,21 @@ class Tape:
         """Accumulate d(output)/d(input) into .grad of every recorded input.
 
         seed defaults to ones, i.e. the gradient of output.sum(), and goes
-        into output's gradient slot (or into .grad when output is a leaf).
-        The tape is consumed: each record is popped as it runs and its
-        slot's .grad is reset to None, so afterwards the tape is empty and
-        only leaves keep a gradient.
+        into output's gradient slot. The tape is consumed: each record is
+        popped as it runs and its output slot's .grad is reset to None, so
+        afterwards the tape is empty and only the inputs that no record of
+        it produced (leaves, or op outputs of an earlier tape) keep a
+        gradient. An output with no slot needs no gradient: the tape is
+        just emptied.
         """
+        slot = output._slot
+        if slot is None:
+            self._records.clear()
+            return
         if seed is None:
             seed = np.ones_like(output.data)
-        target = _grad_target(output)
-        target.grad = seed if target.grad is None else target.grad + seed
-        owned = set()  # ids of the leaves and slots whose .grad this pass allocated
+        slot.grad = seed if slot.grad is None else slot.grad + seed
+        owned = set()  # ids of the slots whose .grad this pass allocated
         records = self._records
         while records:
             out, pulls = records.pop()
@@ -187,7 +196,7 @@ class _Slice:
 
 
 def _accumulate(t, piece, owned: set):
-    """Add one pull's contribution into t.grad (t is a leaf or a slot).
+    """Add one pull's contribution into the .grad of slot t.
 
     Pulls may hand out aliases of the downstream gradient (add, reshape,
     concat views, sum_'s read-only broadcast), so a first dense
@@ -218,30 +227,23 @@ def active_tape():
     return _TAPES[-1] if _TAPES else None
 
 
-def _as_tensor(value, like: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=like.dtype))
-
-
 def _make(out_data: np.ndarray, pulls) -> Tensor:
     """Wrap an op result, recording it when a tape is active and a pull exists.
 
     pulls pair each operand with the function that maps the output's
-    gradient to that operand's. The pulls of operands that need no gradient
+    gradient to that operand's. The pulls of operands with no gradient slot
     are dropped here with whatever they captured, and the record keeps the
-    others against gradient slots, so a pull must close over arrays and
-    shapes only: one that mentions a Tensor (even just for `x.shape`)
-    keeps that tensor's data alive until backward.
+    others against the operands' slots and a new slot of the output, so a
+    pull must close over arrays and shapes only: one that mentions a Tensor
+    (even just for `x.shape`) keeps that tensor's data alive until backward.
     """
     tape = active_tape()
     if tape is None:
         return Tensor(out_data)
-    live = [(_grad_target(t), fn) for t, fn in pulls if t.requires_grad]
+    live = [(t._slot, fn) for t, fn in pulls if t._slot is not None]
     if not live:
         return Tensor(out_data)
     out = Tensor(out_data, requires_grad=True)
-    out._slot = _GradSlot(out.shape)
     tape._records.append((out._slot, live))
     return out
 
@@ -259,17 +261,21 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str):
+def _operands(a, b, op: str):
+    """Both operands as Tensors, a plain number taking the other's dtype; they must broadcast."""
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.dtype))
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.dtype))
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not broadcastable") from None
+    return a, b
 
 
 def add(a, b):
-    a = a if isinstance(a, Tensor) else _as_tensor(a, b)
-    b = _as_tensor(b, a)
-    _check_broadcast(a, b, "add")
+    a, b = _operands(a, b, "add")
     a_shape, b_shape = a.shape, b.shape
     return _make(a.data + b.data, [
         (a, lambda g: _unbroadcast(g, a_shape)),
@@ -278,9 +284,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a = a if isinstance(a, Tensor) else _as_tensor(a, b)
-    b = _as_tensor(b, a)
-    _check_broadcast(a, b, "sub")
+    a, b = _operands(a, b, "sub")
     a_shape, b_shape = a.shape, b.shape
     return _make(a.data - b.data, [
         (a, lambda g: _unbroadcast(g, a_shape)),
@@ -289,9 +293,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a = a if isinstance(a, Tensor) else _as_tensor(a, b)
-    b = _as_tensor(b, a)
-    _check_broadcast(a, b, "mul")
+    a, b = _operands(a, b, "mul")
     a_data, b_data = a.data, b.data
     a_shape, b_shape = a.shape, b.shape
     return _make(a_data * b_data, [
@@ -301,9 +303,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    a = a if isinstance(a, Tensor) else _as_tensor(a, b)
-    b = _as_tensor(b, a)
-    _check_broadcast(a, b, "div")
+    a, b = _operands(a, b, "div")
     b_data = b.data
     a_shape, b_shape = a.shape, b.shape
     out_data = a.data / b_data
@@ -389,15 +389,8 @@ def sum_(x: Tensor, axis=None, keepdims=False):
 
 
 def mean(x: Tensor, axis=None, keepdims=False):
-    if axis is None:
-        count = x.size
-    elif isinstance(axis, int):
-        count = x.shape[axis]
-    else:
-        count = 1
-        for a in axis:
-            count *= x.shape[a]
-    return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / count)
+    total = sum_(x, axis=axis, keepdims=keepdims)
+    return mul(total, total.size / x.size)
 
 
 def broadcast_to(x: Tensor, shape):
@@ -411,10 +404,9 @@ def reshape(x: Tensor, shape):
     return _make(x.data.reshape(shape), [(x, lambda g: g.reshape(x_shape))])
 
 
-def transpose(x: Tensor, axes):
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    return _make(x.data.transpose(axes), [(x, lambda g: g.transpose(inverse))])
+def swapaxes(x: Tensor, axis1: int, axis2: int):
+    """Swap two axes (a view); backward swaps the gradient back."""
+    return _make(np.swapaxes(x.data, axis1, axis2), [(x, lambda g: np.swapaxes(g, axis1, axis2))])
 
 
 def concat(tensors, axis: int = 0):
@@ -422,6 +414,8 @@ def concat(tensors, axis: int = 0):
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat: need at least one tensor")
+    if len(tensors) == 1:
+        return tensors[0]  # as it is: no copy, no record
     axis = axis % tensors[0].ndim
     ref = tensors[0].shape
     for t in tensors[1:]:
@@ -503,8 +497,8 @@ def top_k_rows(x: Tensor, k: int):
     is a constant during backward, so gradient flows only through survivors.
     """
     n = x.shape[-1]
-    if k > n:
-        raise ConfigError(f"top-k: k={k} exceeds row length {n}")
+    if not 1 <= k <= n:
+        raise ConfigError(f"top-k: k={k} outside [1, {n}], the row length")
     if k == n:
         return x
     rows = x.data.reshape(-1, n)

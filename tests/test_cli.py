@@ -53,6 +53,13 @@ def test_generate_single_node_rejected(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_generate_negative_seed_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "generate", "--nodes", "4", "--days", "2", "--seed", "-1",
+                           "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert err.startswith("config error:") and "seed" in err
+
+
 def _toy_data(tmp_path, capsys):
     csv = tmp_path / "toy.csv"
     run_cli(capsys, "generate", "--nodes", "4", "--days", "6", "--seed", "3",

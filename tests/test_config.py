@@ -62,6 +62,9 @@ def test_value_range_validation():
         load_config(None, overrides=["train.milestones=80,50"])
     with pytest.raises(ConfigError, match="graph.mode"):
         load_config(None, overrides=["graph.mode=banana"])
+    for item in ("graph.k_spatial=0", "graph.k_temporal=-1", "train.seed=-1", "train.patience=-1"):
+        with pytest.raises(ConfigError, match=item.split("=")[0]):
+            load_config(None, overrides=[item])
 
 
 def test_predefined_mode_needs_graph_path():

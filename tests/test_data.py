@@ -235,6 +235,11 @@ def test_synthetic_validates_arguments():
         make_synthetic(1, 5, seed=0, coupling=0.0)
     with pytest.raises(ConfigError):
         make_synthetic(4, 1, seed=0, coupling=0.0)
+    for kwargs in ({"seed": -1}, {"steps_per_day": 0}, {"coupling": float("nan")},
+                   {"coupling": 1.5}, {"coupling": -0.1}, {"noise_std": -1.0},
+                   {"noise_std": float("inf")}):
+        with pytest.raises(ConfigError):
+            make_synthetic(4, 2, **{"seed": 0, "coupling": 0.5, **kwargs})
 
 
 def test_synthetic_returns_generation_parameters():

@@ -111,8 +111,11 @@ def test_concat_axis1():
 
 
 def test_concat_single_tensor_is_identity():
-    a = Tensor([[1.0, 2.0]])
+    a = Tensor([[1.0, 2.0]], requires_grad=True)
     assert np.array_equal(T.concat([a], axis=0).data, a.data)
+    with Tape() as tape:
+        assert T.concat([a], axis=0) is a
+        assert len(tape) == 0
 
 
 def test_concat_gradient_routes_ones():
@@ -176,8 +179,9 @@ def test_top_k_rows_gradient_only_through_survivors():
 
 
 def test_top_k_exceeding_row_length():
-    with pytest.raises(ConfigError):
-        T.top_k_rows(Tensor(np.zeros((2, 3))), 4)
+    for k in (4, 0, -1):
+        with pytest.raises(ConfigError):
+            T.top_k_rows(Tensor(np.zeros((2, 3))), k)
 
 
 def _top_k_mask_by_stable_sort(x: np.ndarray, k: int) -> np.ndarray:
@@ -258,6 +262,32 @@ def test_no_tape_records_nothing():
     assert y.grad is None
 
 
+def test_reused_op_output_gradient_is_cleared_through_grad():
+    # an op output of a finished tape feeds two new tapes; clearing its
+    # .grad before each must leave one round's gradient, not the sum of two
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        h = x * 3.0
+        tape.backward(h.sum())
+    for _ in range(2):
+        h.grad = None
+        with Tape() as tape:
+            tape.backward((h * h).sum())
+    assert np.array_equal(h.grad, 2.0 * h.data)
+    assert h.grad is h._slot.grad
+
+
+def test_backward_from_an_output_with_no_slot_empties_the_tape():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        x * 2.0
+        zero = Tensor(0.0)  # like the loss of an empty mask: it needs no gradient
+        assert len(tape) == 1
+        tape.backward(zero)
+    assert len(tape) == 0
+    assert x.grad is None
+
+
 def test_nested_tapes_record_only_into_the_innermost():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as outer:
@@ -296,7 +326,7 @@ OPS = [
     ("sum_axis", lambda a: a.sum(axis=0, keepdims=True), 1),
     ("mean", lambda a: a.mean(axis=1), 1),
     ("reshape", lambda a: a.reshape(6, 4), 1),
-    ("transpose", lambda a: a.transpose((2, 0, 1)), 1),
+    ("swapaxes", lambda a: T.swapaxes(a, 0, 2), 1),
     ("narrow", lambda a: T.narrow(a, 1, 1, 2), 1),
     ("broadcast_to", lambda a: T.broadcast_to(a, (3, 2, 3, 4)), 1),
     ("top_k", lambda a: T.top_k_rows(a, 2), 1),
