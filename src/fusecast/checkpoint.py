@@ -4,8 +4,11 @@ Layout: an 8-byte magic, a format version, a record count, then one record
 per parameter in the order given. Each record is
 (name length u16, name utf-8, dtype tag u8, ndim u8, dims u32 each,
 raw little-endian values). Writing the same parameters twice produces
-byte-identical files. A file is written beside its target and moved over it
-when complete, so a failed save leaves an earlier checkpoint untouched.
+byte-identical files.
+
+Every run artifact (checkpoint, manifest, history, metrics) is written
+through `replacing`: beside its target, then moved over it when complete,
+so a failed write leaves the earlier file untouched.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 import os
 import struct
 from collections import OrderedDict
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,29 +30,41 @@ _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
-def save_checkpoint(path, params: dict) -> None:
-    """Write named arrays (or Tensors) to `path` in declaration order."""
+@contextmanager
+def replacing(path, mode: str = "w"):
+    """Open `<path>.tmp` for writing and move it over `path` when the block ends.
+
+    If the block raises, the tmp file is removed and `path` keeps its earlier
+    content. There is no fsync: this survives a failed or killed process,
+    not a power loss.
+    """
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", VERSION, len(params)))
-            for name, value in params.items():
-                arr = np.asarray(value.data if hasattr(value, "data") else value)
-                tag = _DTYPE_TAGS.get(arr.dtype)
-                if tag is None:
-                    raise ValueError(f"checkpoint: unsupported dtype {arr.dtype} for '{name}'")
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<BB", tag, arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(np.ascontiguousarray(arr, dtype=_TAG_DTYPES[tag]).tobytes())
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def save_checkpoint(path, params: dict) -> None:
+    """Write named arrays (or Tensors) to `path` in declaration order."""
+    with replacing(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<II", VERSION, len(params)))
+        for name, value in params.items():
+            arr = np.asarray(value.data if hasattr(value, "data") else value)
+            tag = _DTYPE_TAGS.get(arr.dtype)
+            if tag is None:
+                raise ValueError(f"checkpoint: unsupported dtype {arr.dtype} for '{name}'")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<BB", tag, arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype=_TAG_DTYPES[tag]).tobytes())
 
 
 def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":

@@ -10,20 +10,37 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
+import operator
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
+from .checkpoint import replacing
 from .errors import ConfigError
 
 GRAPH_MODES = ("fused", "spatial_only", "temporal_only", "predefined")
 
 
-def _require_at_least(section: str, cfg, minimums):
-    """Reject the first (field, lowest allowed value) pair that cfg falls below."""
-    for name, low in minimums:
+_COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+def _require(section: str, cfg, bounds):
+    """Reject the first (field, comparison, bound) triple that cfg fails.
+
+    NaN and infinities fail every bound.
+    """
+    for name, op, bound in bounds:
         value = getattr(cfg, name)
-        if value < low:
-            raise ConfigError(f"{section}.{name} must be >= {low}, got {value}")
+        if not (math.isfinite(value) and _COMPARISONS[op](value, bound)):
+            raise ConfigError(f"{section}.{name} must be finite and {op} {bound}, got {value}")
+
+
+def check_split(ratios) -> None:
+    """Reject split ratios unless there are three, each positive, summing to 1."""
+    # written so that NaN fails: every comparison with it is False
+    if not (len(ratios) == 3 and all(r > 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
+        raise ConfigError(
+            f"train.split needs three positive ratios that sum to 1, got {list(ratios)}")
 
 
 @dataclass
@@ -44,11 +61,10 @@ class ModelConfig:
     head_channels: int = 64
 
     def validate(self):
-        _require_at_least("model", self, [(f.name, 1) for f in fields(self) if type(f.default) is int])
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"model.gamma must be in [0, 1], got {self.gamma}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"model.dropout must be in [0, 1), got {self.dropout}")
+        _require("model", self,
+                 [(f.name, ">=", 1) for f in fields(self) if type(f.default) is int]
+                 + [("gamma", ">=", 0), ("gamma", "<=", 1), ("dropout", ">=", 0),
+                    ("dropout", "<", 1)])
 
 
 @dataclass
@@ -64,8 +80,9 @@ class GraphConfig:
     def validate(self):
         if self.mode not in GRAPH_MODES:
             raise ConfigError(f"graph.mode must be one of {GRAPH_MODES}, got {self.mode!r}")
-        _require_at_least("graph", self, [("heads", 1), ("head_dim", 0),
-                                          ("k_spatial", 1), ("k_temporal", 1)])
+        _require("graph", self, [("alpha", ">", 0), ("beta", ">", 0), ("heads", ">=", 1),
+                                 ("head_dim", ">=", 0), ("k_spatial", ">=", 1),
+                                 ("k_temporal", ">=", 1)])
 
     def resolve_head_dim(self, n_nodes: int) -> int:
         """Default head width: N/4 floored with a minimum of 8, clamped so
@@ -103,13 +120,15 @@ class TrainConfig:
     split: list = field(default_factory=lambda: [0.6, 0.2, 0.2])
 
     def validate(self):
-        _require_at_least("train", self, [("batch_size", 1), ("warmup_epochs", 0),
-                                          ("curriculum_step", 1), ("max_epochs", 1),
-                                          ("seed", 0), ("patience", 0)])
+        _require("train", self, [("batch_size", ">=", 1), ("learning_rate", ">=", 0),
+                                 ("weight_decay", ">=", 0), ("eps", ">", 0), ("lr_decay", ">", 0),
+                                 ("lr_decay", "<=", 1), ("warmup_epochs", ">=", 0),
+                                 ("curriculum_step", ">=", 1), ("max_epochs", ">=", 1),
+                                 ("seed", ">=", 0), ("mask_threshold", ">=", 0),
+                                 ("patience", ">=", 0)])
         if sorted(self.milestones) != list(self.milestones):
             raise ConfigError(f"train.milestones must be sorted ascending, got {self.milestones}")
-        if len(self.split) != 3:
-            raise ConfigError(f"train.split needs three ratios, got {self.split}")
+        check_split(self.split)
 
 
 @dataclass
@@ -218,4 +237,5 @@ def preset_path(name: str) -> Path:
 
 
 def write_manifest(cfg: RunConfig, path) -> None:
-    Path(path).write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
+    with replacing(path) as fh:
+        fh.write(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")

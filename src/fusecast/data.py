@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_split
 from .errors import ConfigError, IngestionError
 
 DAYS_PER_WEEK = 7
@@ -184,8 +185,7 @@ def split_and_window(series: TrafficSeries, history_steps: int, horizon_steps: i
     Windows never straddle a split boundary; each split contributes
     split_length - Th - Tf + 1 windows.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9 or any(r <= 0 for r in ratios):
-        raise ConfigError(f"split ratios must be positive and sum to 1, got {ratios}")
+    check_split(ratios)
     total = series.n_steps
     n_train = int(math.floor(ratios[0] * total))
     n_val = int(math.floor(ratios[1] * total))

@@ -73,7 +73,8 @@ def grad_check(f, params: dict[str, Tensor], h: float = 1e-6,
     Each entry's relative error uses max(|fd|, |analytic|, floor) as the
     denominator. The central difference itself carries roundoff error of
     order eps * |f| / h, so entries far below `floor` cannot be resolved by
-    finite differences and are measured against the floor instead.
+    finite differences and are measured against the floor instead. The
+    first non-finite error ends the check and is reported with its parameter.
     """
     for name, p in params.items():
         if p.dtype != np.float64:
@@ -103,6 +104,8 @@ def grad_check(f, params: dict[str, Tensor], h: float = 1e-6,
             flat[i] = keep
             fd = (f_plus - f_minus) / (2.0 * h)
             rel = abs(fd - ana[i]) / max(abs(fd), abs(ana[i]), floor)
+            if not np.isfinite(rel):  # a NaN pull or gradient; no finite error outranks it
+                return GradCheckReport(max_rel_error=float(rel), worst_param=name)
             if rel > worst_here:
                 worst_here = rel
         if worst_here > worst[1]:

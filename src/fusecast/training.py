@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import save_checkpoint
+from .checkpoint import replacing, save_checkpoint
 from .config import RunConfig, TrainConfig, apply_overrides
 from .data import (WindowSet, fit_normalizer, load_predefined_graph, load_series,
                    split_and_window)
@@ -152,7 +152,7 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
     return cfg.learning_rate * (cfg.lr_decay ** passed)
 
 
-def evaluate(model: Forecaster, windows: WindowSet, batch_size: int = 64,
+def evaluate(model: Forecaster, windows: WindowSet, batch_size: int,
              mask_threshold: float = 0.0) -> MetricReport:
     """Masked metrics of the model over every window of a split."""
     acc = _MetricAccumulator(model.cfg.horizon_steps, mask_threshold)
@@ -188,9 +188,14 @@ def train(model: Forecaster, train_ws: WindowSet, val_ws: WindowSet, cfg: TrainC
     history = []
     best = None  # (epoch, val_report, state)
     since_best = 0
-    history_path = Path(out_dir) / "history.jsonl" if out_dir else None
-    if history_path:
-        history_path.write_text("")
+
+    def write_history():
+        # rewritten whole, so an epoch that raises leaves no record of itself
+        if out_dir:
+            with replacing(Path(out_dir) / "history.jsonl") as fh:
+                fh.writelines(json.dumps(record) + "\n" for record in history)
+
+    write_history()
 
     for epoch in range(1, cfg.max_epochs + 1):
         lr = lr_schedule(epoch, cfg)
@@ -222,7 +227,7 @@ def train(model: Forecaster, train_ws: WindowSet, val_ws: WindowSet, cfg: TrainC
             err_total += value * n_masked
             mask_total += n_masked
 
-        val_report = evaluate(model, val_ws, batch_size=max(cfg.batch_size, 64),
+        val_report = evaluate(model, val_ws, batch_size=cfg.batch_size,
                               mask_threshold=cfg.mask_threshold)
         if not np.isfinite(val_report.mae):
             raise NumericalError(f"non-finite validation MAE {val_report.mae} at epoch {epoch}")
@@ -233,9 +238,7 @@ def train(model: Forecaster, train_ws: WindowSet, val_ws: WindowSet, cfg: TrainC
             "val_mape": val_report.mape,
         }
         history.append(record)
-        if history_path:
-            with open(history_path, "a") as fh:
-                fh.write(json.dumps(record) + "\n")
+        write_history()
         if log:
             log(record)
 
@@ -282,12 +285,13 @@ def run_training(cfg: RunConfig, out_dir=None, log=None):
     series, train_ws, val_ws, test_ws, normalizer = prepare_data(cfg)
     model = build_model(cfg, series, normalizer)
     result = train(model, train_ws, val_ws, cfg.train, out_dir=out_dir, log=log)
-    test_report = evaluate(model, test_ws, batch_size=max(cfg.train.batch_size, 64),
+    test_report = evaluate(model, test_ws, batch_size=cfg.train.batch_size,
                            mask_threshold=cfg.train.mask_threshold)
     if out_dir:
         report = {"val": result.val_report.to_dict(), "test": test_report.to_dict(),
                   "best_epoch": result.best_epoch}
-        (Path(out_dir) / "metrics.json").write_text(json.dumps(report, indent=2) + "\n")
+        with replacing(Path(out_dir) / "metrics.json") as fh:
+            fh.write(json.dumps(report, indent=2) + "\n")
     return model, result, test_report
 
 

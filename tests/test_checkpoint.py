@@ -3,7 +3,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from fusecast.checkpoint import load_checkpoint, save_checkpoint
+from fusecast.checkpoint import load_checkpoint, replacing, save_checkpoint
 from fusecast.errors import IngestionError
 from fusecast.tensor import Tensor
 
@@ -97,3 +97,15 @@ def test_failed_save_leaves_earlier_checkpoint_untouched(tmp_path):
         save_checkpoint(path, bad)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+
+def test_failed_text_write_leaves_earlier_file_intact(tmp_path):
+    path = tmp_path / "history.jsonl"
+    with replacing(path) as fh:
+        fh.write('{"epoch": 1}\n')
+    with pytest.raises(RuntimeError, match="disk"):
+        with replacing(path) as fh:
+            fh.write('{"epoch": 1}\n{"epoch": 2}\n')
+            raise RuntimeError("disk gone mid-write")
+    assert path.read_text() == '{"epoch": 1}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["history.jsonl"]

@@ -200,6 +200,27 @@ def test_gradcheck_failure_exits_3(capsys):
     assert "FAIL" in err
 
 
+def test_gradcheck_non_finite_tolerance_exits_2(capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("gradcheck computed before rejecting its tolerance")
+
+    monkeypatch.setattr(training, "build_model", no_compute)
+    for tol in ("nan", "inf", "0", "-1e-5"):
+        code, stdout, err = run_cli(capsys, "gradcheck", *TOY_ARGS, f"--tol={tol}")
+        assert code == 2, tol
+        assert stdout == "" and err.startswith("config error:") and "--tol" in err, tol
+
+
+def test_train_nan_split_exits_2_without_traceback(tmp_path, capsys):
+    csv = _toy_data(tmp_path, capsys)
+    code, _, err = run_cli(capsys, "train", *TOY_ARGS, "--out", str(tmp_path / "r"),
+                           f"data.series={csv}", "train.split=nan,0.5,0.5")
+    assert code == 2
+    assert err.startswith("config error:") and "train.split" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()  # rejected before any output
+
+
 def _trained_toy(tmp_path, capsys):
     csv = _toy_data(tmp_path, capsys)
     out = tmp_path / "run"
@@ -230,6 +251,21 @@ def test_eval_non_finite_checkpoint_exits_3(tmp_path, capsys):
     assert stdout == ""
     assert "numerical failure: non-finite test metrics (mae nan" in err
     assert "checkpoint.bin" in err
+
+
+def test_eval_runs_at_the_training_batch_size(tmp_path, capsys, monkeypatch):
+    csv, ckpt = _trained_toy(tmp_path, capsys)
+    real, seen = training.evaluate, []
+
+    def spy(model, windows, batch_size, **kwargs):
+        seen.append(batch_size)
+        return real(model, windows, batch_size, **kwargs)
+
+    monkeypatch.setattr(training, "evaluate", spy)
+    code, _, _ = run_cli(capsys, "eval", *TOY_ARGS, "--checkpoint", str(ckpt),
+                         f"data.series={csv}", "train.batch_size=3")
+    assert code == 0
+    assert seen == [3]
 
 
 def test_eval_with_mismatched_config_exits_2(tmp_path, capsys):

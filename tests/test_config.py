@@ -62,9 +62,18 @@ def test_value_range_validation():
         load_config(None, overrides=["train.milestones=80,50"])
     with pytest.raises(ConfigError, match="graph.mode"):
         load_config(None, overrides=["graph.mode=banana"])
-    for item in ("graph.k_spatial=0", "graph.k_temporal=-1", "train.seed=-1", "train.patience=-1"):
+    for item in ("graph.k_spatial=0", "graph.k_temporal=-1", "train.seed=-1", "train.patience=-1",
+                 "train.learning_rate=nan", "train.learning_rate=-0.1", "train.eps=0",
+                 "train.eps=inf", "train.weight_decay=inf", "train.weight_decay=-1e-5",
+                 "train.lr_decay=0", "train.lr_decay=1.5", "train.lr_decay=nan",
+                 "train.mask_threshold=-1", "train.mask_threshold=nan", "graph.alpha=nan",
+                 "graph.alpha=0", "graph.beta=-inf", "model.gamma=nan", "model.dropout=nan",
+                 "train.split=nan,0.5,0.5", "train.split=0.6,0.2,nan", "train.split=0.6,0.2,inf",
+                 "train.split=0.6,0.4,0", "train.split=0.5,0.5"):
         with pytest.raises(ConfigError, match=item.split("=")[0]):
             load_config(None, overrides=[item])
+    # a zero learning rate is a legal (frozen) run
+    assert load_config(None, overrides=["train.learning_rate=0.0"]).train.learning_rate == 0.0
 
 
 def test_predefined_mode_needs_graph_path():

@@ -132,6 +132,10 @@ def test_any_split_too_short_rejected():
 def test_bad_ratios_rejected():
     with pytest.raises(ConfigError, match="ratios"):
         split_and_window(_series(100), 12, 12, (0.7, 0.2, 0.2))
+    for ratios in ((float("nan"), 0.5, 0.5), (0.6, 0.2, float("nan")),
+                   (0.6, 0.2, float("inf")), (0.6, 0.6, -0.2)):
+        with pytest.raises(ConfigError, match="ratios"):
+            split_and_window(_series(100), 12, 12, ratios)
 
 
 def test_windows_never_straddle_split_boundaries():

@@ -90,6 +90,20 @@ def test_grad_check_constant_function():
     assert report.max_rel_error == 0.0
 
 
+def test_grad_check_nan_pull_fails_and_names_its_parameter():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = Tensor(np.array([3.0]), requires_grad=True)
+
+    def f():
+        out = (x * x).sum() + (y * y).sum()
+        # the pulls of y[0] see NaN; the tape gradient at the centre stays finite
+        return out * np.nan if y.data[0] != 3.0 else out
+
+    report = grad_check(f, {"x": x, "y": y})
+    assert np.isnan(report.max_rel_error)
+    assert report.worst_param == "y"
+
+
 def test_grad_check_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):

@@ -240,6 +240,27 @@ def test_evaluate_runs_without_tape(toy_setup):
     assert len(report.mae_per_horizon) == model.cfg.horizon_steps
 
 
+def test_evaluate_predictions_do_not_depend_on_batch_size(toy_setup):
+    series, train_ws, val_ws, test_ws, model = _toy_float32(toy_setup)
+    real_forward, preds = model.forward_batch, []
+
+    def recording(*args, **kwargs):
+        out = real_forward(*args, **kwargs)
+        preds.append(out.data.copy())
+        return out
+
+    model.forward_batch = recording
+    one = evaluate(model, test_ws, batch_size=1)
+    per_window = np.concatenate(preds)
+    preds.clear()
+    whole = evaluate(model, test_ws, batch_size=len(test_ws))
+    assert len(preds) == 1 and len(per_window) == len(test_ws) > 1
+    assert per_window.tobytes() == preds[0].tobytes()
+    # the metrics differ only by float64 summation order
+    for name in ("mae", "rmse", "mape", "mae_per_horizon", "rmse_per_horizon", "mape_per_horizon"):
+        assert getattr(one, name) == pytest.approx(getattr(whole, name), rel=1e-12), name
+
+
 def _run_cfg(tmp_path, toy_series, **train_kw):
     series, _ = toy_series
     fc.save_series(series, tmp_path / "toy.csv")
@@ -333,3 +354,17 @@ def test_all_variants_complete_on_toy_data(tmp_path, toy_series):
         _, result, test_report = run_training(cfg)
         assert np.isfinite(test_report.mae), variant
         assert len(result.history) == 1, variant
+
+
+def test_training_and_test_evaluation_run_at_the_training_batch_size(tmp_path, toy_series,
+                                                                    monkeypatch):
+    cfg = _run_cfg(tmp_path, toy_series, batch_size=8)
+    real, seen = fc.training.evaluate, []
+
+    def spy(model, windows, batch_size, **kwargs):
+        seen.append(batch_size)
+        return real(model, windows, batch_size, **kwargs)
+
+    monkeypatch.setattr(fc.training, "evaluate", spy)
+    run_training(cfg)
+    assert seen == [8] * (cfg.train.max_epochs + 1)  # one validation pass per epoch, one test pass
