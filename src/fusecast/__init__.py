@@ -14,10 +14,10 @@ from .data import (Normalizer, TrafficSeries, WindowSet, fit_normalizer,
 from .decouple import GateParams, PatternFlows, decouple
 from .errors import (ConfigError, IngestionError, NumericalError, ShapeError)
 from .graphgen import (AdjacencySet, AttentionFusionParams, PatternGraphParams,
-                       SpatialEmbeddings, TimeEmbeddingPools, build_directed_graph,
-                       fuse_graphs, generate_pattern_graph, temporal_feature_matrix)
-from .network import (Forecaster, ForwardActivations, GruParams, RgcParams, gru_forward,
-                      normalized_propagation, parameter_count, rgc_forward)
+                       TimeEmbeddingPools, build_directed_graph, fuse_graphs,
+                       generate_pattern_graph, temporal_feature_matrix)
+from .network import (Forecaster, ForwardActivations, GruParams, gru_forward,
+                      normalized_propagation, rgc_forward)
 from .optim import Adam, AdamState, GradCheckReport, grad_check
 from .tensor import Tape, Tensor
 from .training import (MetricReport, TrainResult, curriculum_horizon, evaluate,

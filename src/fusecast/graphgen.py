@@ -23,14 +23,6 @@ from .tensor import Tensor
 
 
 @dataclass
-class SpatialEmbeddings:
-    """Two learnable node embeddings [N, Nd] feeding the spatial score."""
-
-    e1: Tensor
-    e2: Tensor
-
-
-@dataclass
 class TimeEmbeddingPools:
     """Per-node learnable embeddings for each time-of-day and day-of-week slot."""
 
@@ -59,7 +51,8 @@ class AttentionFusionParams:
 class PatternGraphParams:
     """Everything one traffic pattern needs to build its adjacency set."""
 
-    embeddings: SpatialEmbeddings
+    e1: Tensor  # [N, Nd], the two node embeddings behind the spatial score
+    e2: Tensor
     spatial_w1: Tensor  # [Nd, Nd]
     spatial_w2: Tensor
     temporal_w1: Tensor  # [D, D]
@@ -69,14 +62,13 @@ class PatternGraphParams:
 
 @dataclass
 class AdjacencySet:
-    """The learned adjacency matrices of one pattern; `final` always exists.
+    """One pattern's spatial and temporal graphs and the `final` graph it convolves with.
 
-    Matrices not built in the active graph mode stay None.
+    `final` always exists; a graph not built in the active mode stays None.
     """
 
     spatial: Tensor | None
     temporal: Tensor | None
-    fused: Tensor | None
     final: Tensor
 
 
@@ -105,9 +97,10 @@ def fuse_graphs(a_spatial: Tensor, a_temporal: Tensor, beta: float,
                 params: AttentionFusionParams, return_scores: bool = False):
     """Blend spatial and temporal adjacencies through multi-head attention.
 
-    Returns (fused, final): the saturated product matrix and the attention
-    output after the terminal ReLU that keeps the adjacency non-negative.
-    With return_scores, the per-head attention matrices come back too.
+    The saturated product of the two graphs is the attention's value
+    input. Returns `final`, the attention output after the terminal ReLU
+    that keeps the adjacency non-negative, or (final, head_scores) with
+    return_scores, head_scores being the per-head attention matrices.
     """
     fused = T.relu(T.tanh(T.mul(T.matmul(a_spatial, a_temporal), beta)))
     head_outputs = []
@@ -122,8 +115,8 @@ def fuse_graphs(a_spatial: Tensor, a_temporal: Tensor, beta: float,
         head_outputs.append(T.matmul(scores, v))
     final = T.relu(T.matmul(T.concat(head_outputs, axis=-1), params.output))
     if return_scores:
-        return fused, final, head_scores
-    return fused, final
+        return final, head_scores
+    return final
 
 
 def generate_pattern_graph(params: PatternGraphParams, time_features, cfg: GraphConfig,
@@ -137,24 +130,22 @@ def generate_pattern_graph(params: PatternGraphParams, time_features, cfg: Graph
     if mode == "predefined":
         if predefined is None:
             raise ConfigError("graph mode 'predefined' needs a loaded road-network adjacency")
-        return AdjacencySet(spatial=None, temporal=None, fused=None,
-                            final=Tensor(predefined))
+        return AdjacencySet(spatial=None, temporal=None, final=Tensor(predefined))
 
-    spatial = temporal = fused = None
+    spatial = temporal = None
     if mode in ("fused", "spatial_only"):
-        e = params.embeddings
-        spatial = build_directed_graph(e.e1, e.e2, params.spatial_w1, params.spatial_w2,
+        spatial = build_directed_graph(params.e1, params.e2, params.spatial_w1, params.spatial_w2,
                                        cfg.alpha, cfg.k_spatial)
     if mode in ("fused", "temporal_only"):
         td_bar, tw_bar = time_features
         temporal = build_directed_graph(td_bar, tw_bar, params.temporal_w1, params.temporal_w2,
                                         cfg.alpha, cfg.k_temporal)
     if mode == "fused":
-        fused, final = fuse_graphs(spatial, temporal, cfg.beta, params.fusion)
+        final = fuse_graphs(spatial, temporal, cfg.beta, params.fusion)
     elif mode == "spatial_only":
         final = spatial
     elif mode == "temporal_only":
         final = temporal
     else:
         raise ConfigError(f"unknown graph mode {mode!r}")
-    return AdjacencySet(spatial=spatial, temporal=temporal, fused=fused, final=final)
+    return AdjacencySet(spatial=spatial, temporal=temporal, final=final)

@@ -35,18 +35,8 @@ from .data import DAYS_PER_WEEK, Normalizer
 from .decouple import GateParams, PatternFlows, decouple
 from .errors import ShapeError
 from .graphgen import (AdjacencySet, AttentionFusionParams, PatternGraphParams,
-                       SpatialEmbeddings, TimeEmbeddingPools, generate_pattern_graph,
-                       temporal_feature_matrix)
+                       TimeEmbeddingPools, generate_pattern_graph, temporal_feature_matrix)
 from .tensor import Tensor
-
-
-@dataclass
-class RgcParams:
-    """One residual propagation stack: retention ratio, depth, mixing weights."""
-
-    gamma: float
-    depth: int
-    weight: Tensor  # [depth * d_in, d_out]
 
 
 @dataclass
@@ -68,7 +58,6 @@ class ForwardActivations:
 
     graphs: list            # per-pattern AdjacencySet
     flows: PatternFlows
-    x_out: Tensor           # [..., Th, N, G*M*d]
 
 
 @contextmanager
@@ -96,12 +85,14 @@ def normalized_propagation(adjacency: Tensor) -> Tensor:
     return T.div(a_tilde, degree)
 
 
-def rgc_forward(h_in: Tensor, adjacency: Tensor, params: RgcParams) -> Tensor:
+def rgc_forward(h_in: Tensor, adjacency: Tensor, weight: Tensor, gamma: float) -> Tensor:
     """Residual graph convolution over [..., Th, N, d] node features.
 
     Adds self-loops, row-normalizes by degree, then alternates between
     retaining gamma of the input and propagating the rest, concatenating
-    every depth level before the mixing weights.
+    every depth level before the mixing weights [depth*d, d_out]. The
+    depth is weight.shape[0] // d; a weight whose row count is not a
+    multiple of d fails in the mixing product with ShapeError.
 
     Runs node-major: features are transposed once to [..., N, Th*d], so
     the [..., N, N] (or [N, N]) operator propagates all Th steps in one
@@ -114,10 +105,10 @@ def rgc_forward(h_in: Tensor, adjacency: Tensor, params: RgcParams) -> Tensor:
     x = T.reshape(node_major, lead + (n, th * d))
     levels = [node_major]
     h = x
-    for _ in range(params.depth - 1):
-        h = T.add(T.mul(x, params.gamma), T.mul(T.matmul(prop, h), 1.0 - params.gamma))
+    for _ in range(weight.shape[0] // d - 1):
+        h = T.add(T.mul(x, gamma), T.mul(T.matmul(prop, h), 1.0 - gamma))
         levels.append(T.reshape(h, lead + (n, th, d)))
-    return T.swapaxes(T.matmul(T.concat(levels, axis=-1), params.weight), -3, -2)
+    return T.swapaxes(T.matmul(T.concat(levels, axis=-1), weight), -3, -2)
 
 
 def gru_forward(x_seq: Tensor, params: GruParams, dropout_rate: float,
@@ -200,10 +191,8 @@ class Forecaster:
         self.rgc_weights = []
         for g in range(g_pat):
             p = f"pattern{g}"
-            emb = SpatialEmbeddings(
-                e1=self._embedding(f"{p}.spatial_emb.e1", (n, nd)),
-                e2=self._embedding(f"{p}.spatial_emb.e2", (n, nd)),
-            )
+            e1 = self._embedding(f"{p}.spatial_emb.e1", (n, nd))
+            e2 = self._embedding(f"{p}.spatial_emb.e2", (n, nd))
             spatial_w1 = self._matrix(f"{p}.fusion.spatial.w1", (nd, nd), nd)
             spatial_w2 = self._matrix(f"{p}.fusion.spatial.w2", (nd, nd), nd)
             temporal_w1 = self._matrix(f"{p}.fusion.temporal.w1", (d_time, d_time), d_time)
@@ -218,7 +207,7 @@ class Forecaster:
                 output=self._matrix(f"{p}.fusion.attn.wo", (heads * head_dim, n), heads * head_dim),
             )
             self.patterns.append(PatternGraphParams(
-                embeddings=emb, spatial_w1=spatial_w1, spatial_w2=spatial_w2,
+                e1=e1, e2=e2, spatial_w1=spatial_w1, spatial_w2=spatial_w2,
                 temporal_w1=temporal_w1, temporal_w2=temporal_w2, fusion=fusion,
             ))
 
@@ -314,16 +303,15 @@ class Forecaster:
             ]
 
         with _stage("decouple"):
-            flows = decouple(xn, daily_l, weekly_l, self.patterns[0].embeddings.e1, self.gates)
+            flows = decouple(xn, daily_l, weekly_l, self.patterns[0].e1, self.gates)
 
         with _stage("graph-convolution"):
             pattern_outputs = []
             for g, flow in enumerate(flows.flows):
                 w, b = self.projections[g]
                 projected = flow @ w + b
-                rgc = RgcParams(gamma=cfg.gamma, depth=cfg.depth,
-                                weight=T.concat(self.rgc_weights[g], axis=-1))
-                pattern_outputs.append(rgc_forward(projected, graphs[g].final, rgc))
+                weight = T.concat(self.rgc_weights[g], axis=-1)
+                pattern_outputs.append(rgc_forward(projected, graphs[g].final, weight, cfg.gamma))
             x_out = T.concat(pattern_outputs, axis=-1)
 
         with _stage("temporal-sequence"):
@@ -347,33 +335,4 @@ class Forecaster:
 
         if not collect:
             return prediction
-        return prediction, ForwardActivations(graphs=graphs, flows=flows, x_out=x_out)
-
-
-def parameter_count(model_cfg: ModelConfig, graph_cfg: GraphConfig,
-                    n_nodes: int, steps_per_day: int) -> int:
-    """Closed-form total parameter count for a model configuration."""
-    cfg = model_cfg
-    n, nd, dt = n_nodes, cfg.node_embed_dim, cfg.time_embed_dim
-    d, m_iter, g_pat, k = cfg.hidden, cfg.rgc_iterations, cfg.patterns, cfg.depth
-    heads = graph_cfg.heads
-    head_dim = graph_cfg.resolve_head_dim(n)
-
-    pools = steps_per_day * n * dt + DAYS_PER_WEEK * n * dt
-    per_pattern = (
-        2 * n * nd                       # spatial embeddings
-        + 2 * nd * nd + 2 * dt * dt      # score projections
-        + heads * 3 * n * head_dim       # attention heads
-        + heads * head_dim * n           # attention output
-        + cfg.channels * d + d           # input projection
-        + m_iter * (k * d * d)           # rgc mixing weights
-    )
-    gates = (g_pat - 1) * ((2 * dt + nd) * cfg.gate_hidden + cfg.gate_hidden)
-    d_in, d_h = g_pat * m_iter * d, m_iter * d
-    gru = 3 * d_in * d_h + 3 * d_h * d_h + 3 * d_h
-    skip = d_h + d_in + cfg.channels + 2 * dt
-    head = (skip * cfg.head_hidden + cfg.head_hidden
-            + cfg.head_hidden * cfg.head_channels + cfg.head_channels
-            + cfg.history_steps * cfg.head_channels * cfg.horizon_steps * cfg.channels
-            + cfg.horizon_steps * cfg.channels)
-    return pools + g_pat * per_pattern + gates + gru + head
+        return prediction, ForwardActivations(graphs=graphs, flows=flows)

@@ -28,10 +28,8 @@ from .errors import ConfigError, ShapeError
 _TAPES = []  # active tapes, innermost last; ops record into the innermost
 
 
-def _coerce(data, dtype=None) -> np.ndarray:
+def _coerce(data) -> np.ndarray:
     arr = np.asarray(data)
-    if dtype is not None:
-        return arr.astype(dtype, copy=False)
     if arr.dtype in (np.float32, np.float64):
         return arr
     return arr.astype(np.float64)
@@ -42,8 +40,8 @@ class Tensor:
 
     __slots__ = ("data", "_slot")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = _coerce(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _coerce(data)
         self._slot = _GradSlot(self.data.shape) if requires_grad else None
 
     @property
@@ -77,7 +75,7 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -317,15 +315,13 @@ def matmul(a: Tensor, b: Tensor):
     """Batched matrix product over the last two axes, gradients included."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise ShapeError(f"matmul: batch dimensions of {a.shape} and {b.shape} are not broadcastable") from None
     a_data, b_data = a.data, b.data
     a_shape, b_shape = a.shape, b.shape
-    return _make(a_data @ b_data, [
+    try:
+        out_data = a_data @ b_data
+    except ValueError:
+        raise ShapeError(f"matmul: shapes {a_shape} and {b_shape} do not multiply") from None
+    return _make(out_data, [
         (a, lambda g: _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape)),
         (b, lambda g: _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape)),
     ])
@@ -417,12 +413,11 @@ def concat(tensors, axis: int = 0):
     if len(tensors) == 1:
         return tensors[0]  # as it is: no copy, no record
     axis = axis % tensors[0].ndim
-    ref = tensors[0].shape
-    for t in tensors[1:]:
-        if t.ndim != len(ref) or any(i != axis and t.shape[i] != ref[i] for i in range(t.ndim)):
-            raise ShapeError(
-                f"concat: off-axis dimensions disagree, {tuple(ref)} vs {tuple(t.shape)} on axis {axis}")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    try:
+        out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError:
+        shapes = ", ".join(str(t.shape) for t in tensors)
+        raise ShapeError(f"concat: shapes {shapes} do not join on axis {axis}") from None
     pulls = []
     offset = 0
     for t in tensors:

@@ -15,7 +15,7 @@ from conftest import toy_graph_config, toy_model_config
 from fusecast.config import GraphConfig, ModelConfig, RunConfig, TrainConfig, load_config, preset_path
 from fusecast.decouple import GateParams, decouple
 from fusecast.graphgen import build_directed_graph, fuse_graphs
-from fusecast.network import Forecaster, RgcParams, normalized_propagation, rgc_forward
+from fusecast.network import Forecaster, normalized_propagation, rgc_forward
 from fusecast.optim import randomize_parameters
 from fusecast.tensor import Tensor
 from fusecast.training import (ABLATION_VARIANTS, apply_variant, evaluate,
@@ -84,7 +84,7 @@ def test_graph_contracts():
             output=u((heads * dh, n)))
         a_s = Tensor(rng.uniform(0, 1, (n, n)))
         a_t = Tensor(rng.uniform(0, 1, (n, n)))
-        fused, final, scores = fuse_graphs(a_s, a_t, 3.0, params, return_scores=True)
+        final, scores = fuse_graphs(a_s, a_t, 3.0, params, return_scores=True)
         for s in scores:
             if np.abs(s.data.sum(axis=-1) - 1.0).max() > 1e-9:
                 ok, _ = False, notes.append(f"attention rows off at trial {trial}")
@@ -136,12 +136,11 @@ def test_rgc_identity_properties():
     w = Tensor(rng.standard_normal((2 * 4, 4)))
     a_rand = Tensor(rng.uniform(0, 2, (5, 5)))
 
-    replicated = rgc_forward(h, a_rand, RgcParams(gamma=1.0, depth=2, weight=w))
+    replicated = rgc_forward(h, a_rand, w, 1.0)
     expected = np.concatenate([h.data, h.data], axis=-1) @ w.data
     gamma_ok = np.array_equal(replicated.data, expected)
 
-    identity = rgc_forward(h, Tensor(np.zeros((5, 5))),
-                           RgcParams(gamma=0.4, depth=2, weight=w))
+    identity = rgc_forward(h, Tensor(np.zeros((5, 5))), w, 0.4)
     identity_ok = np.allclose(identity.data, expected, atol=0)
 
     rows_ok = True

@@ -4,9 +4,9 @@ import pytest
 from conftest import fd_gradient, rel_err, toy_graph_config
 from fusecast import tensor as T
 from fusecast.errors import ConfigError
-from fusecast.graphgen import (AttentionFusionParams, PatternGraphParams, SpatialEmbeddings,
-                               TimeEmbeddingPools, build_directed_graph, fuse_graphs,
-                               generate_pattern_graph, temporal_feature_matrix)
+from fusecast.graphgen import (AttentionFusionParams, PatternGraphParams, TimeEmbeddingPools,
+                               build_directed_graph, fuse_graphs, generate_pattern_graph,
+                               temporal_feature_matrix)
 from fusecast.tensor import Tape, Tensor
 
 
@@ -113,10 +113,11 @@ def test_zero_query_key_gives_uniform_attention():
     params = _fusion(rng, n, heads=1, dh=3, zero_qk=True)
     a_s = Tensor(rng.uniform(0, 1, (n, n)))
     a_t = Tensor(rng.uniform(0, 1, (n, n)))
-    fused, final, scores = fuse_graphs(a_s, a_t, 3.0, params, return_scores=True)
+    final, scores = fuse_graphs(a_s, a_t, 3.0, params, return_scores=True)
     assert np.allclose(scores[0].data, 1.0 / n)
     # uniform rows average the value matrix, replicated across rows
-    v = fused.data @ params.value[0].data
+    fused = np.maximum(np.tanh(3.0 * (a_s.data @ a_t.data)), 0.0)
+    v = fused @ params.value[0].data
     head = scores[0].data @ v
     assert np.allclose(head, np.tile(v.mean(axis=0), (n, 1)))
 
@@ -126,8 +127,7 @@ def test_zero_graphs_fuse_to_zero():
     n = 4
     params = _fusion(rng, n, heads=2, dh=2)
     zero = Tensor(np.zeros((n, n)))
-    fused, final = fuse_graphs(zero, zero, 3.0, params)
-    assert np.array_equal(fused.data, np.zeros((n, n)))
+    final = fuse_graphs(zero, zero, 3.0, params)
     assert np.array_equal(final.data, np.zeros((n, n)))
 
 
@@ -137,7 +137,7 @@ def test_attention_rows_sum_to_one():
     params = _fusion(rng, n, heads=3, dh=2)
     a_s = Tensor(rng.uniform(0, 1, (n, n)))
     a_t = Tensor(rng.uniform(0, 1, (n, n)))
-    _, _, scores = fuse_graphs(a_s, a_t, 3.0, params, return_scores=True)
+    _, scores = fuse_graphs(a_s, a_t, 3.0, params, return_scores=True)
     for s in scores:
         assert np.abs(s.data.sum(axis=-1) - 1.0).max() < 1e-9
 
@@ -145,7 +145,7 @@ def test_attention_rows_sum_to_one():
 def _pattern(rng, n, nd, d_time, heads=2, dh=2, scale=0.6):
     u = lambda shape: Tensor(rng.uniform(-scale, scale, shape), requires_grad=True)
     return PatternGraphParams(
-        embeddings=SpatialEmbeddings(e1=u((n, nd)), e2=u((n, nd))),
+        e1=u((n, nd)), e2=u((n, nd)),
         spatial_w1=u((nd, nd)), spatial_w2=u((nd, nd)),
         temporal_w1=u((d_time, d_time)), temporal_w2=u((d_time, d_time)),
         fusion=_fusion(rng, n, heads, dh),
@@ -232,7 +232,7 @@ def test_full_fuse_pipeline_gradients_match_finite_differences():
         return (out.final * w).sum()
 
     params = {
-        "e1": pattern.embeddings.e1, "e2": pattern.embeddings.e2,
+        "e1": pattern.e1, "e2": pattern.e2,
         "sw1": pattern.spatial_w1, "sw2": pattern.spatial_w2,
         "tw1": pattern.temporal_w1, "tw2": pattern.temporal_w2,
         "wo": pattern.fusion.output,

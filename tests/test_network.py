@@ -5,8 +5,8 @@ import fusecast as fc
 from conftest import fd_gradient, rel_err, toy_graph_config, toy_model_config
 from fusecast import tensor as T
 from fusecast.errors import ConfigError, ShapeError
-from fusecast.network import (Forecaster, GruParams, RgcParams, gru_forward,
-                              normalized_propagation, parameter_count, rgc_forward)
+from fusecast.network import (Forecaster, GruParams, gru_forward, normalized_propagation,
+                              rgc_forward)
 from fusecast.tensor import Tape, Tensor
 from fusecast.training import masked_mae_loss
 
@@ -24,7 +24,7 @@ def test_rgc_gamma_one_replicates_input():
     h = Tensor(rng.standard_normal((3, 4, 2)))
     a = Tensor(rng.uniform(0, 1, (4, 4)))
     w = Tensor(rng.standard_normal((3 * 2, 5)))
-    out = rgc_forward(h, a, RgcParams(gamma=1.0, depth=3, weight=w))
+    out = rgc_forward(h, a, w, 1.0)
     expected = np.concatenate([h.data] * 3, axis=-1) @ w.data
     assert np.array_equal(out.data, expected)
 
@@ -34,7 +34,7 @@ def test_rgc_zero_adjacency_propagates_identity():
     h = Tensor(rng.standard_normal((2, 3, 2)))
     a = Tensor(np.zeros((3, 3)))
     w = Tensor(rng.standard_normal((2 * 2, 2)))
-    out = rgc_forward(h, a, RgcParams(gamma=0.3, depth=2, weight=w))
+    out = rgc_forward(h, a, w, 0.3)
     # self-loops only: every level equals the input regardless of gamma
     expected = np.concatenate([h.data, h.data], axis=-1) @ w.data
     assert np.allclose(out.data, expected, atol=1e-14)
@@ -45,11 +45,10 @@ def test_rgc_gradients_match_finite_differences():
     h = Tensor(rng.standard_normal((2, 4, 3)))
     a = Tensor(rng.uniform(0.1, 1, (4, 4)), requires_grad=True)
     w = Tensor(rng.standard_normal((6, 2)), requires_grad=True)
-    params = RgcParams(gamma=0.2, depth=2, weight=w)
     mix = rng.standard_normal((2, 4, 2))
 
     def scalar():
-        return (rgc_forward(h, a, params) * mix).sum()
+        return (rgc_forward(h, a, w, 0.2) * mix).sum()
 
     with Tape() as tape:
         tape.backward(scalar())
@@ -58,18 +57,32 @@ def test_rgc_gradients_match_finite_differences():
         assert rel_err(t.grad, fd, floor=1e-6) < 1e-5
 
 
-def _broadcast_rgc(h_in, adjacency, params):
+def test_rgc_weight_rows_not_a_multiple_of_d_fail():
+    # the depth comes from the weight's row count, so a ragged one must not
+    # be silently truncated to a whole number of levels
+    rng = np.random.default_rng(6)
+    d = 3
+    h = Tensor(rng.standard_normal((2, 4, d)))
+    a = Tensor(rng.uniform(0, 1, (4, 4)))
+    for rows in (d - 1, 2 * d + 1):
+        w = Tensor(rng.standard_normal((rows, 2)))
+        with pytest.raises(ShapeError, match=rf"\({rows}, 2\)"):
+            rgc_forward(h, a, w, 0.5)
+
+
+def _broadcast_rgc(h_in, adjacency, weight, gamma):
     """Reference RGC: the operator broadcast over the Th axis of [..., Th, N, d]."""
     prop = normalized_propagation(adjacency)
     if prop.ndim == 3:
         prop = T.reshape(prop, prop.shape[:-2] + (1,) + prop.shape[-2:])
+    depth = weight.shape[0] // h_in.shape[-1]
     levels = [h_in]
     h = h_in
-    for _ in range(params.depth - 1):
-        h = T.add(T.mul(h_in, params.gamma), T.mul(T.matmul(prop, h), 1.0 - params.gamma))
+    for _ in range(depth - 1):
+        h = T.add(T.mul(h_in, gamma), T.mul(T.matmul(prop, h), 1.0 - gamma))
         levels.append(h)
-    stacked = levels[0] if params.depth == 1 else T.concat(levels, axis=-1)
-    return T.matmul(stacked, params.weight)
+    stacked = levels[0] if depth == 1 else T.concat(levels, axis=-1)
+    return T.matmul(stacked, weight)
 
 
 # (lead, batched adjacency, Th, N, d, depth, d_out): the toy preset's and
@@ -94,12 +107,11 @@ def test_node_major_rgc_matches_broadcast_reference(shape, dtype):
     a = Tensor(np.maximum(rng.standard_normal((lead if batched else ()) + (n, n)), 0.0)
                .astype(dtype), requires_grad=True)
     w = Tensor(rng.standard_normal((depth * d, d_out)).astype(dtype), requires_grad=True)
-    params = RgcParams(gamma=0.1, depth=depth, weight=w)
     seed = rng.standard_normal(lead + (th, n, d_out)).astype(dtype)
     results = []
     for rgc in (rgc_forward, _broadcast_rgc):
         with Tape() as tape:
-            out = rgc(h, a, params)
+            out = rgc(h, a, w, 0.1)
             tape.backward(out, seed=seed)
         results.append((out, [t.grad for t in (h, a, w)]))
         for t in (h, a, w):
@@ -159,6 +171,16 @@ def _toy_model(toy_setup, **overrides):
     return series, train_ws, model
 
 
+def _x_out(model, acts):
+    """The graph-convolution output [..., Th, N, G*M*d] that feeds the GRU."""
+    blocks = []
+    for g, flow in enumerate(acts.flows.flows):
+        w, b = model.projections[g]
+        weight = T.concat(model.rgc_weights[g], axis=-1)
+        blocks.append(rgc_forward(flow @ w + b, acts.graphs[g].final, weight, model.cfg.gamma))
+    return T.concat(blocks, axis=-1)
+
+
 def test_forward_shapes_and_activations(toy_setup):
     series, train_ws, model = _toy_model(toy_setup)
     hist, targ, tod, dow = train_ws.batch([0, 1, 2])
@@ -166,9 +188,10 @@ def test_forward_shapes_and_activations(toy_setup):
     cfg = model.cfg
     gmd = cfg.patterns * cfg.rgc_iterations * cfg.hidden
     md = cfg.rgc_iterations * cfg.hidden
+    x_out = _x_out(model, acts)
     assert pred.shape == (3, cfg.horizon_steps, 4, 1)
-    assert acts.x_out.shape == (3, cfg.history_steps, 4, gmd)
-    assert gru_forward(acts.x_out, model.gru, 0.0, False).shape == (3, cfg.history_steps, 4, md)
+    assert x_out.shape == (3, cfg.history_steps, 4, gmd)
+    assert gru_forward(x_out, model.gru, 0.0, False).shape == (3, cfg.history_steps, 4, md)
     assert len(acts.graphs) == cfg.patterns
     assert len(acts.flows.flows) == cfg.patterns
 
@@ -178,10 +201,11 @@ def test_forward_window_matches_contract_shapes(toy_setup):
     hist, _, tod, dow = train_ws.batch([0])
     pred, acts = model.forward_batch(hist, tod, dow, collect=True)
     cfg = model.cfg
+    x_out = _x_out(model, acts)
     assert pred.shape == (1, cfg.horizon_steps, 4, 1)
-    assert acts.x_out.shape == (1, cfg.history_steps, 4,
-                                cfg.patterns * cfg.rgc_iterations * cfg.hidden)
-    assert (gru_forward(acts.x_out, model.gru, 0.0, False).shape
+    assert x_out.shape == (1, cfg.history_steps, 4,
+                           cfg.patterns * cfg.rgc_iterations * cfg.hidden)
+    assert (gru_forward(x_out, model.gru, 0.0, False).shape
             == (1, cfg.history_steps, 4, cfg.rgc_iterations * cfg.hidden))
 
 
@@ -228,18 +252,14 @@ def test_output_shape_at_pems08_scale():
     assert pred.shape == (1, 12, 170, 1)
 
 
-def test_parameter_count_matches_closed_form(toy_setup):
+def test_parameter_counts_are_pinned(toy_setup):
     series, _, model = _toy_model(toy_setup)
-    assert model.n_parameters == parameter_count(model.cfg, model.graph_cfg, 4, 8)
-
-
-def test_parameter_count_formula_across_configs():
-    for patterns, m_iter, depth in ((1, 1, 1), (3, 2, 2), (2, 3, 4)):
+    assert model.n_parameters == 1516
+    for (patterns, m_iter, depth), count in (((1, 1, 1), 661), ((3, 2, 2), 2093),
+                                             ((2, 3, 4), 2635)):
         cfg = toy_model_config()
         cfg.patterns, cfg.rgc_iterations, cfg.depth = patterns, m_iter, depth
-        gcfg = toy_graph_config()
-        model = Forecaster(5, 6, cfg, gcfg, seed=1)
-        assert model.n_parameters == parameter_count(cfg, gcfg, 5, 6)
+        assert Forecaster(5, 6, cfg, toy_graph_config(), seed=1).n_parameters == count
 
 
 def test_pattern_blocks_swap_with_pattern_parameters(toy_setup):
@@ -251,7 +271,7 @@ def test_pattern_blocks_swap_with_pattern_parameters(toy_setup):
             p.data = np.zeros_like(p.data)
     hist, _, tod, dow = train_ws.batch([0])
     _, acts = model.forward_batch(hist, tod, dow, collect=True)
-    before = acts.x_out.data.copy()
+    before = _x_out(model, acts).data
 
     params = model.parameters()
     prefix0, prefix1 = "pattern0.", "pattern1."
@@ -259,7 +279,7 @@ def test_pattern_blocks_swap_with_pattern_parameters(toy_setup):
         other = prefix1 + name[len(prefix0):]
         params[name].data, params[other].data = params[other].data, params[name].data
     _, acts2 = model.forward_batch(hist, tod, dow, collect=True)
-    after = acts2.x_out.data
+    after = _x_out(model, acts2).data
     half = before.shape[-1] // 2
     assert np.array_equal(after[..., :half], before[..., half:])
     assert np.array_equal(after[..., half:], before[..., :half])
@@ -278,10 +298,9 @@ def test_single_pattern_single_block_collapses_to_one_rgc(toy_setup):
     w, b = model.projections[0]
     xn = Tensor(np.asarray(hist, dtype=np.float64))
     projected = xn @ w + b
-    rgc = RgcParams(gamma=cfg.gamma, depth=cfg.depth,
-                    weight=model.parameters()["pattern0.rgc0.weight"])
-    expected = rgc_forward(projected, acts.graphs[0].final, rgc)
-    assert np.array_equal(acts.x_out.data, expected.data)
+    expected = rgc_forward(projected, acts.graphs[0].final,
+                           model.parameters()["pattern0.rgc0.weight"], cfg.gamma)
+    assert np.array_equal(_x_out(model, acts).data, expected.data)
 
 
 def test_folded_blocks_equal_per_block_rgc_calls(toy_setup):
@@ -295,21 +314,19 @@ def test_folded_blocks_equal_per_block_rgc_calls(toy_setup):
     rgc_names = [(n, p.shape) for n, p in params.items() if ".rgc" in n]
     assert rgc_names == [(f"pattern{g}.rgc{m}.weight", (k_d, d))
                          for g in range(cfg.patterns) for m in range(m_iter)]
-    assert model.n_parameters == parameter_count(cfg, model.graph_cfg, series.n_nodes,
-                                                 series.steps_per_day)
 
     hist, _, tod, dow = train_ws.batch([0, 3])
     _, acts = model.forward_batch(hist, tod, dow, collect=True)
+    x_out = _x_out(model, acts).data
     width = m_iter * d
     for g in range(cfg.patterns):
         w, b = model.projections[g]
         projected = acts.flows.flows[g] @ w + b
         blocks = [rgc_forward(projected, acts.graphs[g].final,
-                              RgcParams(gamma=cfg.gamma, depth=cfg.depth,
-                                        weight=params[f"pattern{g}.rgc{m}.weight"]))
+                              params[f"pattern{g}.rgc{m}.weight"], cfg.gamma)
                   for m in range(m_iter)]
         expected = np.concatenate([blk.data for blk in blocks], axis=-1)
-        assert np.array_equal(acts.x_out.data[..., g * width:(g + 1) * width], expected)
+        assert np.array_equal(x_out[..., g * width:(g + 1) * width], expected)
 
 
 def test_load_state_validates_names_and_shapes(toy_setup):

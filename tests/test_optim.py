@@ -84,6 +84,12 @@ def test_grad_check_closed_form():
     assert report.max_rel_error < 1e-8
 
 
+def test_grad_check_accepts_one_element_output_that_is_not_0d():
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    report = grad_check(lambda: (x * x).sum(axis=0, keepdims=True), {"x": x})
+    assert report.max_rel_error < 1e-8
+
+
 def test_grad_check_constant_function():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     report = grad_check(lambda: Tensor(np.array(4.0)) * 1.0, {"x": x})

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import weakref
 import zlib
@@ -38,10 +39,21 @@ def test_matmul_gradient_matches_finite_differences():
 
 
 def test_matmul_shape_error_names_both_shapes():
-    a = Tensor(np.zeros((2, 3)))
-    b = Tensor(np.zeros((4, 2)))
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
-        a @ b
+    # an inner-dimension and a batch-dimension mismatch
+    for a_shape, b_shape in (((2, 3), (4, 2)), ((2, 3, 4), (5, 4, 2))):
+        a = Tensor(np.zeros(a_shape))
+        b = Tensor(np.zeros(b_shape))
+        with pytest.raises(ShapeError,
+                           match=rf"{re.escape(str(a_shape))}.*{re.escape(str(b_shape))}"):
+            a @ b
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)], ids=["0-d", "1-d", "2-d"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_item_of_one_element_tensor(shape, dtype):
+    value = Tensor(np.full(shape, 0.1, dtype=dtype)).item()
+    assert type(value) is float
+    assert value == float(dtype(0.1))
 
 
 def test_sigmoid_symmetry_point():
@@ -128,8 +140,11 @@ def test_concat_gradient_routes_ones():
 
 
 def test_concat_off_axis_mismatch():
-    with pytest.raises(ShapeError):
-        T.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))], axis=1)
+    # an off-axis dimension and an ndim mismatch
+    for first, second in (((2, 3), (3, 3)), ((2, 3), (2, 3, 1))):
+        with pytest.raises(ShapeError,
+                           match=rf"{re.escape(str(first))}.*{re.escape(str(second))}"):
+            T.concat([Tensor(np.zeros(first)), Tensor(np.zeros(second))], axis=1)
 
 
 def test_dropout_rate_zero_is_identity():
