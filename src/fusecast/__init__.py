@@ -18,7 +18,7 @@ from .graphgen import (AdjacencySet, AttentionFusionParams, PatternGraphParams,
                        generate_pattern_graph, temporal_feature_matrix)
 from .network import (Forecaster, ForwardActivations, GruParams, gru_forward,
                       normalized_propagation, rgc_forward)
-from .optim import Adam, AdamState, GradCheckReport, grad_check
+from .optim import Adam, GradCheckReport, grad_check
 from .tensor import Tape, Tensor
 from .training import (MetricReport, TrainResult, curriculum_horizon, evaluate,
                        lr_schedule, masked_mae_loss, metrics, run_training, train)

@@ -157,8 +157,8 @@ class Forecaster:
 
     # -- parameter construction -------------------------------------------
 
-    def _matrix(self, name: str, shape, fan_in: int) -> Tensor:
-        bound = 1.0 / np.sqrt(fan_in)
+    def _matrix(self, name: str, shape) -> Tensor:
+        bound = 1.0 / np.sqrt(shape[0])  # fan-in: the input rows
         data = self._rng.uniform(-bound, bound, size=shape).astype(self.dtype)
         return self._register(name, data)
 
@@ -193,18 +193,18 @@ class Forecaster:
             p = f"pattern{g}"
             e1 = self._embedding(f"{p}.spatial_emb.e1", (n, nd))
             e2 = self._embedding(f"{p}.spatial_emb.e2", (n, nd))
-            spatial_w1 = self._matrix(f"{p}.fusion.spatial.w1", (nd, nd), nd)
-            spatial_w2 = self._matrix(f"{p}.fusion.spatial.w2", (nd, nd), nd)
-            temporal_w1 = self._matrix(f"{p}.fusion.temporal.w1", (d_time, d_time), d_time)
-            temporal_w2 = self._matrix(f"{p}.fusion.temporal.w2", (d_time, d_time), d_time)
+            spatial_w1 = self._matrix(f"{p}.fusion.spatial.w1", (nd, nd))
+            spatial_w2 = self._matrix(f"{p}.fusion.spatial.w2", (nd, nd))
+            temporal_w1 = self._matrix(f"{p}.fusion.temporal.w1", (d_time, d_time))
+            temporal_w2 = self._matrix(f"{p}.fusion.temporal.w2", (d_time, d_time))
             query, key, value = [], [], []
             for h in range(heads):
-                query.append(self._matrix(f"{p}.fusion.attn.head{h}.wq", (n, head_dim), n))
-                key.append(self._matrix(f"{p}.fusion.attn.head{h}.wk", (n, head_dim), n))
-                value.append(self._matrix(f"{p}.fusion.attn.head{h}.wv", (n, head_dim), n))
+                query.append(self._matrix(f"{p}.fusion.attn.head{h}.wq", (n, head_dim)))
+                key.append(self._matrix(f"{p}.fusion.attn.head{h}.wk", (n, head_dim)))
+                value.append(self._matrix(f"{p}.fusion.attn.head{h}.wv", (n, head_dim)))
             fusion = AttentionFusionParams(
                 query=query, key=key, value=value,
-                output=self._matrix(f"{p}.fusion.attn.wo", (heads * head_dim, n), heads * head_dim),
+                output=self._matrix(f"{p}.fusion.attn.wo", (heads * head_dim, n)),
             )
             self.patterns.append(PatternGraphParams(
                 e1=e1, e2=e2, spatial_w1=spatial_w1, spatial_w2=spatial_w2,
@@ -212,18 +212,17 @@ class Forecaster:
             ))
 
             self.projections.append((
-                self._matrix(f"{p}.project.weight", (cfg.channels, d), cfg.channels),
+                self._matrix(f"{p}.project.weight", (cfg.channels, d)),
                 self._zeros(f"{p}.project.bias", (d,)),
             ))
             self.rgc_weights.append([
-                self._matrix(f"{p}.rgc{m}.weight", (k * d, d), k * d) for m in range(m_iter)
+                self._matrix(f"{p}.rgc{m}.weight", (k * d, d)) for m in range(m_iter)
             ])
 
         self.gates = [
             GateParams(
-                w1=self._matrix(f"decouple.{g}.w1", (2 * d_time + nd, cfg.gate_hidden),
-                                2 * d_time + nd),
-                w2=self._matrix(f"decouple.{g}.w2", (cfg.gate_hidden, 1), cfg.gate_hidden),
+                w1=self._matrix(f"decouple.{g}.w1", (2 * d_time + nd, cfg.gate_hidden)),
+                w2=self._matrix(f"decouple.{g}.w2", (cfg.gate_hidden, 1)),
             )
             for g in range(g_pat - 1)
         ]
@@ -231,25 +230,25 @@ class Forecaster:
         d_in = g_pat * m_iter * d
         d_h = m_iter * d
         self.gru = GruParams(
-            wz=self._matrix("gru.wz", (d_in, d_h), d_in),
-            wr=self._matrix("gru.wr", (d_in, d_h), d_in),
-            wh=self._matrix("gru.wh", (d_in, d_h), d_in),
-            uz=self._matrix("gru.uz", (d_h, d_h), d_h),
-            ur=self._matrix("gru.ur", (d_h, d_h), d_h),
-            uh=self._matrix("gru.uh", (d_h, d_h), d_h),
+            wz=self._matrix("gru.wz", (d_in, d_h)),
+            wr=self._matrix("gru.wr", (d_in, d_h)),
+            wh=self._matrix("gru.wh", (d_in, d_h)),
+            uz=self._matrix("gru.uz", (d_h, d_h)),
+            ur=self._matrix("gru.ur", (d_h, d_h)),
+            uh=self._matrix("gru.uh", (d_h, d_h)),
             bz=self._zeros("gru.bz", (d_h,)),
             br=self._zeros("gru.br", (d_h,)),
             bh=self._zeros("gru.bh", (d_h,)),
         )
 
         skip = d_h + d_in + cfg.channels + 2 * d_time
-        self.head_w1 = self._matrix("head.w1", (skip, cfg.head_hidden), skip)
+        self.head_w1 = self._matrix("head.w1", (skip, cfg.head_hidden))
         self.head_b1 = self._zeros("head.b1", (cfg.head_hidden,))
-        self.head_w2 = self._matrix("head.w2", (cfg.head_hidden, cfg.head_channels), cfg.head_hidden)
+        self.head_w2 = self._matrix("head.w2", (cfg.head_hidden, cfg.head_channels))
         self.head_b2 = self._zeros("head.b2", (cfg.head_channels,))
         out_in = cfg.history_steps * cfg.head_channels
         out_dim = cfg.horizon_steps * cfg.channels
-        self.head_out_w = self._matrix("head.out.weight", (out_in, out_dim), out_in)
+        self.head_out_w = self._matrix("head.out.weight", (out_in, out_dim))
         self.head_out_b = self._zeros("head.out.bias", (out_dim,))
 
     # -- state handling ----------------------------------------------------

@@ -2,58 +2,47 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import Tape, Tensor
 
 
-@dataclass
-class AdamState:
-    """Per-parameter moment accumulators plus the shared step counter."""
-
-    learning_rate: float = 0.004
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-
 class Adam:
-    """Bias-corrected Adam with L2 weight decay added to the gradient."""
+    """Bias-corrected Adam with L2 weight decay added to the gradient.
+
+    `train()` sets `learning_rate` each epoch; `m` and `v` are keyed by parameter name.
+    """
 
     def __init__(self, params: dict[str, Tensor], learning_rate=0.004,
                  beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
         self.params = params
-        self.state = AdamState(learning_rate, beta1, beta2, eps, weight_decay)
-        for name, p in params.items():
-            self.state.m[name] = np.zeros_like(p.data)
-            self.state.v[name] = np.zeros_like(p.data)
+        self.learning_rate = learning_rate
+        self.beta1, self.beta2, self.eps, self.weight_decay = beta1, beta2, eps, weight_decay
+        self.step_count = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
 
     def step(self):
-        s = self.state
-        s.step_count += 1
-        bc1 = 1.0 - s.beta1 ** s.step_count
-        bc2 = 1.0 - s.beta2 ** s.step_count
+        self.step_count += 1
+        bc1 = 1.0 - self.beta1 ** self.step_count
+        bc2 = 1.0 - self.beta2 ** self.step_count
         for name, p in self.params.items():
             if p.grad is None:
                 continue
             g = p.grad
-            if s.weight_decay != 0.0:
-                g = g + s.weight_decay * p.data
-            s.m[name] = s.beta1 * s.m[name] + (1.0 - s.beta1) * g
-            s.v[name] = s.beta2 * s.v[name] + (1.0 - s.beta2) * (g * g)
-            m_hat = s.m[name] / bc1
-            v_hat = s.v[name] / bc2
-            p.data = p.data - s.learning_rate * m_hat / (np.sqrt(v_hat) + s.eps)
+            if self.weight_decay != 0.0:
+                g = g + self.weight_decay * p.data
+            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
+            m_hat = self.m[name] / bc1
+            v_hat = self.v[name] / bc2
+            p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 @dataclass

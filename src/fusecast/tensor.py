@@ -259,6 +259,13 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad
 
 
+def _axis(axis: int, ndim: int, op: str) -> int:
+    """The axis as a non-negative index; it must lie in [-ndim, ndim)."""
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"{op}: axis {axis} is out of range for {ndim} dimensions")
+    return axis % ndim
+
+
 def _operands(a, b, op: str):
     """Both operands as Tensors, a plain number taking the other's dtype; they must broadcast."""
     if not isinstance(a, Tensor):
@@ -370,9 +377,9 @@ def sum_(x: Tensor, axis=None, keepdims=False):
     if axis is None:
         axes = tuple(range(x.ndim))
     elif isinstance(axis, int):
-        axes = (axis % x.ndim,)
+        axes = (_axis(axis, x.ndim, "sum"),)
     else:
-        axes = tuple(a % x.ndim for a in axis)
+        axes = tuple(_axis(a, x.ndim, "sum") for a in axis)
     out_data = x.data.sum(axis=axes, keepdims=keepdims)
     x_shape = x.shape
 
@@ -410,9 +417,9 @@ def concat(tensors, axis: int = 0):
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat: need at least one tensor")
+    axis = _axis(axis, tensors[0].ndim, "concat")
     if len(tensors) == 1:
         return tensors[0]  # as it is: no copy, no record
-    axis = axis % tensors[0].ndim
     try:
         out_data = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError:
@@ -430,14 +437,14 @@ def concat(tensors, axis: int = 0):
 
 def narrow(x: Tensor, axis: int, start: int, length: int):
     """Contiguous slice along one axis; backward adds into that slice only."""
-    axis = axis % x.ndim
+    axis = _axis(axis, x.ndim, "narrow")
     idx = tuple(slice(None) if i != axis else slice(start, start + length) for i in range(x.ndim))
     return _make(x.data[idx], [(x, lambda g: _Slice(idx, g))])
 
 
 def split(x: Tensor, sizes, axis: int = 0):
     """Split into consecutive chunks of the given sizes along an axis."""
-    if sum(sizes) != x.shape[axis % x.ndim]:
+    if sum(sizes) != x.shape[_axis(axis, x.ndim, "split")]:
         raise ShapeError(f"split: sizes {sizes} do not cover axis {axis} of shape {x.shape}")
     pieces = []
     start = 0

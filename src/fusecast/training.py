@@ -166,10 +166,12 @@ def evaluate(model: Forecaster, windows: WindowSet, batch_size: int,
 
 @dataclass
 class TrainResult:
-    history: list
-    best_epoch: int
-    best_state: dict
-    val_report: MetricReport  # the best epoch's validation report
+    """Loop state that train() updates in place: the history and the best validation epoch."""
+
+    history: list = field(default_factory=list)
+    best_epoch: int = 0
+    best_state: dict | None = None
+    val_report: MetricReport | None = None  # the best epoch's validation report
 
 
 def train(model: Forecaster, train_ws: WindowSet, val_ws: WindowSet, cfg: TrainConfig,
@@ -185,22 +187,20 @@ def train(model: Forecaster, train_ws: WindowSet, val_ws: WindowSet, cfg: TrainC
     optimizer = Adam(model.parameters(), learning_rate=cfg.learning_rate,
                      eps=cfg.eps, weight_decay=cfg.weight_decay)
 
-    history = []
-    best = None  # (epoch, val_report, state)
-    since_best = 0
+    result = TrainResult()
 
     def write_history():
         # rewritten whole, so an epoch that raises leaves no record of itself
         if out_dir:
             with replacing(Path(out_dir) / "history.jsonl") as fh:
-                fh.writelines(json.dumps(record) + "\n" for record in history)
+                fh.writelines(json.dumps(record) + "\n" for record in result.history)
 
     write_history()
 
     for epoch in range(1, cfg.max_epochs + 1):
         lr = lr_schedule(epoch, cfg)
         horizon = curriculum_horizon(epoch, cfg, model.cfg.horizon_steps)
-        optimizer.state.learning_rate = lr
+        optimizer.learning_rate = lr
 
         # epoch e's streams depend only on (seed, e), so a resumed run needs no saved rng state
         shuffle, epoch_dropout = (
@@ -237,25 +237,21 @@ def train(model: Forecaster, train_ws: WindowSet, val_ws: WindowSet, cfg: TrainC
             "val_mae": val_report.mae, "val_rmse": val_report.rmse,
             "val_mape": val_report.mape,
         }
-        history.append(record)
+        result.history.append(record)
         write_history()
         if log:
             log(record)
 
-        if best is None or val_report.mae < best[1].mae:
-            best = (epoch, val_report, model.state())
-            since_best = 0
-        else:
-            since_best += 1
-            if cfg.patience and since_best >= cfg.patience:
-                break
+        if result.val_report is None or val_report.mae < result.val_report.mae:
+            result.best_epoch, result.val_report = epoch, val_report
+            result.best_state = model.state()
+        elif cfg.patience and epoch - result.best_epoch >= cfg.patience:
+            break
 
-    best_epoch, val_report, best_state = best
-    model.load_state(best_state)
+    model.load_state(result.best_state)
     if out_dir:
-        save_checkpoint(Path(out_dir) / "checkpoint.bin", best_state)
-    return TrainResult(history=history, best_epoch=best_epoch, best_state=best_state,
-                       val_report=val_report)
+        save_checkpoint(Path(out_dir) / "checkpoint.bin", result.best_state)
+    return result
 
 
 def prepare_data(cfg: RunConfig):

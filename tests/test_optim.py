@@ -62,11 +62,11 @@ def test_lr_zero_is_bit_identical():
 def test_step_counter_increases_by_one():
     w = Tensor(np.ones(2), requires_grad=True)
     opt = Adam({"w": w}, learning_rate=0.01)
-    assert opt.state.step_count == 0
+    assert opt.step_count == 0
     for expected in (1, 2, 3):
         w.grad = np.ones(2)
         opt.step()
-        assert opt.state.step_count == expected
+        assert opt.step_count == expected
 
 
 def test_weight_decay_enters_gradient():

@@ -147,6 +147,29 @@ def test_concat_off_axis_mismatch():
             T.concat([Tensor(np.zeros(first)), Tensor(np.zeros(second))], axis=1)
 
 
+AXIS_OPS = {
+    "sum": lambda x, axis: T.sum_(x, axis=axis),
+    "sum_tuple": lambda x, axis: T.sum_(x, axis=(axis,)),
+    "mean": lambda x, axis: T.mean(x, axis=axis),
+    "concat": lambda x, axis: T.concat([x, x], axis=axis),
+    "concat_single": lambda x, axis: T.concat([x], axis=axis),
+    "narrow": lambda x, axis: T.narrow(x, axis, 0, 1),
+    "split": lambda x, axis: T.split(x, [1, 1], axis=axis),
+}
+
+
+@pytest.mark.parametrize("op", AXIS_OPS)
+def test_out_of_range_axis_raises_instead_of_wrapping(op):
+    x = Tensor(np.ones((2, 2)))
+    for axis in (2, 5, -3):
+        with pytest.raises(ShapeError, match=f"axis {axis} "):
+            AXIS_OPS[op](x, axis)
+    for axis in (-2, 1):  # the ends of the range still work
+        AXIS_OPS[op](x, axis)
+    with pytest.raises(ShapeError, match="axis 0 "):
+        AXIS_OPS[op](Tensor(np.array(1.0)), 0)  # a 0-d operand has no axis at all
+
+
 def test_dropout_rate_zero_is_identity():
     x = Tensor(np.arange(6.0))
     out = T.dropout(x, 0.0, training=True, rng=np.random.default_rng(0))

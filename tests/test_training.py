@@ -185,6 +185,7 @@ def test_history_records_have_contract_keys(toy_setup, tmp_path):
                            "val_mae", "val_rmse", "val_mape"}
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the forward overflows on purpose
 def test_non_finite_loss_aborts_with_batch_index(toy_setup):
     series, train_ws, val_ws, test_ws, model = _toy_float32(toy_setup)
     model.parameters()["head.out.weight"].data[:] = np.float32(1e38)
@@ -208,21 +209,50 @@ def _scripted_evaluate(monkeypatch, maes):
     return reports
 
 
+# (scripted validation MAEs, patience, epochs run, best epoch)
+PATIENCE_CASES = [
+    ([5.0, 3.0, 4.0, 4.0, 1.0], 2, 4, 2),  # stopped by patience at epoch 4
+    ([3.0, 3.0, 3.0], 2, 3, 1),  # a tie is no improvement
+    ([5.0, 4.0, 3.0], 0, 3, 3),  # patience 0 never stops
+]
+
+
 def test_patience_stop_evaluates_once_per_epoch_and_keeps_best_report(toy_setup, tmp_path,
                                                                      monkeypatch):
-    series, train_ws, val_ws, test_ws, model = _toy_float32(toy_setup)
     real_evaluate = fc.training.evaluate
-    reports = _scripted_evaluate(monkeypatch, [5.0, 3.0, 4.0, 4.0, 1.0])
-    result = train(model, train_ws, val_ws, _tcfg(max_epochs=5, patience=2), out_dir=tmp_path)
-    assert len(reports) == len(result.history) == 4  # stopped by patience at epoch 4
-    assert result.best_epoch == 2
-    assert json.dumps(result.val_report.to_dict()) == json.dumps(reports[1].to_dict())
-    # the model and checkpoint hold the best epoch's parameters
-    again = real_evaluate(model, val_ws, batch_size=64)
-    assert json.dumps(dataclasses.replace(again, mae=3.0).to_dict()) == \
-        json.dumps(reports[1].to_dict())
-    saved = fc.load_checkpoint(tmp_path / "checkpoint.bin")
-    assert all(np.array_equal(saved[k], v) for k, v in model.state().items())
+    for case, (maes, patience, epochs, best) in enumerate(PATIENCE_CASES):
+        series, train_ws, val_ws, test_ws, model = _toy_float32(toy_setup)
+        monkeypatch.setattr(fc.training, "evaluate", real_evaluate)
+        reports = _scripted_evaluate(monkeypatch, maes)
+        out = tmp_path / str(case)
+        out.mkdir()
+        result = train(model, train_ws, val_ws,
+                       _tcfg(max_epochs=len(maes), patience=patience), out_dir=out)
+        assert len(reports) == len(result.history) == epochs, case
+        assert result.best_epoch == best, case
+        assert json.dumps(result.val_report.to_dict()) == json.dumps(reports[best - 1].to_dict())
+        # the model and checkpoint hold the best epoch's parameters
+        again = real_evaluate(model, val_ws, batch_size=64)
+        assert json.dumps(dataclasses.replace(again, mae=maes[best - 1]).to_dict()) == \
+            json.dumps(reports[best - 1].to_dict()), case
+        saved = fc.load_checkpoint(out / "checkpoint.bin")
+        assert all(np.array_equal(saved[k], v) for k, v in model.state().items()), case
+
+
+def test_scheduled_rate_reaches_the_optimizer(toy_setup, monkeypatch):
+    series, train_ws, val_ws, test_ws, model = _toy_float32(toy_setup)
+    rates, real_step = [], fc.optim.Adam.step
+
+    def recording_step(self):
+        rates.append(self.learning_rate)  # the rate this step is about to apply
+        real_step(self)
+
+    monkeypatch.setattr(fc.optim.Adam, "step", recording_step)
+    cfg = _tcfg(max_epochs=3, milestones=[2, 3])
+    train(model, train_ws, val_ws, cfg)
+    batches = -(-len(train_ws) // cfg.batch_size)
+    assert rates == [lr_schedule(epoch, cfg) for epoch in range(1, 4) for _ in range(batches)]
+    assert len(set(rates)) == 3
 
 
 def test_non_finite_validation_mae_raises_numerical_error(toy_setup, tmp_path, monkeypatch):
