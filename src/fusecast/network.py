@@ -123,7 +123,8 @@ def gru_forward(x_seq: Tensor, params: GruParams, dropout_rate: float,
     d_h = params.uz.shape[0]
     h = Tensor(np.zeros((1, n, d_h), dtype=x_seq.dtype))
     outputs = []
-    for x_t in T.split(x_seq, [1] * th, axis=-3):
+    for t in range(th):
+        x_t = T.narrow(x_seq, -3, t, 1)
         z = T.sigmoid(x_t @ params.wz + h @ params.uz + params.bz)
         r = T.sigmoid(x_t @ params.wr + h @ params.ur + params.br)
         cand = T.tanh(x_t @ params.wh + (r * h) @ params.uh + params.bh)

@@ -152,11 +152,11 @@ class Tape:
     def __len__(self):
         return len(self._records)
 
-    def backward(self, output: Tensor, seed=None):
-        """Accumulate d(output)/d(input) into .grad of every recorded input.
+    def backward(self, output: Tensor):
+        """Accumulate d(output.sum())/d(input) into .grad of every recorded input.
 
-        seed defaults to ones, i.e. the gradient of output.sum(), and goes
-        into output's gradient slot. The tape is consumed: each record is
+        The seed is ones, the gradient of output.sum(), and goes into
+        output's gradient slot. The tape is consumed: each record is
         popped as it runs and its output slot's .grad is reset to None, so
         afterwards the tape is empty and only the inputs that no record of
         it produced (leaves, or op outputs of an earlier tape) keep a
@@ -167,8 +167,7 @@ class Tape:
         if slot is None:
             self._records.clear()
             return
-        if seed is None:
-            seed = np.ones_like(output.data)
+        seed = np.ones_like(output.data)
         slot.grad = seed if slot.grad is None else slot.grad + seed
         owned = set()  # ids of the slots whose .grad this pass allocated
         records = self._records
@@ -199,7 +198,9 @@ def _accumulate(t, piece, owned: set):
     Pulls may hand out aliases of the downstream gradient (add, reshape,
     concat views, sum_'s read-only broadcast), so a first dense
     contribution is stored as it is, and t.grad is only updated in place
-    once this pass has allocated t a buffer of the right dtype.
+    once this pass has allocated t a buffer. That buffer's dtype holds every
+    later piece: no op narrows a dtype, so each piece of one pass has the
+    dtype of the pass's output.
     """
     index, piece = (piece.index, piece.grad) if isinstance(piece, _Slice) else (..., piece)
     grad = t.grad
@@ -209,7 +210,7 @@ def _accumulate(t, piece, owned: set):
             return
         grad = np.zeros(t.shape, dtype=piece.dtype)
         grad[index] = piece
-    elif id(t) in owned and np.result_type(grad, piece) == grad.dtype:
+    elif id(t) in owned:
         view = grad[index]
         np.add(view, piece, out=view)
     elif index is ...:
@@ -363,6 +364,7 @@ def softmax(x: Tensor, axis: int = -1):
     The exponent and the normalization run in place in the freshly
     allocated shifted copy, so x.data is never written.
     """
+    axis = _axis(axis, x.ndim, "softmax")
     out_data = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(out_data, out=out_data)
     out_data /= out_data.sum(axis=axis, keepdims=True)
@@ -376,10 +378,8 @@ def softmax(x: Tensor, axis: int = -1):
 def sum_(x: Tensor, axis=None, keepdims=False):
     if axis is None:
         axes = tuple(range(x.ndim))
-    elif isinstance(axis, int):
-        axes = (_axis(axis, x.ndim, "sum"),)
     else:
-        axes = tuple(_axis(a, x.ndim, "sum") for a in axis)
+        axes = tuple(_axis(a, x.ndim, "sum") for a in np.atleast_1d(axis))
     out_data = x.data.sum(axis=axes, keepdims=keepdims)
     x_shape = x.shape
 
@@ -409,6 +409,7 @@ def reshape(x: Tensor, shape):
 
 def swapaxes(x: Tensor, axis1: int, axis2: int):
     """Swap two axes (a view); backward swaps the gradient back."""
+    axis1, axis2 = (_axis(a, x.ndim, "swapaxes") for a in (axis1, axis2))
     return _make(np.swapaxes(x.data, axis1, axis2), [(x, lambda g: np.swapaxes(g, axis1, axis2))])
 
 
@@ -440,18 +441,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int):
     axis = _axis(axis, x.ndim, "narrow")
     idx = tuple(slice(None) if i != axis else slice(start, start + length) for i in range(x.ndim))
     return _make(x.data[idx], [(x, lambda g: _Slice(idx, g))])
-
-
-def split(x: Tensor, sizes, axis: int = 0):
-    """Split into consecutive chunks of the given sizes along an axis."""
-    if sum(sizes) != x.shape[_axis(axis, x.ndim, "split")]:
-        raise ShapeError(f"split: sizes {sizes} do not cover axis {axis} of shape {x.shape}")
-    pieces = []
-    start = 0
-    for s in sizes:
-        pieces.append(narrow(x, axis, start, s))
-        start += s
-    return pieces
 
 
 def gather(table: Tensor, index: np.ndarray):

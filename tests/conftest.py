@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-import fusecast as fc
-from fusecast.config import GraphConfig, ModelConfig, TrainConfig
+from fusecast.config import load_config, preset_path
+from fusecast.data import fit_normalizer, make_synthetic, split_and_window
+from fusecast.network import Forecaster
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -27,21 +30,17 @@ def rel_err(a, b, floor=1e-8):
 
 
 def toy_model_config():
-    return ModelConfig(history_steps=4, horizon_steps=2, patterns=2, rgc_iterations=2,
-                       hidden=4, depth=2, node_embed_dim=3, time_embed_dim=3,
-                       gate_hidden=6, head_hidden=6, head_channels=6, dropout=0.0)
+    return load_config(preset_path("toy")).model
 
 
 def toy_graph_config(**kw):
-    base = dict(k_spatial=2, k_temporal=2, heads=2, head_dim=2)
-    base.update(kw)
-    return GraphConfig(**base)
+    return dataclasses.replace(load_config(preset_path("toy")).graph, **kw)
 
 
 @pytest.fixture
 def toy_series():
-    series, params = fc.make_synthetic(4, 6, seed=7, coupling=0.5,
-                                       steps_per_day=8, noise_std=1.0)
+    series, params = make_synthetic(4, 6, seed=7, coupling=0.5,
+                                    steps_per_day=8, noise_std=1.0)
     return series, params
 
 
@@ -49,8 +48,8 @@ def toy_series():
 def toy_setup(toy_series):
     """Series, splits, normalizer, and a float64 toy model."""
     series, _ = toy_series
-    train_ws, val_ws, test_ws = fc.split_and_window(series, 4, 2, (0.6, 0.2, 0.2))
-    norm = fc.fit_normalizer(train_ws)
-    model = fc.Forecaster(series.n_nodes, series.steps_per_day, toy_model_config(),
-                          toy_graph_config(), normalizer=norm, dtype=np.float64, seed=3)
+    train_ws, val_ws, test_ws = split_and_window(series, 4, 2, (0.6, 0.2, 0.2))
+    norm = fit_normalizer(train_ws)
+    model = Forecaster(series.n_nodes, series.steps_per_day, toy_model_config(),
+                       toy_graph_config(), normalizer=norm, dtype=np.float64, seed=3)
     return series, train_ws, val_ws, test_ws, norm, model

@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import fusecast as fc
 from conftest import toy_graph_config, toy_model_config
 from fusecast.config import GraphConfig, ModelConfig, RunConfig, TrainConfig, load_config, preset_path
+from fusecast.data import fit_normalizer, make_synthetic, save_series, split_and_window
 from fusecast.decouple import GateParams, decouple
-from fusecast.graphgen import build_directed_graph, fuse_graphs
+from fusecast.graphgen import AttentionFusionParams, build_directed_graph, fuse_graphs
 from fusecast.network import Forecaster, normalized_propagation, rgc_forward
-from fusecast.optim import randomize_parameters
+from fusecast.optim import grad_check, randomize_parameters
 from fusecast.tensor import Tensor
 from fusecast.training import (ABLATION_VARIANTS, apply_variant, evaluate,
                                masked_mae_loss, metrics, run_training, train)
@@ -77,7 +77,7 @@ def test_graph_contracts():
             ok, _ = False, notes.append(f"negative entry at trial {trial}")
 
         heads, dh = 2, max(1, n // 2 // 2)
-        params = fc.AttentionFusionParams(
+        params = AttentionFusionParams(
             query=[u((n, dh)) for _ in range(heads)],
             key=[u((n, dh)) for _ in range(heads)],
             value=[u((n, dh)) for _ in range(heads)],
@@ -106,10 +106,10 @@ def test_graph_contracts():
 def test_gradient_fidelity_toy_config():
     # pinned toy configuration: N=4, Th=4, Tf=2, G=2, M=2, d=4, K=2
     t0 = time.monotonic()
-    series, _ = fc.make_synthetic(4, 6, seed=7, coupling=0.5, steps_per_day=8,
-                                  noise_std=1.0)
-    train_ws, _, _ = fc.split_and_window(series, 4, 2, (0.6, 0.2, 0.2))
-    norm = fc.fit_normalizer(train_ws)
+    series, _ = make_synthetic(4, 6, seed=7, coupling=0.5, steps_per_day=8,
+                               noise_std=1.0)
+    train_ws, _, _ = split_and_window(series, 4, 2, (0.6, 0.2, 0.2))
+    norm = fit_normalizer(train_ws)
     model = Forecaster(series.n_nodes, series.steps_per_day, toy_model_config(),
                        toy_graph_config(), normalizer=norm, dtype=np.float64, seed=3)
     assert (model.cfg.patterns, model.cfg.rgc_iterations,
@@ -121,7 +121,7 @@ def test_gradient_fidelity_toy_config():
         pred = model.forward_batch(hist, tod, dow, training=False)
         return masked_mae_loss(pred, targ)
 
-    report = fc.grad_check(loss_fn, model.parameters(), h=1e-5)
+    report = grad_check(loss_fn, model.parameters(), h=1e-5)
     elapsed = time.monotonic() - t0
     _report("gradient-fidelity", report.max_rel_error < 1e-5 and elapsed < 120.0,
             f"(max rel err {report.max_rel_error:.2e} at {report.worst_param}, "
@@ -156,9 +156,9 @@ def test_rgc_identity_properties():
 
 @pytest.fixture(scope="module")
 def trained_synthetic():
-    series, _ = fc.make_synthetic(8, 7, seed=5, coupling=0.5, steps=2000)
-    train_ws, val_ws, test_ws = fc.split_and_window(series, 12, 12, (0.6, 0.2, 0.2))
-    norm = fc.fit_normalizer(train_ws)
+    series, _ = make_synthetic(8, 7, seed=5, coupling=0.5, steps=2000)
+    train_ws, val_ws, test_ws = split_and_window(series, 12, 12, (0.6, 0.2, 0.2))
+    norm = fit_normalizer(train_ws)
     mcfg = ModelConfig(history_steps=12, horizon_steps=12, patterns=2, rgc_iterations=2,
                        hidden=8, depth=2, node_embed_dim=4, time_embed_dim=8,
                        gate_hidden=16, head_hidden=32, head_channels=32, dropout=0.1)
@@ -213,9 +213,9 @@ def test_beats_naive_baselines(trained_synthetic):
 # -- criterion: ablation harness runs every published variant ----------------
 
 def test_ablation_harness(tmp_path):
-    series, _ = fc.make_synthetic(4, 6, seed=7, coupling=0.5, steps_per_day=8,
-                                  noise_std=1.0)
-    fc.save_series(series, tmp_path / "toy.csv")
+    series, _ = make_synthetic(4, 6, seed=7, coupling=0.5, steps_per_day=8,
+                               noise_std=1.0)
+    save_series(series, tmp_path / "toy.csv")
     (tmp_path / "edges.csv").write_text("0,1\n1,2\n2,3\n")
     completed = []
     for variant in ABLATION_VARIANTS:
@@ -242,9 +242,9 @@ def test_ablation_harness(tmp_path):
 # -- criterion: bitwise determinism of training artifacts --------------------
 
 def test_determinism_of_artifacts(tmp_path):
-    series, _ = fc.make_synthetic(4, 6, seed=7, coupling=0.5, steps_per_day=8,
-                                  noise_std=1.0)
-    fc.save_series(series, tmp_path / "toy.csv")
+    series, _ = make_synthetic(4, 6, seed=7, coupling=0.5, steps_per_day=8,
+                               noise_std=1.0)
+    save_series(series, tmp_path / "toy.csv")
     digests = []
     for run in ("one", "two"):
         cfg = RunConfig()

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-import fusecast as fc
-from fusecast.data import (WindowSet, fit_normalizer, load_predefined_graph, load_series,
-                           make_synthetic, save_series, split_and_window)
+from fusecast.data import (Normalizer, TrafficSeries, WindowSet, fit_normalizer,
+                           load_predefined_graph, load_series, make_synthetic, save_series,
+                           split_and_window)
 from fusecast.errors import ConfigError, IngestionError
 
 
@@ -107,8 +107,8 @@ def test_load_series_node_count_mismatch(tmp_path):
 
 def _series(total, n=2, spd=10, first_dow=3):
     values = np.arange(total * n, dtype=float).reshape(total, n) + 1.0
-    return fc.TrafficSeries(values=values[:, :, None], steps_per_day=spd,
-                            first_step_day_of_week=first_dow)
+    return TrafficSeries(values=values[:, :, None], steps_per_day=spd,
+                         first_step_day_of_week=first_dow)
 
 
 def test_window_counts_match_formula():
@@ -174,8 +174,8 @@ def test_tod_index_advances_modulo_steps_per_day():
 def test_normalizer_matches_sample_moments():
     rng = np.random.default_rng(4)
     values = 50.0 + 3.0 * rng.standard_normal((200, 3))
-    series = fc.TrafficSeries(values=values[:, :, None], steps_per_day=20,
-                              first_step_day_of_week=0)
+    series = TrafficSeries(values=values[:, :, None], steps_per_day=20,
+                           first_step_day_of_week=0)
     train, _, _ = split_and_window(series, 6, 4, (0.6, 0.2, 0.2))
     norm = fit_normalizer(train)
     # oracle: moments of the union of training history positions
@@ -185,14 +185,14 @@ def test_normalizer_matches_sample_moments():
 
 
 def test_normalizer_roundtrip():
-    norm = fc.Normalizer(mean=12.5, std=3.25)
+    norm = Normalizer(mean=12.5, std=3.25)
     x = np.linspace(-40, 90, 23)
     assert np.abs(norm.invert(norm.apply(x)) - x).max() < 1e-6
 
 
 def test_normalizer_rejects_constant_series():
-    series = fc.TrafficSeries(values=np.full((100, 2, 1), 7.0), steps_per_day=10,
-                              first_step_day_of_week=0)
+    series = TrafficSeries(values=np.full((100, 2, 1), 7.0), steps_per_day=10,
+                           first_step_day_of_week=0)
     train, _, _ = split_and_window(series, 5, 5, (0.6, 0.2, 0.2))
     with pytest.raises(ConfigError, match="std"):
         fit_normalizer(train)
@@ -202,8 +202,8 @@ def test_normalizer_is_fit_on_train_only():
     # make the validation region wildly different; stats must not move
     values = np.ones((100, 1)) * 10.0
     values[60:] = 1000.0
-    series = fc.TrafficSeries(values=values[:, :, None], steps_per_day=10,
-                              first_step_day_of_week=0)
+    series = TrafficSeries(values=values[:, :, None], steps_per_day=10,
+                           first_step_day_of_week=0)
     values[:60] += np.linspace(0, 1, 60)[:, None]  # non-degenerate train part
     train, _, _ = split_and_window(series, 5, 5, (0.6, 0.2, 0.2))
     norm = fit_normalizer(train)

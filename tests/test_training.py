@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
-import fusecast as fc
 from conftest import toy_graph_config, toy_model_config
+from fusecast import optim, training
+from fusecast.checkpoint import load_checkpoint
 from fusecast.config import RunConfig, TrainConfig
+from fusecast.data import save_series
 from fusecast.errors import ConfigError, NumericalError
 from fusecast.network import Forecaster
 from fusecast.tensor import Tape, Tensor
@@ -198,14 +200,14 @@ def _scripted_evaluate(monkeypatch, maes):
 
     Returns the list of reports handed to train(), one per call.
     """
-    real, reports = fc.training.evaluate, []
+    real, reports = training.evaluate, []
 
     def scripted(*args, **kwargs):
         report = dataclasses.replace(real(*args, **kwargs), mae=maes[len(reports)])
         reports.append(report)
         return report
 
-    monkeypatch.setattr(fc.training, "evaluate", scripted)
+    monkeypatch.setattr(training, "evaluate", scripted)
     return reports
 
 
@@ -219,10 +221,10 @@ PATIENCE_CASES = [
 
 def test_patience_stop_evaluates_once_per_epoch_and_keeps_best_report(toy_setup, tmp_path,
                                                                      monkeypatch):
-    real_evaluate = fc.training.evaluate
+    real_evaluate = training.evaluate
     for case, (maes, patience, epochs, best) in enumerate(PATIENCE_CASES):
         series, train_ws, val_ws, test_ws, model = _toy_float32(toy_setup)
-        monkeypatch.setattr(fc.training, "evaluate", real_evaluate)
+        monkeypatch.setattr(training, "evaluate", real_evaluate)
         reports = _scripted_evaluate(monkeypatch, maes)
         out = tmp_path / str(case)
         out.mkdir()
@@ -235,19 +237,19 @@ def test_patience_stop_evaluates_once_per_epoch_and_keeps_best_report(toy_setup,
         again = real_evaluate(model, val_ws, batch_size=64)
         assert json.dumps(dataclasses.replace(again, mae=maes[best - 1]).to_dict()) == \
             json.dumps(reports[best - 1].to_dict()), case
-        saved = fc.load_checkpoint(out / "checkpoint.bin")
+        saved = load_checkpoint(out / "checkpoint.bin")
         assert all(np.array_equal(saved[k], v) for k, v in model.state().items()), case
 
 
 def test_scheduled_rate_reaches_the_optimizer(toy_setup, monkeypatch):
     series, train_ws, val_ws, test_ws, model = _toy_float32(toy_setup)
-    rates, real_step = [], fc.optim.Adam.step
+    rates, real_step = [], optim.Adam.step
 
     def recording_step(self):
         rates.append(self.learning_rate)  # the rate this step is about to apply
         real_step(self)
 
-    monkeypatch.setattr(fc.optim.Adam, "step", recording_step)
+    monkeypatch.setattr(optim.Adam, "step", recording_step)
     cfg = _tcfg(max_epochs=3, milestones=[2, 3])
     train(model, train_ws, val_ws, cfg)
     batches = -(-len(train_ws) // cfg.batch_size)
@@ -293,7 +295,7 @@ def test_evaluate_predictions_do_not_depend_on_batch_size(toy_setup):
 
 def _run_cfg(tmp_path, toy_series, **train_kw):
     series, _ = toy_series
-    fc.save_series(series, tmp_path / "toy.csv")
+    save_series(series, tmp_path / "toy.csv")
     cfg = RunConfig()
     cfg.data.series = str(tmp_path / "toy.csv")
     cfg.model = toy_model_config()
@@ -330,17 +332,17 @@ def test_apply_variant_rewrites_config(tmp_path, toy_series):
 
 def test_build_model_rejects_predefined_mode_without_graph(tmp_path, toy_series):
     cfg = _run_cfg(tmp_path, toy_series)
-    series, train_ws, val_ws, test_ws, norm = fc.training.prepare_data(cfg)
+    series, train_ws, val_ws, test_ws, norm = training.prepare_data(cfg)
     cfg.graph.mode = "predefined"
     with pytest.raises(ConfigError, match="data.graph"):
-        fc.training.build_model(cfg, series, norm)
+        training.build_model(cfg, series, norm)
 
 
 def test_no_decouple_has_single_stream_and_no_gates(tmp_path, toy_series):
     cfg = _run_cfg(tmp_path, toy_series)
     apply_variant(cfg, "no_decouple")
-    series, train_ws, val_ws, test_ws, norm = fc.training.prepare_data(cfg)
-    model = fc.training.build_model(cfg, series, norm)
+    series, train_ws, val_ws, test_ws, norm = training.prepare_data(cfg)
+    model = training.build_model(cfg, series, norm)
     assert len(model.gates) == 0
     assert not any(n.startswith("decouple.") for n in model.parameters())
     hist, _, tod, dow = train_ws.batch([0])
@@ -389,12 +391,12 @@ def test_all_variants_complete_on_toy_data(tmp_path, toy_series):
 def test_training_and_test_evaluation_run_at_the_training_batch_size(tmp_path, toy_series,
                                                                     monkeypatch):
     cfg = _run_cfg(tmp_path, toy_series, batch_size=8)
-    real, seen = fc.training.evaluate, []
+    real, seen = training.evaluate, []
 
     def spy(model, windows, batch_size, **kwargs):
         seen.append(batch_size)
         return real(model, windows, batch_size, **kwargs)
 
-    monkeypatch.setattr(fc.training, "evaluate", spy)
+    monkeypatch.setattr(training, "evaluate", spy)
     run_training(cfg)
     assert seen == [8] * (cfg.train.max_epochs + 1)  # one validation pass per epoch, one test pass
