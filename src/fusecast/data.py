@@ -112,10 +112,11 @@ def load_series(data_path, meta_path=None) -> TrafficSeries:
     if nodes is not None and values.shape[1] != nodes:
         raise IngestionError(
             f"{data_path}: expected {nodes} columns per metadata, found {values.shape[1]}")
-    bad = np.argwhere(~np.isfinite(values))
+    # training runs in float32, so every value must fit in it; NaN fails the comparison too
+    bad = np.argwhere(~(np.abs(values) <= np.finfo(np.float32).max))
     if bad.size:
         r, c = bad[0]
-        raise IngestionError(f"{data_path}: non-finite value at row {r + 1}, column {c + 1}")
+        raise IngestionError(f"{data_path}: row {r + 1}, column {c + 1} is not a finite float32")
     return TrafficSeries(
         values=values[:, :, None],
         steps_per_day=steps_per_day,
@@ -254,15 +255,12 @@ def make_synthetic(n_nodes: int, days: int, seed: int, coupling: float, *,
     weekly = 1.0 + weekly_amplitude * np.sin(2.0 * np.pi * t / (DAYS_PER_WEEK * steps_per_day))
     clean = (bases[None, :] + amps[None, :] * daily) * weekly[:, None]
 
-    noise = noise_std * rng.standard_normal((total, n_nodes)) if noise_std > 0 else np.zeros((total, n_nodes))
+    noise = noise_std * rng.standard_normal((total, n_nodes))
     x = np.empty((total, n_nodes))
     x[0] = clean[0] + noise[0]
-    if coupling == 0.0:
-        x = clean + noise
-    else:
-        lag_source = np.roll(np.arange(n_nodes), 1)  # node i follows node i-1 (mod N)
-        for step in range(1, total):
-            x[step] = (1.0 - coupling) * clean[step] + coupling * x[step - 1, lag_source] + noise[step]
+    lag_source = np.roll(np.arange(n_nodes), 1)  # node i follows node i-1 (mod N)
+    for step in range(1, total):
+        x[step] = (1.0 - coupling) * clean[step] + coupling * x[step - 1, lag_source] + noise[step]
     if steps is not None:
         if steps > total:
             raise ConfigError(f"requested {steps} steps but {days} days yield only {total}")
@@ -318,10 +316,10 @@ def load_predefined_graph(edge_path, n_nodes: int, directed: bool = False) -> np
                 weight = float(cells[2])
             except ValueError:
                 raise IngestionError(f"{edge_path}: non-numeric weight at row {row_no}") from None
-            if not 0 <= weight < math.inf:
+            if not 0 <= weight <= float(np.finfo(np.float32).max):
                 raise IngestionError(
-                    f"{edge_path}: weight at row {row_no} must be finite and non-negative, "
-                    f"got {cells[2]!r}")
+                    f"{edge_path}: weight at row {row_no} must be non-negative and within "
+                    f"float32 range, got {cells[2]!r}")
         if src == dst:
             warnings.warn(f"{edge_path}: dropping self-loop on node {src} at row {row_no}")
             continue

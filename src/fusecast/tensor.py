@@ -21,6 +21,8 @@ doubles as inference mode.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import ConfigError, ShapeError
@@ -100,9 +102,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -261,7 +260,11 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def _axis(axis: int, ndim: int, op: str) -> int:
-    """The axis as a non-negative index; it must lie in [-ndim, ndim)."""
+    """The axis as a non-negative index; it must be an integer in [-ndim, ndim)."""
+    try:
+        axis = operator.index(axis)
+    except TypeError:
+        raise ShapeError(f"{op}: axis {axis} is not an integer") from None
     if not -ndim <= axis < ndim:
         raise ShapeError(f"{op}: axis {axis} is out of range for {ndim} dimensions")
     return axis % ndim

@@ -5,7 +5,8 @@ entries whose ground truth is exactly 0 are treated as missing and drop
 out of both numerator and denominator. Training follows a warm-up phase on
 the full horizon, then a curriculum that restarts at a one-step horizon
 and grows it by one step every `curriculum_step` epochs. Validation runs
-once per epoch; a non-finite loss or validation MAE raises NumericalError.
+once per epoch. A non-finite loss, or a validation or test report with a
+non-finite total (`MetricReport.finite`), raises NumericalError.
 
 An ablation variant is a name for a tuple of config overrides
 (`ABLATION_VARIANTS`); `apply_variant` applies them like command-line
@@ -74,6 +75,30 @@ class MetricReport:
     rmse_per_horizon: list = field(default_factory=list)
     mape_per_horizon: list = field(default_factory=list)
 
+    @classmethod
+    def from_sums(cls, sums: np.ndarray) -> MetricReport:
+        """The report of per-horizon sums [|error|, error², APE, count, APE count]."""
+        abs_sum, sq_sum, ape_sum, count, ape_count = sums
+        safe = np.maximum(count, 1)
+        safe_ape = np.maximum(ape_count, 1)
+        total = max(count.sum(), 1)
+        total_ape = max(ape_count.sum(), 1)
+        return cls(
+            mae=float(abs_sum.sum() / total),
+            rmse=float(np.sqrt(sq_sum.sum() / total)),
+            mape=float(100.0 * ape_sum.sum() / total_ape),
+            mae_per_horizon=(abs_sum / safe).tolist(),
+            rmse_per_horizon=np.sqrt(sq_sum / safe).tolist(),
+            mape_per_horizon=(100.0 * ape_sum / safe_ape).tolist(),
+        )
+
+    def finite(self, what: str) -> MetricReport:
+        """This report if its totals (they sum every horizon) are finite, else NumericalError."""
+        if not np.isfinite([self.mae, self.rmse, self.mape]).all():
+            raise NumericalError(
+                f"non-finite {what} (mae {self.mae}, rmse {self.rmse}, mape {self.mape})")
+        return self
+
     def to_dict(self) -> dict:
         return {
             "mae": self.mae, "rmse": self.rmse, "mape": self.mape,
@@ -85,47 +110,16 @@ class MetricReport:
         }
 
 
-class _MetricAccumulator:
-    """Streaming per-horizon sums so evaluation never stores all predictions."""
-
-    def __init__(self, horizon: int, mask_threshold: float):
-        self.h = horizon
-        self.thr = mask_threshold
-        self.abs_sum = np.zeros(horizon)
-        self.sq_sum = np.zeros(horizon)
-        self.ape_sum = np.zeros(horizon)
-        self.count = np.zeros(horizon)
-        self.ape_count = np.zeros(horizon)
-
-    def add(self, pred: np.ndarray, target: np.ndarray):
-        axes = (0,) + tuple(range(2, target.ndim))  # everything except the horizon axis
-        mask = target > 0
-        diff = np.abs(pred - target)
-        self.abs_sum += (diff * mask).sum(axis=axes)
-        self.sq_sum += (np.square(pred - target) * mask).sum(axis=axes)
-        self.count += mask.sum(axis=axes)
-        pmask = target > self.thr
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ape = np.where(pmask, diff / np.where(pmask, target, 1.0), 0.0)
-        self.ape_sum += ape.sum(axis=axes)
-        self.ape_count += pmask.sum(axis=axes)
-
-    def report(self) -> MetricReport:
-        safe = np.maximum(self.count, 1)
-        safe_ape = np.maximum(self.ape_count, 1)
-        mae_h = self.abs_sum / safe
-        rmse_h = np.sqrt(self.sq_sum / safe)
-        mape_h = 100.0 * self.ape_sum / safe_ape
-        total = max(self.count.sum(), 1)
-        total_ape = max(self.ape_count.sum(), 1)
-        return MetricReport(
-            mae=float(self.abs_sum.sum() / total),
-            rmse=float(np.sqrt(self.sq_sum.sum() / total)),
-            mape=float(100.0 * self.ape_sum.sum() / total_ape),
-            mae_per_horizon=[float(v) for v in mae_h],
-            rmse_per_horizon=[float(v) for v in rmse_h],
-            mape_per_horizon=[float(v) for v in mape_h],
-        )
+def _batch_sums(pred: np.ndarray, target: np.ndarray, mask_threshold: float) -> np.ndarray:
+    """One batch's per-horizon sums [|error|, error², APE, count, APE count] as [5, Tf]."""
+    axes = (0,) + tuple(range(2, target.ndim))  # everything except the horizon axis
+    mask = target > 0
+    diff = np.abs(pred - target)
+    pmask = target > mask_threshold
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ape = np.where(pmask, diff / np.where(pmask, target, 1.0), 0.0)
+    return np.stack([(diff * mask).sum(axis=axes), (np.square(diff) * mask).sum(axis=axes),
+                     ape.sum(axis=axes), mask.sum(axis=axes), pmask.sum(axis=axes)])
 
 
 def metrics(pred: np.ndarray, target: np.ndarray, mask_threshold: float = 0.0) -> MetricReport:
@@ -134,9 +128,7 @@ def metrics(pred: np.ndarray, target: np.ndarray, mask_threshold: float = 0.0) -
     target = np.asarray(target)
     if pred.ndim == 3:
         pred, target = pred[None], target[None]
-    acc = _MetricAccumulator(pred.shape[1], mask_threshold)
-    acc.add(pred, target)
-    return acc.report()
+    return MetricReport.from_sums(_batch_sums(pred, target, mask_threshold))
 
 
 def curriculum_horizon(epoch: int, cfg: TrainConfig, full_horizon: int) -> int:
@@ -155,13 +147,13 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
 def evaluate(model: Forecaster, windows: WindowSet, batch_size: int,
              mask_threshold: float = 0.0) -> MetricReport:
     """Masked metrics of the model over every window of a split."""
-    acc = _MetricAccumulator(model.cfg.horizon_steps, mask_threshold)
+    sums = np.zeros((5, model.cfg.horizon_steps))  # summed in batch order
     for start in range(0, len(windows), batch_size):
         idx = np.arange(start, min(start + batch_size, len(windows)))
         hist, targ, tod, dow = windows.batch(idx)
         pred = model.forward_batch(hist, tod, dow, training=False)
-        acc.add(pred.data.astype(np.float64), targ)
-    return acc.report()
+        sums += _batch_sums(pred.data.astype(np.float64), targ, mask_threshold)
+    return MetricReport.from_sums(sums)
 
 
 @dataclass
@@ -228,9 +220,8 @@ def train(model: Forecaster, train_ws: WindowSet, val_ws: WindowSet, cfg: TrainC
             mask_total += n_masked
 
         val_report = evaluate(model, val_ws, batch_size=cfg.batch_size,
-                              mask_threshold=cfg.mask_threshold)
-        if not np.isfinite(val_report.mae):
-            raise NumericalError(f"non-finite validation MAE {val_report.mae} at epoch {epoch}")
+                              mask_threshold=cfg.mask_threshold
+                              ).finite(f"validation metrics at epoch {epoch}")
         record = {
             "epoch": epoch, "lr": lr, "horizon": horizon,
             "train_loss": err_total / max(mask_total, 1),
@@ -282,7 +273,7 @@ def run_training(cfg: RunConfig, out_dir=None, log=None):
     model = build_model(cfg, series, normalizer)
     result = train(model, train_ws, val_ws, cfg.train, out_dir=out_dir, log=log)
     test_report = evaluate(model, test_ws, batch_size=cfg.train.batch_size,
-                           mask_threshold=cfg.train.mask_threshold)
+                           mask_threshold=cfg.train.mask_threshold).finite("test metrics")
     if out_dir:
         report = {"val": result.val_report.to_dict(), "test": test_report.to_dict(),
                   "best_epoch": result.best_epoch}

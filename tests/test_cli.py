@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -168,7 +169,107 @@ def test_train_non_finite_validation_mae_exits_3(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "train", *TOY_ARGS, "--out", str(tmp_path / "r"),
                            f"data.series={csv}", "train.max_epochs=1")
     assert code == 3
-    assert "non-finite validation MAE nan at epoch 1" in err
+    assert "non-finite validation metrics at epoch 1 (mae nan" in err
+
+
+def test_train_non_finite_test_metrics_exits_3(tmp_path, capsys, monkeypatch):
+    csv = _toy_data(tmp_path, capsys)
+    real, calls = training.evaluate, []
+
+    def overflowing_test_pass(*args, **kwargs):
+        calls.append(args)
+        report = real(*args, **kwargs)
+        # one epoch: call 1 validates it, call 2 is the test pass; MAE stays finite
+        return dataclasses.replace(report, mape=float("inf")) if len(calls) == 2 else report
+
+    monkeypatch.setattr(training, "evaluate", overflowing_test_pass)
+    out = tmp_path / "r"
+    code, stdout, err = run_cli(capsys, "train", *TOY_ARGS, "--out", str(out),
+                                f"data.series={csv}", "train.max_epochs=1")
+    assert code == 3 and len(calls) == 2
+    assert err.startswith("numerical failure: non-finite test metrics (mae ")
+    assert "mape inf)" in err
+    assert [json.loads(line)["epoch"] for line in stdout.splitlines()] == [1]  # no summary line
+    assert not (out / "metrics.json").exists()
+    for name in ("checkpoint.bin", "history.jsonl", "manifest.json"):  # the training run finished
+        assert (out / name).exists(), name
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_every_json_artifact_is_strict_json(tmp_path, capsys):
+    csv = _toy_data(tmp_path, capsys)
+    runs = {"train": ["train"], "ablate": ["ablate", "--variant", "use_sg"]}
+    for name, command in runs.items():
+        out = tmp_path / name
+        code, stdout, _ = run_cli(capsys, *command, *TOY_ARGS, "--out", str(out),
+                                  f"data.series={csv}", "train.max_epochs=2")
+        assert code == 0, name
+        lines = stdout.splitlines() + (out / "history.jsonl").read_text().splitlines()
+        assert len(lines) == 2 + 1 + 2, name  # epoch lines, summary line, history records
+        for line in lines:
+            _strict_json(line)
+        for artifact in ("metrics.json", "manifest.json"):
+            _strict_json((out / artifact).read_text())
+    for split in ("val", "test"):
+        code, stdout, _ = run_cli(capsys, "eval", *TOY_ARGS, "--split", split, "--checkpoint",
+                                  str(tmp_path / "train" / "checkpoint.bin"), f"data.series={csv}")
+        assert code == 0, split
+        _strict_json(stdout)
+
+
+def _bad_run_input(case, tmp_path, csv):
+    """`train` arguments after `--out` with one bad input; the toy series is at `csv`."""
+    toy = [*TOY_ARGS, f"data.series={csv}"]
+    if case == "k_temporal_above_nodes":
+        return toy + ["graph.k_temporal=5"]
+    if case == "boolean_maybe":
+        return toy + ["data.directed_graph=maybe"]
+    if case == "series_unset":
+        return TOY_ARGS
+    if case == "config_line_without_equals":
+        (tmp_path / "run.cfg").write_text(f"data.series = {csv}\ntrain.max_epochs 1\n")
+        return ["--config", str(tmp_path / "run.cfg")]
+    if case == "series_beyond_float32":
+        rows = csv.read_text().splitlines()
+        rows[2] = "1,1e39,1,1"  # row 3, column 2
+        csv.write_text("\n".join(rows) + "\n")
+    elif case == "edge_weight_beyond_float32":
+        (tmp_path / "edges.csv").write_text("0,1,1.5\n1,2,1e39\n")
+        toy += [f"data.graph={tmp_path / 'edges.csv'}", "graph.mode=predefined"]
+    elif case == "empty_series":
+        csv.write_text("")
+    return toy
+
+
+# case: (exit code, text of the message)
+BAD_RUN_INPUTS = {
+    "k_temporal_above_nodes": (2, "graph.k_temporal=5 exceeds node count 4"),
+    "boolean_maybe": (2, "data.directed_graph"),
+    "series_unset": (2, "data.series must point at a series CSV"),
+    "config_line_without_equals": (2, "run.cfg:2: expected key = value"),
+    "series_beyond_float32": (4, "row 3, column 2 is not a finite float32"),
+    "edge_weight_beyond_float32": (4, "weight at row 2"),
+    "empty_series": (4, "no data rows"),
+}
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(case, marks=pytest.mark.filterwarnings("ignore::UserWarning"))
+    if case == "empty_series" else case  # numpy warns that the file holds no data
+    for case in BAD_RUN_INPUTS])
+def test_bad_run_input_exits_with_its_code(tmp_path, capsys, case):
+    expected, text = BAD_RUN_INPUTS[case]
+    argv = _bad_run_input(case, tmp_path, _toy_data(tmp_path, capsys))
+    code, stdout, err = run_cli(capsys, "train", "--out", str(tmp_path / "r"), *argv)
+    assert code == expected
+    assert stdout == "" and text in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["train", "gradcheck"])
@@ -249,8 +350,8 @@ def test_eval_non_finite_checkpoint_exits_3(tmp_path, capsys):
                                 f"data.series={csv}")
     assert code == 3
     assert stdout == ""
-    assert "numerical failure: non-finite test metrics (mae nan" in err
-    assert "checkpoint.bin" in err
+    assert "numerical failure: non-finite test metrics from checkpoint" in err
+    assert "checkpoint.bin (mae nan" in err
 
 
 def test_eval_runs_at_the_training_batch_size(tmp_path, capsys, monkeypatch):

@@ -43,9 +43,24 @@ def test_unknown_key_rejected(tmp_path):
         load_config(path)
 
 
+def test_config_line_without_equals_names_file_and_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# comment\nmodel.hidden 16\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:2: expected key = value, got 'model.hidden 16'"):
+        load_config(path)
+
+
+def test_boolean_words():
+    for raw, value in (("true", True), (" On ", True), ("1", True), ("no", False), ("OFF", False)):
+        cfg = load_config(None, overrides=[f"data.directed_graph={raw}"])
+        assert cfg.data.directed_graph is value, raw
+
+
 def test_bad_value_names_key():
     with pytest.raises(ConfigError, match="model.hidden"):
         load_config(None, overrides=["model.hidden=abc"])
+    with pytest.raises(ConfigError, match="data.directed_graph.*not a boolean: 'maybe'"):
+        load_config(None, overrides=["data.directed_graph=maybe"])
 
 
 def test_malformed_override():
@@ -123,6 +138,8 @@ def test_head_dim_default_rule():
 def test_graph_invariants_for_node_count():
     with pytest.raises(ConfigError, match="k_spatial"):
         GraphConfig(k_spatial=20).validate_for_nodes(8)
+    with pytest.raises(ConfigError, match="graph.k_temporal=9 exceeds node count 8"):
+        GraphConfig(k_spatial=2, k_temporal=9).validate_for_nodes(8)
     with pytest.raises(ConfigError, match="head_dim"):
         GraphConfig(k_spatial=2, k_temporal=2, heads=4, head_dim=4).validate_for_nodes(8)
 

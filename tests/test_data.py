@@ -56,6 +56,26 @@ def test_load_series_non_finite_value_cites_location(tmp_path):
         load_series(csv)
 
 
+@pytest.mark.parametrize("value", ["1e39", "-1e39", "inf", "-inf"])
+def test_load_series_value_beyond_float32_cites_location(tmp_path, value):
+    limit = float(np.finfo(np.float32).max)
+    csv = _write_series(tmp_path, np.full((6, 3), limit))  # the float32 maximum itself loads
+    assert np.abs(load_series(csv).values).max() == limit
+    rows = csv.read_text().splitlines()
+    rows[3] = f"1.0,1.0,{value}"  # row 4, column 3
+    csv.write_text("\n".join(rows) + "\n")
+    with pytest.raises(IngestionError, match="row 4, column 3 is not a finite float32"):
+        load_series(csv)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # numpy warns that the file holds no data
+def test_load_series_empty_file_rejected(tmp_path):
+    csv = _write_series(tmp_path, np.ones((2, 2)))
+    csv.write_text("")
+    with pytest.raises(IngestionError, match="no data rows"):
+        load_series(csv)
+
+
 def test_load_series_missing_metadata_key(tmp_path):
     csv = tmp_path / "series.csv"
     np.savetxt(csv, np.ones((4, 2)), delimiter=",")
@@ -241,7 +261,7 @@ def test_synthetic_validates_arguments():
         make_synthetic(4, 1, seed=0, coupling=0.0)
     for kwargs in ({"seed": -1}, {"steps_per_day": 0}, {"coupling": float("nan")},
                    {"coupling": 1.5}, {"coupling": -0.1}, {"noise_std": -1.0},
-                   {"noise_std": float("inf")}):
+                   {"noise_std": float("inf")}, {"steps": 2 * 288 + 1}):
         with pytest.raises(ConfigError):
             make_synthetic(4, 2, **{"seed": 0, "coupling": 0.5, **kwargs})
 
@@ -298,7 +318,7 @@ def test_predefined_graph_non_utf8_row_cites_location(tmp_path):
         load_predefined_graph(path, 3)
 
 
-@pytest.mark.parametrize("weight", ["nan", "inf"])
+@pytest.mark.parametrize("weight", ["nan", "inf", "1e39", "-1"])
 def test_predefined_graph_non_finite_weight_cites_row(tmp_path, weight):
     path = tmp_path / "edges.csv"
     path.write_text(f"0,1,1.0\n0,2,{weight}\n")

@@ -172,6 +172,12 @@ def test_predefined_mode_requires_graph():
         generate_pattern_graph(_pattern(rng, 4, 3, 3), None, toy_graph_config(mode="predefined"))
 
 
+def test_unknown_mode_rejected():
+    rng = np.random.default_rng(10)
+    with pytest.raises(ConfigError, match="unknown graph mode 'banana'"):
+        generate_pattern_graph(_pattern(rng, 4, 3, 3), None, toy_graph_config(mode="banana"))
+
+
 def test_independent_patterns_produce_different_graphs():
     rng = np.random.default_rng(11)
     cfg = toy_graph_config()

@@ -4,8 +4,8 @@ import pytest
 from conftest import fd_gradient, rel_err, toy_graph_config, toy_model_config
 from fusecast import tensor as T
 from fusecast.errors import ConfigError, ShapeError
-from fusecast.network import (Forecaster, GruParams, gru_forward, normalized_propagation,
-                              rgc_forward)
+from fusecast.network import (Forecaster, GruParams, _stage, gru_forward,
+                              normalized_propagation, rgc_forward)
 from fusecast.tensor import Tape, Tensor
 from fusecast.training import masked_mae_loss
 
@@ -376,6 +376,15 @@ def test_stage_tag_on_lookup_failure(toy_setup):
     hist, _, tod, dow = train_ws.batch([0])
     with pytest.raises(IndexError, match=r"\[time-lookups\]"):
         model.forward_batch(hist, tod + 1000, dow)
+
+
+@pytest.mark.parametrize("args, tagged", [(("message", 2), ("[rgc] message", 2)),
+                                           ((7,), ("[rgc]", 7)), ((), ("[rgc]",))])
+def test_stage_tag_keeps_non_string_arguments(args, tagged):
+    with pytest.raises(ValueError) as info:
+        with _stage("rgc"):
+            raise ValueError(*args)
+    assert info.value.args == tagged
 
 
 def _dense_backward(tape, output):

@@ -39,8 +39,9 @@ def test_matmul_gradient_matches_finite_differences():
 
 
 def test_matmul_shape_error_names_both_shapes():
-    # an inner-dimension and a batch-dimension mismatch
-    for a_shape, b_shape in (((2, 3), (4, 2)), ((2, 3, 4), (5, 4, 2))):
+    # an inner-dimension and a batch-dimension mismatch, and 1-d operands on either side
+    for a_shape, b_shape in (((2, 3), (4, 2)), ((2, 3, 4), (5, 4, 2)), ((3,), (3, 2)),
+                             ((2, 3), (3,))):
         a = Tensor(np.zeros(a_shape))
         b = Tensor(np.zeros(b_shape))
         with pytest.raises(ShapeError,
@@ -139,6 +140,17 @@ def test_concat_gradient_routes_ones():
     assert np.array_equal(b.grad, np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+def test_elementwise_shape_error_names_both_shapes(op):
+    with pytest.raises(ShapeError, match=r"\(2, 3\) and \(4, 3\) are not broadcastable"):
+        op(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))))
+
+
+def test_concat_of_nothing_raises():
+    with pytest.raises(ShapeError, match="at least one tensor"):
+        T.concat([])
+
+
 def test_concat_off_axis_mismatch():
     # an off-axis dimension and an ndim mismatch
     for first, second in (((2, 3), (3, 3)), ((2, 3), (2, 3, 1))):
@@ -170,6 +182,9 @@ def test_out_of_range_axis_raises_instead_of_wrapping(op):
         AXIS_OPS[op](x, axis)
     with pytest.raises(ShapeError, match="axis 0 "):
         AXIS_OPS[op](Tensor(np.array(1.0)), 0)  # a 0-d operand has no axis at all
+    for axis in (1.0, np.float64(-1.0), 0.5):  # an axis must be an integer, not just in range
+        with pytest.raises(ShapeError, match=f"axis {axis} is not an integer"):
+            AXIS_OPS[op](x, axis)
 
 
 def test_dropout_rate_zero_is_identity():
@@ -197,6 +212,11 @@ def test_dropout_preserves_expectation():
 def test_dropout_invalid_rate():
     with pytest.raises(ConfigError):
         T.dropout(Tensor([1.0]), 1.0, training=True, rng=np.random.default_rng(0))
+
+
+def test_dropout_in_training_needs_an_rng():
+    with pytest.raises(ConfigError, match="explicit rng"):
+        T.dropout(Tensor([1.0]), 0.5, training=True)
 
 
 def test_top_k_rows_example():

@@ -8,13 +8,13 @@ from conftest import toy_graph_config, toy_model_config
 from fusecast import optim, training
 from fusecast.checkpoint import load_checkpoint
 from fusecast.config import RunConfig, TrainConfig
-from fusecast.data import save_series
-from fusecast.errors import ConfigError, NumericalError
+from fusecast.data import WindowSet, save_series
+from fusecast.errors import ConfigError, NumericalError, ShapeError
 from fusecast.network import Forecaster
 from fusecast.tensor import Tape, Tensor
-from fusecast.training import (ABLATION_VARIANTS, apply_variant, curriculum_horizon,
-                               evaluate, lr_schedule, masked_mae_loss, metrics,
-                               run_training, train)
+from fusecast.training import (ABLATION_VARIANTS, MetricReport, apply_variant,
+                               curriculum_horizon, evaluate, lr_schedule, masked_mae_loss,
+                               metrics, run_training, train)
 
 
 def test_masked_mae_hand_example():
@@ -47,11 +47,26 @@ def test_masked_mae_ignores_zero_target_entries():
     assert masked_mae_loss(Tensor(pred2), target2).item() == pytest.approx(base)
 
 
+def test_masked_mae_shape_mismatch_names_both_shapes():
+    with pytest.raises(ShapeError, match=r"\(2, 3, 1\) vs target \(2, 3, 2\)"):
+        masked_mae_loss(Tensor(np.ones((2, 3, 1))), np.ones((2, 3, 2)))
+
+
 def test_masked_mae_gradient_flows():
     pred = Tensor(np.array([[2.0], [4.0]]).reshape(2, 1, 1), requires_grad=True)
     with Tape() as tape:
         tape.backward(masked_mae_loss(pred, np.array([1.0, 5.0]).reshape(2, 1, 1)))
     assert pred.grad.reshape(-1).tolist() == [0.5, -0.5]
+
+
+@pytest.mark.parametrize("field", ["mae", "rmse", "mape"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_metric_report_finite_checks_every_total(field, value):
+    report = MetricReport(mae=1.0, rmse=2.0, mape=3.0)
+    assert report.finite("test metrics") is report
+    bad = dataclasses.replace(report, **{field: value})
+    with pytest.raises(NumericalError, match=rf"non-finite test metrics \(.*{field} {value}"):
+        bad.finite("test metrics")
 
 
 def test_metrics_identity_is_zero():
@@ -260,9 +275,27 @@ def test_scheduled_rate_reaches_the_optimizer(toy_setup, monkeypatch):
 def test_non_finite_validation_mae_raises_numerical_error(toy_setup, tmp_path, monkeypatch):
     series, train_ws, val_ws, test_ws, model = _toy_float32(toy_setup)
     _scripted_evaluate(monkeypatch, [float("nan")])
-    with pytest.raises(NumericalError, match="validation MAE nan at epoch 1"):
+    with pytest.raises(NumericalError, match=r"validation metrics at epoch 1 \(mae nan"):
         train(model, train_ws, val_ws, _tcfg(max_epochs=2), out_dir=tmp_path)
     assert (tmp_path / "history.jsonl").read_text() == ""
+
+
+@pytest.mark.parametrize("field", ["rmse", "mape"])
+def test_non_finite_validation_rmse_or_mape_raises_with_finite_mae(toy_setup, tmp_path,
+                                                                   monkeypatch, field):
+    series, train_ws, val_ws, test_ws, model = _toy_float32(toy_setup)
+    real, calls = training.evaluate, []
+
+    def overflowing(*args, **kwargs):
+        calls.append(args)
+        report = real(*args, **kwargs)
+        return dataclasses.replace(report, **{field: float("inf")}) if len(calls) == 2 else report
+
+    monkeypatch.setattr(training, "evaluate", overflowing)
+    with pytest.raises(NumericalError, match=rf"validation metrics at epoch 2 .*{field} inf"):
+        train(model, train_ws, val_ws, _tcfg(max_epochs=3), out_dir=tmp_path)
+    assert [json.loads(line)["epoch"]
+            for line in (tmp_path / "history.jsonl").read_text().splitlines()] == [1]
 
 
 def test_evaluate_runs_without_tape(toy_setup):
@@ -270,6 +303,16 @@ def test_evaluate_runs_without_tape(toy_setup):
     report = evaluate(model, val_ws, batch_size=4)
     assert report.mae > 0
     assert len(report.mae_per_horizon) == model.cfg.horizon_steps
+
+
+def test_evaluate_of_no_windows_reports_zeros(toy_setup):
+    series, train_ws, val_ws, test_ws, model = _toy_float32(toy_setup)
+    th, tf = model.cfg.history_steps, model.cfg.horizon_steps
+    empty = WindowSet(series, 0, th + tf - 1, th, tf)
+    assert len(empty) == 0
+    report = evaluate(model, empty, batch_size=4)
+    assert report.to_dict() == MetricReport(0.0, 0.0, 0.0, [0.0] * tf, [0.0] * tf,
+                                            [0.0] * tf).to_dict()
 
 
 def test_evaluate_predictions_do_not_depend_on_batch_size(toy_setup):
