@@ -111,7 +111,8 @@ def fuse_graphs(a_spatial: Tensor, a_temporal: Tensor, beta: float,
         v = T.matmul(fused, wv)
         scale = 1.0 / np.sqrt(wq.shape[-1])
         scores = T.softmax(T.mul(T.matmul(q, T.swapaxes(k, -1, -2)), scale), axis=-1)
-        head_scores.append(scores)
+        if return_scores:  # [..., N, N] each, so kept only when asked for
+            head_scores.append(scores)
         head_outputs.append(T.matmul(scores, v))
     final = T.relu(T.matmul(T.concat(head_outputs, axis=-1), params.output))
     if return_scores:

@@ -5,6 +5,12 @@ skip-connection regression head.
 A pattern's M graph-convolution blocks differ only in their mixing weights,
 so they share one propagation pass mixed by the M weights side by side.
 
+The patterns are independent from graph generation through graph
+convolution, so those two stages run the patterns concurrently through
+tensor.ordered_map, one pattern per usable CPU, with the tape recorded in
+pattern order as a plain loop would; decoupling runs between them on the
+calling thread, and backward is serial.
+
 Forward passes accept a leading batch dimension on histories and calendar
 indices; graphs that depend on the window's time indices come out batched
 as well. Parameters are held in a flat ordered mapping whose names are the
@@ -36,7 +42,7 @@ from .decouple import GateParams, PatternFlows, decouple
 from .errors import ShapeError
 from .graphgen import (AdjacencySet, AttentionFusionParams, PatternGraphParams,
                        TimeEmbeddingPools, generate_pattern_graph, temporal_feature_matrix)
-from .tensor import Tensor
+from .tensor import Tensor, ordered_map, undo_on_error
 
 
 @dataclass
@@ -282,57 +288,61 @@ class Forecaster:
 
         tod/dow are integer index arrays [B, Th]. Returns the prediction
         tensor, or (prediction, ForwardActivations) when collect is set.
+        A forward that raises leaves the active tape as it found it.
         """
         cfg = self.cfg
-        with _stage("normalize"):
-            x_raw = np.asarray(history, dtype=self.dtype)
-            if (x_raw.shape[-3] != cfg.history_steps or x_raw.shape[-2] != self.n_nodes
-                    or x_raw.shape[-1] != cfg.channels):
-                raise ShapeError(
-                    f"history shaped {x_raw.shape} does not match (Th={cfg.history_steps}, "
-                    f"N={self.n_nodes}, C={cfg.channels})")
-            xn = Tensor(self.normalizer.apply(x_raw) if self.normalizer else x_raw)
+        with undo_on_error():
+            with _stage("normalize"):
+                x_raw = np.asarray(history, dtype=self.dtype)
+                if (x_raw.shape[-3] != cfg.history_steps or x_raw.shape[-2] != self.n_nodes
+                        or x_raw.shape[-1] != cfg.channels):
+                    raise ShapeError(
+                        f"history shaped {x_raw.shape} does not match (Th={cfg.history_steps}, "
+                        f"N={self.n_nodes}, C={cfg.channels})")
+                xn = Tensor(self.normalizer.apply(x_raw) if self.normalizer else x_raw)
 
-        with _stage("time-lookups"):
-            daily_l, weekly_l = self.pools.lookup(np.asarray(tod), np.asarray(dow))
-            time_features = temporal_feature_matrix(daily_l, weekly_l)
-        with _stage("graph-generation"):
-            graphs = [
-                generate_pattern_graph(p, time_features, self.graph_cfg, self.predefined_graph)
-                for p in self.patterns
-            ]
+            with _stage("time-lookups"):
+                daily_l, weekly_l = self.pools.lookup(np.asarray(tod), np.asarray(dow))
+                time_features = temporal_feature_matrix(daily_l, weekly_l)
+            with _stage("graph-generation"):
+                graphs = ordered_map(lambda g: generate_pattern_graph(
+                    self.patterns[g], time_features, self.graph_cfg, self.predefined_graph),
+                    cfg.patterns)
 
-        with _stage("decouple"):
-            flows = decouple(xn, daily_l, weekly_l, self.patterns[0].e1, self.gates)
+            with _stage("decouple"):
+                flows = decouple(xn, daily_l, weekly_l, self.patterns[0].e1, self.gates)
 
-        with _stage("graph-convolution"):
-            pattern_outputs = []
-            for g, flow in enumerate(flows.flows):
+            def convolve(g):
                 w, b = self.projections[g]
-                projected = flow @ w + b
                 weight = T.concat(self.rgc_weights[g], axis=-1)
-                pattern_outputs.append(rgc_forward(projected, graphs[g].final, weight, cfg.gamma))
-            x_out = T.concat(pattern_outputs, axis=-1)
+                return rgc_forward(flows.flows[g] @ w + b, graphs[g].final, weight, cfg.gamma)
 
-        with _stage("temporal-sequence"):
-            h_out = gru_forward(x_out, self.gru, cfg.dropout, training, rng)
+            with _stage("graph-convolution"):
+                x_out = T.concat(ordered_map(convolve, cfg.patterns), axis=-1)
+            activations = ForwardActivations(graphs=graphs, flows=flows) if collect else None
+            del graphs  # spatial, temporal and final, [B, N, N] each, unless collected
 
-        with _stage("regression-head"):
-            h_skip = T.concat([h_out, x_out, xn, daily_l, weekly_l], axis=-1)
-            hidden = (T.relu(T.relu(h_skip) @ self.head_w1 + self.head_b1)
-                      @ self.head_w2 + self.head_b2)
+            with _stage("temporal-sequence"):
+                h_out = gru_forward(x_out, self.gru, cfg.dropout, training, rng)
 
-            # fold time into channels per node, map to the full horizon at once
-            per_node = T.swapaxes(hidden, -3, -2)
-            lead = per_node.shape[:-2]
-            flat = T.reshape(per_node, lead + (cfg.history_steps * cfg.head_channels,))
-            mapped = flat @ self.head_out_w + self.head_out_b
-            mapped = T.reshape(mapped, lead + (cfg.horizon_steps, cfg.channels))
-            prediction = T.swapaxes(mapped, -3, -2)
+            with _stage("regression-head"):
+                # relu's pull reads only its output and concat's reads nothing,
+                # so the pre-ReLU skip features are freed before the product
+                h_skip = T.relu(T.concat([h_out, x_out, xn, daily_l, weekly_l], axis=-1))
+                hidden = (T.relu(h_skip @ self.head_w1 + self.head_b1)
+                          @ self.head_w2 + self.head_b2)
 
-            if self.normalizer:
-                prediction = self.normalizer.invert(prediction)
+                # fold time into channels per node, map to the full horizon at once
+                per_node = T.swapaxes(hidden, -3, -2)
+                lead = per_node.shape[:-2]
+                flat = T.reshape(per_node, lead + (cfg.history_steps * cfg.head_channels,))
+                mapped = flat @ self.head_out_w + self.head_out_b
+                mapped = T.reshape(mapped, lead + (cfg.horizon_steps, cfg.channels))
+                prediction = T.swapaxes(mapped, -3, -2)
 
-        if not collect:
-            return prediction
-        return prediction, ForwardActivations(graphs=graphs, flows=flows)
+                if self.normalizer:
+                    prediction = self.normalizer.invert(prediction)
+
+            if not collect:
+                return prediction
+            return prediction, activations

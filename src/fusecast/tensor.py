@@ -17,17 +17,29 @@ tape is single-use and backward memory falls as it walks back.
 
 Without an active tape every op is plain numpy with no recording, which
 doubles as inference mode.
+
+The tape stack is shared by every thread, so active_tape() is the
+caller's tape on ordered_map's worker threads too. While a thread runs an
+ordered_map task, its ops record into that task's own list rather than the
+tape (a threading.local names the list); once every task has ended, the
+lists are spliced onto the tape in task order. The tape is then record for
+record the one a plain loop over the tasks builds, and so are the
+gradients backward computes from it.
 """
 
 from __future__ import annotations
 
 import operator
+import os
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 
 _TAPES = []  # active tapes, innermost last; ops record into the innermost
+_LOCAL = threading.local()  # .records: the list of the ordered_map task this thread runs
 
 
 def _coerce(data) -> np.ndarray:
@@ -242,8 +254,79 @@ def _make(out_data: np.ndarray, pulls) -> Tensor:
     if not live:
         return Tensor(out_data)
     out = Tensor(out_data, requires_grad=True)
-    tape._records.append((out._slot, live))
+    records = getattr(_LOCAL, "records", None)
+    (tape._records if records is None else records).append((out._slot, live))
     return out
+
+
+@contextmanager
+def undo_on_error():
+    """If the block raises, drop the records it added to the active tape."""
+    tape = active_tape()
+    mark = len(tape) if tape is not None else 0
+    try:
+        yield
+    except BaseException:
+        if tape is not None:
+            del tape._records[mark:]
+        raise
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on (Linux)
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def ordered_map(fn, count: int) -> list:
+    """[fn(0), ..., fn(count - 1)], run on up to min(count, usable CPUs) threads.
+
+    The calling thread runs fn(0), and min(count, CPUs) - 1 worker threads
+    start with the next tasks; whichever thread ends a task takes the next
+    one not started, so one task or one usable CPU starts no thread. Each
+    task records its ops into a list of its own, and the lists are spliced
+    onto the active tape in task order once every task has ended (see the
+    module docstring). After a task raises, no further task starts, and
+    once the started ones have ended the exception of the lowest failed
+    task is raised, with nothing spliced.
+    """
+    results, errors = [None] * count, [None] * count
+    records = [[] for _ in range(count)]
+    tasks = iter(range(count))
+    lock = threading.Lock()
+
+    def take():
+        with lock:
+            return None if any(e is not None for e in errors) else next(tasks, None)
+
+    def work(g):
+        while g is not None:
+            _LOCAL.records = records[g]
+            try:
+                results[g] = fn(g)
+            except BaseException as exc:  # re-raised below, in task order
+                errors[g] = exc
+            _LOCAL.records = None
+            g = take()
+
+    first = take()  # the calling thread's, taken before any worker can
+    workers = [threading.Thread(target=work, args=(take(),))
+               for _ in range(min(count, _usable_cpus()) - 1)]
+    for w in workers:
+        w.start()
+    try:
+        work(first)
+    finally:
+        for w in workers:
+            w.join()
+    failed = next((e for e in errors if e is not None), None)
+    if failed is not None:
+        raise failed
+    tape = active_tape()
+    if tape is not None:
+        for task_records in records:
+            tape._records.extend(task_records)
+    return results
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:

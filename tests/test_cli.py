@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from fusecast import training
+from fusecast import network, training
 from fusecast.checkpoint import load_checkpoint, save_checkpoint
 from fusecast.cli import main
+from fusecast.errors import ShapeError
 from fusecast.network import Forecaster
 from fusecast.training import ABLATION_VARIANTS, MetricReport
 
@@ -284,6 +287,23 @@ def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "out of memory" in err and "train.batch_size" in err
+    assert "Traceback" not in err
+
+
+def test_pattern_failure_on_a_worker_exits_2(tmp_path, capsys, monkeypatch):
+    real = network.generate_pattern_graph
+
+    def generate(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise ShapeError("worker graph")
+        return real(*args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(network, "generate_pattern_graph", generate)
+    code, stdout, err = run_cli(capsys, "train", *TOY_ARGS, "--out", str(tmp_path / "r"),
+                                f"data.series={_toy_data(tmp_path, capsys)}")
+    assert code == 2 and stdout == ""
+    assert "[graph-generation] worker graph" in err
     assert "Traceback" not in err
 
 

@@ -1,7 +1,12 @@
+import dataclasses
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from conftest import fd_gradient, rel_err, toy_graph_config, toy_model_config
+from fusecast import network
 from fusecast import tensor as T
 from fusecast.errors import ConfigError, ShapeError
 from fusecast.network import (Forecaster, GruParams, _stage, gru_forward,
@@ -428,3 +433,78 @@ def test_consuming_backward_matches_dense_reference(toy_setup, dtype):
     for name in fast:
         assert fast[name].dtype == dense[name].dtype == dtype, name
         assert fast[name].tobytes() == dense[name].tobytes(), name
+
+
+@pytest.mark.parametrize("dtype, overrides", [(np.float64, {"dropout": 0.2}),
+                                              (np.float32, {"patterns": 3})],
+                         ids=["float64-dropout", "float32-patterns3"])
+def test_concurrent_patterns_match_the_plain_loop(toy_setup, monkeypatch, dtype, overrides):
+    series, train_ws, _, _, norm, _ = toy_setup
+    cfg = dataclasses.replace(toy_model_config(), **overrides)
+    model = Forecaster(series.n_nodes, series.steps_per_day, cfg, toy_graph_config(),
+                       normalizer=norm, dtype=dtype, seed=3)
+    hist, targ, tod, dow = train_ws.batch([0, 1, 2])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    started, start = [], threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+
+    def step():
+        with Tape() as tape:
+            pred = model.forward_batch(hist, tod, dow, training=True,
+                                       rng=np.random.default_rng(0))
+            records = len(tape)
+            tape.backward(masked_mae_loss(pred, targ))
+        grads = {name: p.grad.tobytes() for name, p in model.parameters().items()}
+        for p in model.parameters().values():
+            p.grad = None
+        return pred.data.tobytes(), records, grads
+
+    threaded = step()
+    assert len(started) == 2 * (cfg.patterns - 1)  # one worker per extra pattern, per stage
+    monkeypatch.setattr(network, "ordered_map", lambda fn, count: [fn(g) for g in range(count)])
+    assert step() == threaded
+
+
+@pytest.mark.parametrize("patterns, cpus", [(1, 2), (2, 1)])
+def test_one_pattern_or_one_cpu_forward_starts_no_thread(toy_setup, monkeypatch, patterns, cpus):
+    series, train_ws, _, _, norm, _ = toy_setup
+    cfg = dataclasses.replace(toy_model_config(), patterns=patterns)
+    model = Forecaster(series.n_nodes, series.steps_per_day, cfg, toy_graph_config(),
+                       normalizer=norm, dtype=np.float64, seed=3)
+    hist, _, tod, dow = train_ws.batch([0, 1])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+    assert model.forward_batch(hist, tod, dow).shape == (2, cfg.horizon_steps, 4, 1)
+    assert started == []
+
+
+def test_pattern_failure_on_a_worker_surfaces_after_pattern_0(toy_setup, monkeypatch):
+    series, train_ws, model = _toy_model(toy_setup)
+    hist, _, tod, dow = train_ws.batch([0, 1])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    real = network.generate_pattern_graph
+    failed, finished = threading.Event(), []
+
+    def generate(params, *args):
+        if params is model.patterns[1]:
+            failed.set()
+            raise ShapeError("pattern 1 graph")
+        assert failed.wait(timeout=10)  # pattern 0 ends after pattern 1 has failed
+        graphs = real(params, *args)
+        finished.append(params)
+        return graphs
+
+    monkeypatch.setattr(network, "generate_pattern_graph", generate)
+    x = Tensor([1.0], requires_grad=True)
+    with Tape() as tape:
+        x * 2.0
+        with pytest.raises(ShapeError, match=r"^\[graph-generation\] pattern 1 graph$"):
+            model.forward_batch(hist, tod, dow, training=True, rng=np.random.default_rng(0))
+        assert finished == [model.patterns[0]]
+        assert len(tape) == 1  # the record before the forward, none of the forward's

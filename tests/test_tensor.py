@@ -1,4 +1,7 @@
+import os
 import re
+import sys
+import threading
 import tracemalloc
 import weakref
 import zlib
@@ -370,6 +373,103 @@ def test_exception_inside_tape_restores_the_active_tape():
                 raise RuntimeError("boom")
         assert active_tape() is outer
     assert active_tape() is None
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_op_on_a_worker_records_into_its_task_list(monkeypatch):
+    _cpus(monkeypatch, 2)
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    seen = {}
+
+    def task(g):
+        out = x * float(g + 2)
+        seen[g] = (threading.current_thread() is threading.main_thread(),
+                   T._LOCAL.records[-1][0] is out._slot,
+                   any(slot is out._slot for slot, _ in tape._records))
+        return out
+
+    with Tape() as tape:
+        x * 1.0
+        outs = T.ordered_map(task, 2)
+        assert T._LOCAL.records is None
+        assert [slot for slot, _ in tape._records[1:]] == [o._slot for o in outs]
+        tape.backward(outs[0].sum() + outs[1].sum())
+    assert seen == {0: (True, True, False), 1: (False, True, False)}
+    assert x.grad.tolist() == [5.0, 5.0]
+
+
+def test_ordered_map_tape_equals_the_plain_loop_under_thread_switching(monkeypatch):
+    """More threads than cores and a short switch interval: lost order would show."""
+    _cpus(monkeypatch, 8)
+    x = Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
+
+    def task(g):
+        h = T.broadcast_to(x, (g + 1, 6))  # every record of task g has its own shape
+        for i in range(40):
+            h = T.tanh(h * (1.0 + 0.01 * g) + T.narrow(x, 0, i % 6, 1))
+        return h.sum()
+
+    def run(mapper):
+        x.grad = None
+        with Tape() as tape:
+            outs = mapper(task, 16)
+            shapes = [slot.shape for slot, _ in tape._records]
+            total = outs[0]
+            for out in outs[1:]:
+                total = total + out
+            tape.backward(total)
+        return [o.data.tobytes() for o in outs], shapes, x.grad.tobytes()
+
+    threads = threading.active_count()
+    serial = run(lambda fn, count: [fn(g) for g in range(count)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert run(T.ordered_map) == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+
+
+def test_first_failure_in_task_order_raises_after_every_task_ends(monkeypatch):
+    _cpus(monkeypatch, 3)
+    x = Tensor([1.0], requires_grad=True)
+    failed, ended = threading.Event(), []
+
+    def task(g):
+        x * 2.0
+        if g == 0:
+            assert failed.wait(timeout=10)  # the workers fail first
+            ended.append(g)
+            return g
+        failed.set()
+        raise ShapeError(f"task {g}")
+
+    with Tape() as tape:
+        with pytest.raises(ShapeError, match=r"^task 1$"):
+            T.ordered_map(task, 3)
+        assert ended == [0]
+        assert len(tape) == 0
+        with pytest.raises(ZeroDivisionError):
+            T.ordered_map(lambda g: 1 / g, 2)
+
+
+def test_undo_on_error_drops_only_the_blocks_records():
+    x = Tensor([1.0], requires_grad=True)
+    with Tape() as tape:
+        x * 2.0
+        with pytest.raises(RuntimeError):
+            with T.undo_on_error():
+                x * 3.0
+                raise RuntimeError("boom")
+        assert len(tape) == 1
+        with T.undo_on_error():
+            x * 4.0
+        assert len(tape) == 2
 
 
 OPS = [
