@@ -8,9 +8,20 @@ Exit codes are a stable contract: 0 success, 2 config error (including a
 step too big for memory, which a smaller batch fixes), 3 numerical failure
 (a non-finite training loss, or non-finite metrics from validation, the
 test pass or `eval`), 4 I/O error.
+
+BLAS runs one thread unless the environment asks for more: the forward and
+backward already run two batch halves at once, and a second BLAS thread
+per half oversubscribes a two-CPU machine. The thread count can also change
+the bits of large products. An explicit OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS still wins.
 """
 
 from __future__ import annotations
+
+import os
+
+for _blas_threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_blas_threads, "1")  # read once, when numpy loads below
 
 import argparse
 import json

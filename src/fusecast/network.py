@@ -5,13 +5,19 @@ skip-connection regression head.
 A pattern's M graph-convolution blocks differ only in their mixing weights,
 so they share one propagation pass mixed by the M weights side by side.
 
-The patterns are independent from graph generation through graph
-convolution, so those two stages run the patterns concurrently through
-tensor.ordered_map, one pattern per usable CPU, with the tape recorded in
-pattern order as a plain loop would; decoupling runs between them on the
-calling thread, and backward is serial.
+Each window builds its temporal and fused graphs from its own time
+features, so the windows of a batch are independent until the loss; only
+the parameters are shared. forward_batch therefore splits every batch into
+two contiguous halves of (B+1)//2 and B//2 windows (a single window is one
+half) and runs each half's whole forward through tensor.ordered_map, which
+records the tape as a plain loop over the halves would and has backward run
+the two halves' records concurrently. The split is fixed at two and never
+follows the CPU count, so predictions and gradients are the same bits on
+any machine; two halves also cost next to nothing at small shapes, where
+more and smaller pieces would. Within a half the patterns run as a plain
+loop. The parameter-only spatial graph is built once per half.
 
-Forward passes accept a leading batch dimension on histories and calendar
+Forward passes take a leading batch dimension on histories and calendar
 indices; graphs that depend on the window's time indices come out batched
 as well. Parameters are held in a flat ordered mapping whose names are the
 checkpoint contract:
@@ -29,6 +35,7 @@ checkpoint contract:
 
 from __future__ import annotations
 
+import dataclasses
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -118,11 +125,12 @@ def rgc_forward(h_in: Tensor, adjacency: Tensor, weight: Tensor, gamma: float) -
 
 
 def gru_forward(x_seq: Tensor, params: GruParams, dropout_rate: float,
-                training: bool, rng=None) -> Tensor:
+                training: bool, uniforms: np.ndarray | None = None) -> Tensor:
     """Shared-weight GRU over the time axis of [..., Th, N, d_in].
 
     Nodes ride along as batch elements; the hidden state starts at zero
-    and the stacked outputs pass through inverted dropout.
+    and the stacked outputs pass through inverted dropout, whose uniform
+    draws [..., Th, N, d_h] the caller supplies in training mode.
     """
     th = x_seq.shape[-3]
     n = x_seq.shape[-2]
@@ -137,7 +145,7 @@ def gru_forward(x_seq: Tensor, params: GruParams, dropout_rate: float,
         h = (1.0 - z) * h + z * cand
         outputs.append(h)
     stacked = T.concat(outputs, axis=-3)
-    return T.dropout(stacked, dropout_rate, training, rng)
+    return T.dropout(stacked, dropout_rate, training, uniforms=uniforms)
 
 
 class Forecaster:
@@ -287,62 +295,102 @@ class Forecaster:
         """Predict [B, Tf, N, C] raw-unit flow from raw histories [B, Th, N, C].
 
         tod/dow are integer index arrays [B, Th]. Returns the prediction
-        tensor, or (prediction, ForwardActivations) when collect is set.
-        A forward that raises leaves the active tape as it found it.
+        tensor, or (prediction, ForwardActivations) when collect is set; the
+        activations are the halves' merged along the batch axis, and a
+        parameter-only graph is the first half's. The dropout draws of the
+        whole batch come from one rng.random call on the calling thread, so
+        they do not depend on the split. A forward that raises leaves the
+        active tape as it found it.
         """
         cfg = self.cfg
         with undo_on_error():
             with _stage("normalize"):
                 x_raw = np.asarray(history, dtype=self.dtype)
-                if (x_raw.shape[-3] != cfg.history_steps or x_raw.shape[-2] != self.n_nodes
-                        or x_raw.shape[-1] != cfg.channels):
+                if (x_raw.ndim != 4 or x_raw.shape[1] != cfg.history_steps
+                        or x_raw.shape[2] != self.n_nodes or x_raw.shape[3] != cfg.channels):
                     raise ShapeError(
-                        f"history shaped {x_raw.shape} does not match (Th={cfg.history_steps}, "
+                        f"history shaped {x_raw.shape} does not match (B, Th={cfg.history_steps}, "
                         f"N={self.n_nodes}, C={cfg.channels})")
-                xn = Tensor(self.normalizer.apply(x_raw) if self.normalizer else x_raw)
+                xn = self.normalizer.apply(x_raw) if self.normalizer else x_raw
+            tod, dow = np.asarray(tod), np.asarray(dow)
+            uniforms = None
+            if training and cfg.dropout > 0.0 and rng is not None:
+                uniforms = rng.random(x_raw.shape[:-1] + (cfg.rgc_iterations * cfg.hidden,))
 
-            with _stage("time-lookups"):
-                daily_l, weekly_l = self.pools.lookup(np.asarray(tod), np.asarray(dow))
-                time_features = temporal_feature_matrix(daily_l, weekly_l)
-            with _stage("graph-generation"):
-                graphs = ordered_map(lambda g: generate_pattern_graph(
-                    self.patterns[g], time_features, self.graph_cfg, self.predefined_graph),
-                    cfg.patterns)
+            batch = len(x_raw)
+            cuts = [0, (batch + 1) // 2, batch] if batch > 1 else [0, batch]
 
-            with _stage("decouple"):
-                flows = decouple(xn, daily_l, weekly_l, self.patterns[0].e1, self.gates)
+            def half(h):
+                part = slice(cuts[h], cuts[h + 1])
+                return self._forward_windows(
+                    Tensor(xn[part]), tod[part], dow[part], training,
+                    None if uniforms is None else uniforms[part], collect)
 
-            def convolve(g):
-                w, b = self.projections[g]
-                weight = T.concat(self.rgc_weights[g], axis=-1)
-                return rgc_forward(flows.flows[g] @ w + b, graphs[g].final, weight, cfg.gamma)
-
-            with _stage("graph-convolution"):
-                x_out = T.concat(ordered_map(convolve, cfg.patterns), axis=-1)
-            activations = ForwardActivations(graphs=graphs, flows=flows) if collect else None
-            del graphs  # spatial, temporal and final, [B, N, N] each, unless collected
-
-            with _stage("temporal-sequence"):
-                h_out = gru_forward(x_out, self.gru, cfg.dropout, training, rng)
-
-            with _stage("regression-head"):
-                # relu's pull reads only its output and concat's reads nothing,
-                # so the pre-ReLU skip features are freed before the product
-                h_skip = T.relu(T.concat([h_out, x_out, xn, daily_l, weekly_l], axis=-1))
-                hidden = (T.relu(h_skip @ self.head_w1 + self.head_b1)
-                          @ self.head_w2 + self.head_b2)
-
-                # fold time into channels per node, map to the full horizon at once
-                per_node = T.swapaxes(hidden, -3, -2)
-                lead = per_node.shape[:-2]
-                flat = T.reshape(per_node, lead + (cfg.history_steps * cfg.head_channels,))
-                mapped = flat @ self.head_out_w + self.head_out_b
-                mapped = T.reshape(mapped, lead + (cfg.horizon_steps, cfg.channels))
-                prediction = T.swapaxes(mapped, -3, -2)
-
-                if self.normalizer:
-                    prediction = self.normalizer.invert(prediction)
-
+            parts = ordered_map(half, len(cuts) - 1)
+            prediction = T.concat([p for p, _ in parts], axis=0)
             if not collect:
                 return prediction
-            return prediction, activations
+            return prediction, _merge([a for _, a in parts])
+
+    def _forward_windows(self, xn: Tensor, tod, dow, training: bool, uniforms, collect: bool):
+        """(prediction, ForwardActivations or None) of normalized windows xn [B, Th, N, C]."""
+        cfg = self.cfg
+        with _stage("time-lookups"):
+            daily_l, weekly_l = self.pools.lookup(tod, dow)
+            time_features = temporal_feature_matrix(daily_l, weekly_l)
+        with _stage("graph-generation"):
+            graphs = [generate_pattern_graph(params, time_features, self.graph_cfg,
+                                             self.predefined_graph)
+                      for params in self.patterns]
+
+        with _stage("decouple"):
+            flows = decouple(xn, daily_l, weekly_l, self.patterns[0].e1, self.gates)
+
+        def convolve(g):
+            w, b = self.projections[g]
+            weight = T.concat(self.rgc_weights[g], axis=-1)
+            return rgc_forward(flows.flows[g] @ w + b, graphs[g].final, weight, cfg.gamma)
+
+        with _stage("graph-convolution"):
+            x_out = T.concat([convolve(g) for g in range(cfg.patterns)], axis=-1)
+        activations = ForwardActivations(graphs=graphs, flows=flows) if collect else None
+        del graphs  # spatial, temporal and final, [B, N, N] each, unless collected
+
+        with _stage("temporal-sequence"):
+            h_out = gru_forward(x_out, self.gru, cfg.dropout, training, uniforms)
+
+        with _stage("regression-head"):
+            # relu's pull reads only its output and concat's reads nothing,
+            # so the pre-ReLU skip features are freed before the product
+            h_skip = T.relu(T.concat([h_out, x_out, xn, daily_l, weekly_l], axis=-1))
+            hidden = (T.relu(h_skip @ self.head_w1 + self.head_b1)
+                      @ self.head_w2 + self.head_b2)
+
+            # fold time into channels per node, map to the full horizon at once
+            per_node = T.swapaxes(hidden, -3, -2)
+            lead = per_node.shape[:-2]
+            flat = T.reshape(per_node, lead + (cfg.history_steps * cfg.head_channels,))
+            mapped = flat @ self.head_out_w + self.head_out_b
+            mapped = T.reshape(mapped, lead + (cfg.horizon_steps, cfg.channels))
+            prediction = T.swapaxes(mapped, -3, -2)
+
+            if self.normalizer:
+                prediction = self.normalizer.invert(prediction)
+        return prediction, activations
+
+
+def _merge(parts):
+    """The halves' activations as one: tensors with a batch axis join along it.
+
+    A graph without one ([N, N], built from parameters only) is the same in
+    every half, so the first half's stands for all.
+    """
+    first = parts[0]
+    if isinstance(first, list):
+        return [_merge(list(items)) for items in zip(*parts)]
+    if dataclasses.is_dataclass(first):
+        return type(first)(**{f.name: _merge([getattr(p, f.name) for p in parts])
+                              for f in dataclasses.fields(first)})
+    if first is None or first.ndim == 2:
+        return first
+    return T.concat(parts, axis=0)

@@ -22,9 +22,19 @@ The tape stack is shared by every thread, so active_tape() is the
 caller's tape on ordered_map's worker threads too. While a thread runs an
 ordered_map task, its ops record into that task's own list rather than the
 tape (a threading.local names the list); once every task has ended, the
-lists are spliced onto the tape in task order. The tape is then record for
-record the one a plain loop over the tasks builds, and so are the
-gradients backward computes from it.
+lists are spliced onto the tape in task order, and their ranges of records
+are kept on the tape as one group. The tape is then record for record the
+one a plain loop over the tasks builds.
+
+Backward runs a group's ranges concurrently, range g on the thread that
+runs task g. A slot that a range produced is read by that range only, so
+its gradient accumulates in place there. A slot that a range writes but did
+not produce (a parameter, or an input made before the map) is shared: the
+last range, which a serial pass runs first, adds its pieces in place, and
+every other range buffers them. Once the group has ended, the buffered
+pieces are added last range first, each range's in the order it made them,
+which is the order a serial pass adds them in. The gradients are therefore
+bitwise those of a serial pass over the same tape.
 """
 
 from __future__ import annotations
@@ -147,10 +157,14 @@ class Tape:
 
     A record is (output slot, [(input slot, pull_fn), ...]); the pulls
     capture arrays and shapes, never a Tensor (see the module docstring).
+    A group is one ordered_map call's record ranges, as their bounds
+    [start of task 0, start of task 1, ..., end of the last task]; backward
+    runs a group's ranges concurrently (see the module docstring).
     """
 
     def __init__(self):
         self._records = []  # (output slot, [(input slot, pull_fn), ...]) in execution order
+        self._groups = []   # bounds of each ordered_map call's ranges, in record order
 
     def __enter__(self):
         _TAPES.append(self)
@@ -172,25 +186,68 @@ class Tape:
         afterwards the tape is empty and only the inputs that no record of
         it produced (leaves, or op outputs of an earlier tape) keep a
         gradient. An output with no slot needs no gradient: the tape is
-        just emptied.
+        just emptied. A group's ranges run concurrently; if pulls raise, the
+        first failure in serial order (last range first) is raised once
+        every range has ended.
         """
         slot = output._slot
         if slot is None:
             self._records.clear()
+            self._groups.clear()
             return
         seed = np.ones_like(output.data)
         slot.grad = seed if slot.grad is None else slot.grad + seed
         owned = set()  # ids of the slots whose .grad this pass allocated
-        records = self._records
+        records, groups = self._records, self._groups
         while records:
-            out, pulls = records.pop()
-            g = out.grad
-            if g is None:
-                continue  # nothing downstream consumed this value
-            for t, pull in pulls:
+            bounds = groups.pop() if groups else [0]
+            tail = records[bounds[-1]:]  # the records after the group, or all of them
+            del records[bounds[-1]:]
+            _walk_back(tail, owned)
+            if len(bounds) > 1:
+                ranges = [records[a:b] for a, b in zip(bounds, bounds[1:])]
+                del records[bounds[0]:]
+                _walk_group(ranges, owned)
+
+
+def _walk_group(ranges, owned: set):
+    """Run one group's ranges back concurrently (see the module docstring)."""
+    last = len(ranges) - 1
+    pending = [[] for _ in range(last)]  # the shared slots' pieces of every range but the last
+
+    def walk(g):
+        if g == last:
+            _walk_back(ranges[g], owned)
+        else:
+            _walk_back(ranges[g], set(), pending[g])
+
+    failed = next((e for e in reversed(_run_tasks(walk, len(ranges))) if e is not None), None)
+    if failed is not None:
+        raise failed
+    for pieces in reversed(pending):
+        for t, piece in pieces:
+            _accumulate(t, piece, owned)
+
+
+def _walk_back(records, owned: set, pending=None):
+    """Run records last first, emptying the list, and accumulate their pulls.
+
+    With pending, the pieces for slots that no record of the list produced
+    are appended to it in order instead of accumulated.
+    """
+    produced = None if pending is None else {id(out) for out, _ in records}
+    while records:
+        out, pulls = records.pop()
+        g = out.grad
+        if g is None:
+            continue  # nothing downstream consumed this value
+        for t, pull in pulls:
+            if produced is None or id(t) in produced:
                 _accumulate(t, pull(g), owned)
-            out.grad = None
-            owned.discard(id(out))
+            else:
+                pending.append((t, pull(g)))
+        out.grad = None
+        owned.discard(id(out))
 
 
 class _Slice:
@@ -261,7 +318,7 @@ def _make(out_data: np.ndarray, pulls) -> Tensor:
 
 @contextmanager
 def undo_on_error():
-    """If the block raises, drop the records it added to the active tape."""
+    """If the block raises, drop the records and groups it added to the active tape."""
     tape = active_tape()
     mark = len(tape) if tape is not None else 0
     try:
@@ -269,6 +326,8 @@ def undo_on_error():
     except BaseException:
         if tape is not None:
             del tape._records[mark:]
+            while tape._groups and tape._groups[-1][-1] > mark:
+                tape._groups.pop()
         raise
 
 
@@ -278,35 +337,28 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def ordered_map(fn, count: int) -> list:
-    """[fn(0), ..., fn(count - 1)], run on up to min(count, usable CPUs) threads.
+def _run_tasks(fn, count: int) -> list:
+    """Run fn(0), ..., fn(count - 1) on up to min(count, usable CPUs) threads.
 
     The calling thread runs fn(0), and min(count, CPUs) - 1 worker threads
     start with the next tasks; whichever thread ends a task takes the next
-    one not started, so one task or one usable CPU starts no thread. Each
-    task records its ops into a list of its own, and the lists are spliced
-    onto the active tape in task order once every task has ended (see the
-    module docstring). After a task raises, no further task starts, and
-    once the started ones have ended the exception of the lowest failed
-    task is raised, with nothing spliced.
+    one not started, so one task or one usable CPU starts no thread.
+    Returns each task's exception, or None, once every task has ended.
     """
-    results, errors = [None] * count, [None] * count
-    records = [[] for _ in range(count)]
+    errors = [None] * count
     tasks = iter(range(count))
     lock = threading.Lock()
 
     def take():
         with lock:
-            return None if any(e is not None for e in errors) else next(tasks, None)
+            return next(tasks, None)
 
     def work(g):
         while g is not None:
-            _LOCAL.records = records[g]
             try:
-                results[g] = fn(g)
-            except BaseException as exc:  # re-raised below, in task order
+                fn(g)
+            except BaseException as exc:  # the caller picks which one to raise
                 errors[g] = exc
-            _LOCAL.records = None
             g = take()
 
     first = take()  # the calling thread's, taken before any worker can
@@ -319,13 +371,43 @@ def ordered_map(fn, count: int) -> list:
     finally:
         for w in workers:
             w.join()
-    failed = next((e for e in errors if e is not None), None)
+    return errors
+
+
+def ordered_map(fn, count: int) -> list:
+    """[fn(0), ..., fn(count - 1)], run on up to min(count, usable CPUs) threads.
+
+    The tasks must not depend on each other. Each task records its ops into
+    a list of its own; once every task has ended, the lists are spliced
+    onto the active tape in task order and their ranges are kept as one
+    group, which backward runs concurrently (see the module docstring). If
+    tasks raise, the exception of the lowest failed task is raised once
+    every task has ended, with nothing spliced. A task must not call
+    ordered_map itself: that raises RuntimeError.
+    """
+    if getattr(_LOCAL, "records", None) is not None:
+        raise RuntimeError("ordered_map called inside an ordered_map task; "
+                           "nested calls would splice their records out of order")
+    results = [None] * count
+    records = [[] for _ in range(count)]
+
+    def task(g):
+        _LOCAL.records = records[g]
+        try:
+            results[g] = fn(g)
+        finally:
+            _LOCAL.records = None
+
+    failed = next((e for e in _run_tasks(task, count) if e is not None), None)
     if failed is not None:
         raise failed
     tape = active_tape()
-    if tape is not None:
+    if tape is not None and any(records):
+        bounds = [len(tape)]
         for task_records in records:
             tape._records.extend(task_records)
+            bounds.append(len(tape))
+        tape._groups.append(bounds)
     return results
 
 
@@ -550,15 +632,19 @@ def gather(table: Tensor, index: np.ndarray):
     return _make(out_data, [(table, pull)])
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None):
-    """Inverted dropout: scales survivors by 1/(1-rate) so eval is identity."""
+def dropout(x: Tensor, rate: float, training: bool, uniforms: np.ndarray | None = None):
+    """Inverted dropout: scales survivors by 1/(1-rate) so eval is identity.
+
+    In training mode an entry survives where its draw in `uniforms`, uniform
+    draws from an explicit rng shaped like x, is at least rate.
+    """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    if rng is None:
-        raise ConfigError("dropout in training mode needs an explicit rng")
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+    if uniforms is None:
+        raise ConfigError("dropout in training mode needs uniform draws from an explicit rng")
+    keep = (uniforms >= rate).astype(x.dtype) / (1.0 - rate)
     return _make(x.data * keep, [(x, lambda g: g * keep)])
 
 

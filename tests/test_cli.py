@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,3 +433,64 @@ def test_corrupted_inputs_exit_with_a_documented_code(tmp_path, capsys):
         path.write_bytes(clean)
     capsys.readouterr()
     assert {code for _, code in codes} <= {0, 2, 3, 4}, codes
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SRC = str(Path(network.__file__).resolve().parent.parent)
+BLAS_PROBE = """
+import ctypes, json, os
+import fusecast.cli
+with open("/proc/self/maps") as fh:
+    paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+in_force = None
+for path in paths:
+    for symbol in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                   "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+        fn = getattr(ctypes.CDLL(path), symbol, None)
+        if fn is not None and in_force is None:
+            fn.restype = ctypes.c_int
+            in_force = fn()
+print(json.dumps({"env": [os.environ[v] for v in %r], "in_force": in_force}))
+""" % (BLAS_VARS,)
+
+
+def _child_env(**extra):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(extra)
+    return env
+
+
+@pytest.mark.parametrize("setting, expected", [({}, ["1", "1", "1"]),
+                                               ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])],
+                         ids=["default", "explicit"])
+def test_cli_defaults_blas_to_one_thread_unless_set(setting, expected):
+    done = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=_child_env(**setting),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["env"] == expected
+    if report["in_force"] is not None:  # an OpenBLAS build: the count it runs with
+        assert report["in_force"] == int(expected[0])
+
+
+PINNED_TRAIN = ("import os, sys; os.sched_setaffinity(0, %r); "
+                "from fusecast.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs to pin to")
+def test_same_seed_training_on_one_and_two_cpus_writes_the_same_bytes(tmp_path, capsys):
+    csv = _toy_data(tmp_path, capsys)
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    outputs = []
+    for pinned in ({cpus[0]}, set(cpus)):
+        out = tmp_path / f"cpus{len(pinned)}"
+        done = subprocess.run(
+            [sys.executable, "-c", PINNED_TRAIN % (pinned,), "train", *TOY_ARGS,
+             "--out", str(out), f"data.series={csv}", "model.dropout=0.2", "train.max_epochs=3"],
+            env=_child_env(), capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append([(out / name).read_bytes()
+                        for name in ("checkpoint.bin", "history.jsonl", "metrics.json")])
+    assert outputs[0] == outputs[1]

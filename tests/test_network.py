@@ -435,15 +435,29 @@ def test_consuming_backward_matches_dense_reference(toy_setup, dtype):
         assert fast[name].tobytes() == dense[name].tobytes(), name
 
 
-@pytest.mark.parametrize("dtype, overrides", [(np.float64, {"dropout": 0.2}),
-                                              (np.float32, {"patterns": 3})],
-                         ids=["float64-dropout", "float32-patterns3"])
-def test_concurrent_patterns_match_the_plain_loop(toy_setup, monkeypatch, dtype, overrides):
+def _training_step(model, hist, targ, tod, dow):
+    """Prediction bytes, records, groups and gradient bytes of one training step."""
+    with Tape() as tape:
+        pred = model.forward_batch(hist, tod, dow, training=True, rng=np.random.default_rng(0))
+        records, groups = len(tape), len(tape._groups)
+        tape.backward(masked_mae_loss(pred, targ))
+    grads = {name: p.grad.tobytes() for name, p in model.parameters().items()}
+    for p in model.parameters().values():
+        p.grad = None
+    return pred.data.tobytes(), records, groups, grads
+
+
+@pytest.mark.parametrize("dtype, overrides, batch", [(np.float64, {"dropout": 0.2}, 3),
+                                                     (np.float32, {"patterns": 3}, 3),
+                                                     (np.float32, {"dropout": 0.2}, 5)],
+                         ids=["float64-dropout", "float32-patterns3", "float32-batch5"])
+def test_concurrent_patterns_match_the_plain_loop(toy_setup, monkeypatch, dtype, overrides, batch):
+    """The two halves, forward and backward, give the bits of a plain loop over them."""
     series, train_ws, _, _, norm, _ = toy_setup
     cfg = dataclasses.replace(toy_model_config(), **overrides)
     model = Forecaster(series.n_nodes, series.steps_per_day, cfg, toy_graph_config(),
                        normalizer=norm, dtype=dtype, seed=3)
-    hist, targ, tod, dow = train_ws.batch([0, 1, 2])
+    hist, targ, tod, dow = train_ws.batch(list(range(batch)))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     started, start = [], threading.Thread.start
 
@@ -452,39 +466,75 @@ def test_concurrent_patterns_match_the_plain_loop(toy_setup, monkeypatch, dtype,
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
-
-    def step():
-        with Tape() as tape:
-            pred = model.forward_batch(hist, tod, dow, training=True,
-                                       rng=np.random.default_rng(0))
-            records = len(tape)
-            tape.backward(masked_mae_loss(pred, targ))
-        grads = {name: p.grad.tobytes() for name, p in model.parameters().items()}
-        for p in model.parameters().values():
-            p.grad = None
-        return pred.data.tobytes(), records, grads
-
-    threaded = step()
-    assert len(started) == 2 * (cfg.patterns - 1)  # one worker per extra pattern, per stage
+    pred, records, groups, grads = _training_step(model, hist, targ, tod, dow)
+    assert len(started) == 2  # one worker for the second half forward, one for its backward
+    assert groups == 1
+    # a plain loop records no group, so backward runs the same tape serially
     monkeypatch.setattr(network, "ordered_map", lambda fn, count: [fn(g) for g in range(count)])
-    assert step() == threaded
+    assert _training_step(model, hist, targ, tod, dow) == (pred, records, 0, grads)
 
 
-@pytest.mark.parametrize("patterns, cpus", [(1, 2), (2, 1)])
-def test_one_pattern_or_one_cpu_forward_starts_no_thread(toy_setup, monkeypatch, patterns, cpus):
+def test_predictions_and_gradients_do_not_depend_on_the_cpu_count(toy_setup, monkeypatch):
     series, train_ws, _, _, norm, _ = toy_setup
-    cfg = dataclasses.replace(toy_model_config(), patterns=patterns)
+    cfg = dataclasses.replace(toy_model_config(), dropout=0.2)
     model = Forecaster(series.n_nodes, series.steps_per_day, cfg, toy_graph_config(),
-                       normalizer=norm, dtype=np.float64, seed=3)
-    hist, _, tod, dow = train_ws.batch([0, 1])
+                       normalizer=norm, dtype=np.float32, seed=3)
+    hist, targ, tod, dow = train_ws.batch(list(range(7)))
+    steps = []
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        steps.append(_training_step(model, hist, targ, tod, dow))
+    assert steps[0] == steps[1] == steps[2]
+
+
+@pytest.mark.parametrize("batch", [3, 5, 6, 31])
+def test_halves_predict_the_bits_of_the_whole_batch(toy_setup, batch):
+    """In training mode with dropout: the batch's draws come from one rng.random call."""
+    series, train_ws, _, _, norm, _ = toy_setup
+    cfg = dataclasses.replace(toy_model_config(), dropout=0.2)
+    model = Forecaster(series.n_nodes, series.steps_per_day, cfg, toy_graph_config(),
+                       normalizer=norm, dtype=np.float32, seed=3)
+    hist, _, tod, dow = train_ws.batch([w % len(train_ws) for w in range(batch)])
+    split = model.forward_batch(hist, tod, dow, training=True, rng=np.random.default_rng(0))
+    uniforms = np.random.default_rng(0).random(hist.shape[:-1] + (cfg.rgc_iterations * cfg.hidden,))
+    whole, _ = model._forward_windows(Tensor(norm.apply(hist.astype(np.float32))), tod, dow,
+                                      True, uniforms, False)
+    assert split.data.tobytes() == whole.data.tobytes()
+
+
+def test_collected_activations_are_the_whole_batch_s(toy_setup):
+    """The halves' activations join along the batch axis; the [N, N] spatial graph is the first half's."""
+    series, train_ws, model = _toy_model(toy_setup)
+    hist, _, tod, dow = train_ws.batch([0, 1, 2])
+    _, split = model.forward_batch(hist, tod, dow, collect=True)
+    _, whole = model._forward_windows(Tensor(model.normalizer.apply(hist.astype(model.dtype))),
+                                      tod, dow, False, None, True)
+
+    def tensors(acts):
+        graphs = [t for g in acts.graphs for t in (g.spatial, g.temporal, g.final)]
+        return [None if t is None else (t.shape, t.data.tobytes())
+                for t in graphs + acts.flows.flows + acts.flows.ratios]
+
+    assert split.graphs[0].spatial.ndim == 2
+    assert tensors(split) == tensors(whole)
+
+
+@pytest.mark.parametrize("windows, cpus", [(1, 2), (2, 1)])
+def test_one_window_or_one_cpu_step_starts_no_thread(toy_setup, monkeypatch, windows, cpus):
+    series, train_ws, model = _toy_model(toy_setup)
+    hist, targ, tod, dow = train_ws.batch(list(range(windows)))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     started = []
     monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
-    assert model.forward_batch(hist, tod, dow).shape == (2, cfg.horizon_steps, 4, 1)
+    with Tape() as tape:
+        pred = model.forward_batch(hist, tod, dow)
+        assert pred.shape == (windows, model.cfg.horizon_steps, 4, 1)
+        tape.backward(masked_mae_loss(pred, targ))
     assert started == []
 
 
 def test_pattern_failure_on_a_worker_surfaces_after_pattern_0(toy_setup, monkeypatch):
+    """Pattern 1 fails in the worker's half; the calling thread's half still ends first."""
     series, train_ws, model = _toy_model(toy_setup)
     hist, _, tod, dow = train_ws.batch([0, 1])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -492,19 +542,29 @@ def test_pattern_failure_on_a_worker_surfaces_after_pattern_0(toy_setup, monkeyp
     failed, finished = threading.Event(), []
 
     def generate(params, *args):
-        if params is model.patterns[1]:
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker and params is model.patterns[1]:
             failed.set()
             raise ShapeError("pattern 1 graph")
-        assert failed.wait(timeout=10)  # pattern 0 ends after pattern 1 has failed
+        if not on_worker:
+            assert failed.wait(timeout=10)  # the calling thread's half goes on after the failure
         graphs = real(params, *args)
-        finished.append(params)
+        finished.append((on_worker, model.patterns.index(params)))
         return graphs
 
     monkeypatch.setattr(network, "generate_pattern_graph", generate)
+    real_gru, gru_threads = network.gru_forward, []
+
+    def gru(*args):
+        gru_threads.append(threading.current_thread())
+        return real_gru(*args)
+
+    monkeypatch.setattr(network, "gru_forward", gru)
     x = Tensor([1.0], requires_grad=True)
     with Tape() as tape:
         x * 2.0
         with pytest.raises(ShapeError, match=r"^\[graph-generation\] pattern 1 graph$"):
             model.forward_batch(hist, tod, dow, training=True, rng=np.random.default_rng(0))
-        assert finished == [model.patterns[0]]
-        assert len(tape) == 1  # the record before the forward, none of the forward's
+        assert sorted(finished) == [(False, 0), (False, 1), (True, 0)]
+        assert gru_threads == [threading.main_thread()]  # the calling thread's half went on
+        assert len(tape) == 1 and tape._groups == []  # only the record made before the forward

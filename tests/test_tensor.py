@@ -192,7 +192,7 @@ def test_out_of_range_axis_raises_instead_of_wrapping(op):
 
 def test_dropout_rate_zero_is_identity():
     x = Tensor(np.arange(6.0))
-    out = T.dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
+    out = T.dropout(x, 0.0, training=True, uniforms=np.random.default_rng(0).random(6))
     assert out is x
 
 
@@ -204,7 +204,7 @@ def test_dropout_eval_mode_is_identity():
 def test_dropout_preserves_expectation():
     rng = np.random.default_rng(123)
     x = Tensor(np.full(100_000, 2.0))
-    out = T.dropout(x, 0.5, training=True, rng=rng)
+    out = T.dropout(x, 0.5, training=True, uniforms=rng.random(x.shape))
     # mean of inverted dropout equals the input in expectation;
     # std of the sample mean is ~2/sqrt(1e5) ~ 0.0063, allow 5 sigma
     assert abs(out.data.mean() - 2.0) < 0.032
@@ -214,7 +214,7 @@ def test_dropout_preserves_expectation():
 
 def test_dropout_invalid_rate():
     with pytest.raises(ConfigError):
-        T.dropout(Tensor([1.0]), 1.0, training=True, rng=np.random.default_rng(0))
+        T.dropout(Tensor([1.0]), 1.0, training=True, uniforms=np.random.default_rng(0).random(1))
 
 
 def test_dropout_in_training_needs_an_rng():
@@ -417,19 +417,24 @@ def test_ordered_map_tape_equals_the_plain_loop_under_thread_switching(monkeypat
         with Tape() as tape:
             outs = mapper(task, 16)
             shapes = [slot.shape for slot, _ in tape._records]
+            groups = [list(bounds) for bounds in tape._groups]
             total = outs[0]
             for out in outs[1:]:
                 total = total + out
             tape.backward(total)
-        return [o.data.tobytes() for o in outs], shapes, x.grad.tobytes()
+        return [o.data.tobytes() for o in outs], shapes, x.grad.tobytes(), groups
 
     threads = threading.active_count()
-    serial = run(lambda fn, count: [fn(g) for g in range(count)])
+    *serial, no_groups = run(lambda fn, count: [fn(g) for g in range(count)])
+    assert no_groups == []  # so its backward is serial
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            assert run(T.ordered_map) == serial
+            *mapped, groups = run(T.ordered_map)
+            assert mapped == serial
+            # one group, one range per task, which backward ran on the workers too
+            assert [len(bounds) for bounds in groups] == [17]
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads
@@ -470,6 +475,88 @@ def test_undo_on_error_drops_only_the_blocks_records():
         with T.undo_on_error():
             x * 4.0
         assert len(tape) == 2
+
+
+def test_nested_ordered_map_raises():
+    x = Tensor([1.0], requires_grad=True)
+    with Tape() as tape:
+        with pytest.raises(RuntimeError, match="ordered_map"):
+            T.ordered_map(lambda g: T.ordered_map(lambda h: x * 2.0, 2), 2)
+        assert T._LOCAL.records is None
+        assert len(tape) == 0 and tape._groups == []
+
+
+def test_group_adds_shared_pieces_in_serial_order(monkeypatch):
+    """float32 pieces 1e8, 1 and -1e8 into one leaf: each order of adding them has its own bits."""
+    _cpus(monkeypatch, 2)
+    x = Tensor(np.ones(1, dtype=np.float32), requires_grad=True)
+    factors = [[1.0, -1e8], [1e8]]  # range 0 pulls -1e8 then 1, range 1 pulls 1e8
+
+    def task(g):
+        return [x * f for f in factors[g]]
+
+    def grad(mapper):
+        x.grad = None
+        with Tape() as tape:
+            outs = [y for ys in mapper(task, 2) for y in ys]
+            assert len(tape._groups) == (mapper is T.ordered_map)
+            total = outs[0]
+            for y in outs[1:]:
+                total = total + y
+            tape.backward(total)
+        return x.grad
+
+    serial = grad(lambda fn, count: [fn(g) for g in range(count)])
+    assert serial.dtype == np.float32
+    assert grad(T.ordered_map).tobytes() == serial.tobytes()
+    one = np.float32(1.0)
+    assert serial[0] == (np.float32(1e8) + np.float32(-1e8)) + one == 1.0
+    assert (np.float32(-1e8) + one) + np.float32(1e8) != serial[0]  # range 0 first
+    assert (np.float32(1e8) + one) + np.float32(-1e8) != serial[0]  # range 0's pieces reversed
+
+
+def _record(x, pull):
+    """One recorded op on x whose backward runs `pull`."""
+    return T._make(x.data * 1.0, [(x, pull)])
+
+
+def test_group_failure_raises_the_last_range_first_once_both_end(monkeypatch):
+    _cpus(monkeypatch, 2)
+    x = Tensor([1.0], requires_grad=True)
+    failed, ended, threads = threading.Event(), [], {}
+
+    def pull_0(g):
+        threads[0] = threading.current_thread()
+        assert failed.wait(timeout=10)  # range 1 fails first
+        ended.append(0)
+        raise ShapeError("range 0")
+
+    def pull_1(g):
+        threads[1] = threading.current_thread()
+        failed.set()
+        raise ShapeError("range 1")
+
+    with Tape() as tape:
+        outs = T.ordered_map(lambda g: _record(x, (pull_0, pull_1)[g]), 2)
+        with pytest.raises(ShapeError, match=r"^range 1$"):
+            tape.backward(outs[0] + outs[1])
+    assert ended == [0]
+    assert threads[0] is threading.main_thread() and threads[1] is not threading.main_thread()
+
+
+def test_undo_on_error_and_a_slotless_backward_drop_groups(monkeypatch):
+    _cpus(monkeypatch, 2)
+    x = Tensor([1.0], requires_grad=True)
+    with Tape() as tape:
+        T.ordered_map(lambda g: x * float(g), 2)
+        with pytest.raises(RuntimeError):
+            with T.undo_on_error():
+                T.ordered_map(lambda g: x * float(g), 2)
+                raise RuntimeError("boom")
+        assert len(tape) == 2 and tape._groups == [[0, 1, 2]]
+        tape.backward(Tensor(0.0))
+        assert len(tape) == 0 and tape._groups == []
+    assert x.grad is None
 
 
 OPS = [
