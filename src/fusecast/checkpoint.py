@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from collections import OrderedDict
 from contextlib import contextmanager
 
 import numpy as np
@@ -67,12 +66,12 @@ def save_checkpoint(path, params: dict) -> None:
             fh.write(np.ascontiguousarray(arr, dtype=_TAG_DTYPES[tag]).tobytes())
 
 
-def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
-    """Read a checkpoint back as an ordered name -> array mapping.
+def load_checkpoint(path) -> "dict[str, np.ndarray]":
+    """Read a checkpoint back as a name -> array mapping in file order.
 
-    Malformed content raises IngestionError naming the file.
+    Malformed content (a repeated name, trailing bytes) raises IngestionError naming the file.
     """
-    out = OrderedDict()
+    out = {}
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -98,5 +97,9 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
                 raise IngestionError(f"checkpoint {path}: unknown dtype tag {tag} for '{name}'")
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
             raw = take(math.prod(shape) * dtype.itemsize)
+            if name in out:
+                raise IngestionError(f"checkpoint {path}: record '{name}' appears twice")
             out[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        if fh.tell() != size:
+            raise IngestionError(f"checkpoint {path}: {size - fh.tell()} bytes after the records")
     return out

@@ -183,10 +183,6 @@ _SCHEMA = {f"{section}.{f.name}": _parser(getattr(cls(), f.name))
            for section, cls in _SECTIONS.items() for f in fields(cls)}
 
 
-def schema_keys():
-    return sorted(_SCHEMA)
-
-
 def apply_assignment(cfg: RunConfig, key: str, raw_value: str):
     """Set one `section.field = value` assignment, validating the key path."""
     key = key.strip()

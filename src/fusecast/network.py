@@ -16,6 +16,9 @@ follows the CPU count, so predictions and gradients are the same bits on
 any machine; two halves also cost next to nothing at small shapes, where
 more and smaller pieces would. Within a half the patterns run as a plain
 loop. The parameter-only spatial graph is built once per half.
+forward_batch returns the prediction only: a reader of the graphs or flows
+builds them as _forward_windows does, with pools.lookup,
+generate_pattern_graph and decouple on the normalized history.
 
 Forward passes take a leading batch dimension on histories and calendar
 indices; graphs that depend on the window's time indices come out batched
@@ -35,8 +38,6 @@ checkpoint contract:
 
 from __future__ import annotations
 
-import dataclasses
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -45,7 +46,7 @@ import numpy as np
 from . import tensor as T
 from .config import GraphConfig, ModelConfig
 from .data import DAYS_PER_WEEK, Normalizer
-from .decouple import GateParams, PatternFlows, decouple
+from .decouple import GateParams, decouple
 from .errors import ShapeError
 from .graphgen import (AdjacencySet, AttentionFusionParams, PatternGraphParams,
                        TimeEmbeddingPools, generate_pattern_graph, temporal_feature_matrix)
@@ -63,14 +64,6 @@ class GruParams:
     bz: Tensor
     br: Tensor
     bh: Tensor
-
-
-@dataclass
-class ForwardActivations:
-    """Intermediate tensors of one forward pass, retained for inspection."""
-
-    graphs: list            # per-pattern AdjacencySet
-    flows: PatternFlows
 
 
 @contextmanager
@@ -167,7 +160,7 @@ class Forecaster:
             self.predefined_graph = np.asarray(predefined_graph, dtype=dtype)
         self.dtype = np.dtype(dtype)
         self._rng = np.random.default_rng(seed)
-        self.params: "OrderedDict[str, Tensor]" = OrderedDict()
+        self.params: "dict[str, Tensor]" = {}
         self._build()
 
     # -- parameter construction -------------------------------------------
@@ -268,17 +261,20 @@ class Forecaster:
 
     # -- state handling ----------------------------------------------------
 
-    def parameters(self) -> "OrderedDict[str, Tensor]":
+    def parameters(self) -> "dict[str, Tensor]":
         return self.params
 
     @property
     def n_parameters(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def state(self) -> "OrderedDict[str, np.ndarray]":
-        return OrderedDict((name, p.data.copy()) for name, p in self.params.items())
+    def state(self) -> "dict[str, np.ndarray]":
+        return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_state(self, state: dict):
+        for name in state:
+            if name not in self.params:
+                raise ShapeError(f"checkpoint parameter '{name}' is not in the model")
         for name, p in self.params.items():
             if name not in state:
                 raise ShapeError(f"checkpoint is missing parameter '{name}'")
@@ -290,14 +286,10 @@ class Forecaster:
 
     # -- forward -----------------------------------------------------------
 
-    def forward_batch(self, history, tod, dow, training: bool = False, rng=None,
-                      collect: bool = False):
+    def forward_batch(self, history, tod, dow, training: bool = False, rng=None) -> Tensor:
         """Predict [B, Tf, N, C] raw-unit flow from raw histories [B, Th, N, C].
 
-        tod/dow are integer index arrays [B, Th]. Returns the prediction
-        tensor, or (prediction, ForwardActivations) when collect is set; the
-        activations are the halves' merged along the batch axis, and a
-        parameter-only graph is the first half's. The dropout draws of the
+        tod/dow are integer index arrays [B, Th]. The dropout draws of the
         whole batch come from one rng.random call on the calling thread, so
         they do not depend on the split. A forward that raises leaves the
         active tape as it found it.
@@ -324,16 +316,12 @@ class Forecaster:
                 part = slice(cuts[h], cuts[h + 1])
                 return self._forward_windows(
                     Tensor(xn[part]), tod[part], dow[part], training,
-                    None if uniforms is None else uniforms[part], collect)
+                    None if uniforms is None else uniforms[part])
 
-            parts = ordered_map(half, len(cuts) - 1)
-            prediction = T.concat([p for p, _ in parts], axis=0)
-            if not collect:
-                return prediction
-            return prediction, _merge([a for _, a in parts])
+            return T.concat(ordered_map(half, len(cuts) - 1), axis=0)
 
-    def _forward_windows(self, xn: Tensor, tod, dow, training: bool, uniforms, collect: bool):
-        """(prediction, ForwardActivations or None) of normalized windows xn [B, Th, N, C]."""
+    def _forward_windows(self, xn: Tensor, tod, dow, training: bool, uniforms) -> Tensor:
+        """The prediction of normalized windows xn [B, Th, N, C]."""
         cfg = self.cfg
         with _stage("time-lookups"):
             daily_l, weekly_l = self.pools.lookup(tod, dow)
@@ -353,8 +341,7 @@ class Forecaster:
 
         with _stage("graph-convolution"):
             x_out = T.concat([convolve(g) for g in range(cfg.patterns)], axis=-1)
-        activations = ForwardActivations(graphs=graphs, flows=flows) if collect else None
-        del graphs  # spatial, temporal and final, [B, N, N] each, unless collected
+        del graphs  # spatial, temporal and final, [B, N, N] each
 
         with _stage("temporal-sequence"):
             h_out = gru_forward(x_out, self.gru, cfg.dropout, training, uniforms)
@@ -376,21 +363,4 @@ class Forecaster:
 
             if self.normalizer:
                 prediction = self.normalizer.invert(prediction)
-        return prediction, activations
-
-
-def _merge(parts):
-    """The halves' activations as one: tensors with a batch axis join along it.
-
-    A graph without one ([N, N], built from parameters only) is the same in
-    every half, so the first half's stands for all.
-    """
-    first = parts[0]
-    if isinstance(first, list):
-        return [_merge(list(items)) for items in zip(*parts)]
-    if dataclasses.is_dataclass(first):
-        return type(first)(**{f.name: _merge([getattr(p, f.name) for p in parts])
-                              for f in dataclasses.fields(first)})
-    if first is None or first.ndim == 2:
-        return first
-    return T.concat(parts, axis=0)
+        return prediction

@@ -18,13 +18,12 @@ tape is single-use and backward memory falls as it walks back.
 Without an active tape every op is plain numpy with no recording, which
 doubles as inference mode.
 
-The tape stack is shared by every thread, so active_tape() is the
-caller's tape on ordered_map's worker threads too. While a thread runs an
-ordered_map task, its ops record into that task's own list rather than the
-tape (a threading.local names the list); once every task has ended, the
-lists are spliced onto the tape in task order, and their ranges of records
-are kept on the tape as one group. The tape is then record for record the
-one a plain loop over the tasks builds.
+ordered_map runs one thread per task, task 0 on the caller's (every task
+there, in order, when one CPU is usable). The tape stack is shared, so
+active_tape() is the caller's tape on every thread, but a task's ops record
+into a list of its own (a threading.local names it). Once every task has
+ended, the lists are spliced onto the tape in task order and their ranges
+kept as one group, so the tape is record for record a plain loop's.
 
 Backward runs a group's ranges concurrently, range g on the thread that
 runs task g. A slot that a range produced is read by that range only, so
@@ -133,9 +132,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
 
 
 class _GradSlot:
@@ -338,36 +334,26 @@ def _usable_cpus() -> int:
 
 
 def _run_tasks(fn, count: int) -> list:
-    """Run fn(0), ..., fn(count - 1) on up to min(count, usable CPUs) threads.
+    """Run fn(0), ..., fn(count - 1), one thread per task, fn(0) on the caller's.
 
-    The calling thread runs fn(0), and min(count, CPUs) - 1 worker threads
-    start with the next tasks; whichever thread ends a task takes the next
-    one not started, so one task or one usable CPU starts no thread.
-    Returns each task's exception, or None, once every task has ended.
+    With one usable CPU the calling thread runs every task in order. Returns
+    each task's exception, or None, once every task has ended.
     """
     errors = [None] * count
-    tasks = iter(range(count))
-    lock = threading.Lock()
-
-    def take():
-        with lock:
-            return next(tasks, None)
 
     def work(g):
-        while g is not None:
-            try:
-                fn(g)
-            except BaseException as exc:  # the caller picks which one to raise
-                errors[g] = exc
-            g = take()
+        try:
+            fn(g)
+        except BaseException as exc:  # the caller picks which one to raise
+            errors[g] = exc
 
-    first = take()  # the calling thread's, taken before any worker can
-    workers = [threading.Thread(target=work, args=(take(),))
-               for _ in range(min(count, _usable_cpus()) - 1)]
+    workers = [threading.Thread(target=work, args=(g,))
+               for g in range(1, count)] if _usable_cpus() > 1 else []
     for w in workers:
         w.start()
     try:
-        work(first)
+        for g in range(count - len(workers)):  # task 0, or every task in order
+            work(g)
     finally:
         for w in workers:
             w.join()
@@ -375,15 +361,13 @@ def _run_tasks(fn, count: int) -> list:
 
 
 def ordered_map(fn, count: int) -> list:
-    """[fn(0), ..., fn(count - 1)], run on up to min(count, usable CPUs) threads.
+    """[fn(0), ..., fn(count - 1)], run one thread per task (see _run_tasks).
 
-    The tasks must not depend on each other. Each task records its ops into
-    a list of its own; once every task has ended, the lists are spliced
-    onto the active tape in task order and their ranges are kept as one
-    group, which backward runs concurrently (see the module docstring). If
-    tasks raise, the exception of the lowest failed task is raised once
-    every task has ended, with nothing spliced. A task must not call
-    ordered_map itself: that raises RuntimeError.
+    The tasks must not depend on each other; their records join the active
+    tape as one group (see the module docstring). If tasks raise, the
+    exception of the lowest failed task is raised once every task has
+    ended, with nothing spliced. A task must not call ordered_map itself:
+    that raises RuntimeError.
     """
     if getattr(_LOCAL, "records", None) is not None:
         raise RuntimeError("ordered_map called inside an ordered_map task; "

@@ -1,11 +1,24 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
 from fusecast.config import load_config, preset_path
 from fusecast.data import fit_normalizer, make_synthetic, split_and_window
+from fusecast.decouple import decouple
+from fusecast.graphgen import generate_pattern_graph, temporal_feature_matrix
 from fusecast.network import Forecaster
+from fusecast.tensor import Tensor
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread running, such as an ordered_map worker not joined."""
+    before = threading.active_count()
+    yield
+    after = threading.active_count()
+    assert after == before, f"{after - before} more threads running than before the test"
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -27,6 +40,22 @@ def fd_gradient(f, x, h=1e-6):
 def rel_err(a, b, floor=1e-8):
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float((np.abs(a - b) / scale).max())
+
+
+def graphs_and_flows(model, history, tod, dow):
+    """The per-pattern AdjacencySets and the PatternFlows that model's forward builds.
+
+    The graphs depend only on the parameters and the calendar indices, the
+    flows also on the normalized history, so the building blocks give them.
+    """
+    daily, weekly = model.pools.lookup(tod, dow)
+    features = temporal_feature_matrix(daily, weekly)
+    graphs = [generate_pattern_graph(params, features, model.graph_cfg, model.predefined_graph)
+              for params in model.patterns]
+    xn = np.asarray(history, dtype=model.dtype)
+    if model.normalizer:
+        xn = model.normalizer.apply(xn)
+    return graphs, decouple(Tensor(xn), daily, weekly, model.patterns[0].e1, model.gates)
 
 
 def toy_model_config():

@@ -52,6 +52,24 @@ def test_truncated_file_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_bytes_after_the_last_record_rejected(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _sample_params())
+    path.write_bytes(path.read_bytes() + b"\x00" * 29)
+    with pytest.raises(IngestionError, match=r"model\.bin: 29 bytes after the records"):
+        load_checkpoint(path)
+
+
+def test_repeated_record_name_rejected(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, {"w": np.zeros(2, dtype=np.float32), "x": np.ones(2, dtype=np.float32)})
+    blob = path.read_bytes()
+    assert blob.count(b"\x01\x00x") == 1  # the second record's name length and name
+    path.write_bytes(blob.replace(b"\x01\x00x", b"\x01\x00w"))
+    with pytest.raises(IngestionError, match=r"model\.bin: record 'w' appears twice"):
+        load_checkpoint(path)
+
+
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(ValueError, match="dtype"):
         save_checkpoint(tmp_path / "x.bin", {"w": np.zeros(3, dtype=np.int64)})

@@ -100,6 +100,17 @@ def test_train_eval_roundtrip(tmp_path, capsys):
     recorded = json.loads((out / "metrics.json").read_text())["val"]
     assert evaluated == recorded
 
+    # a parameter the model lacks is a config error, bytes after the records an I/O error
+    extra = tmp_path / "extra.bin"
+    save_checkpoint(extra, {**load_checkpoint(out / "checkpoint.bin"),
+                            "bogus.extra": np.zeros(1, dtype=np.float32)})
+    trailing = tmp_path / "trailing.bin"
+    trailing.write_bytes((out / "checkpoint.bin").read_bytes() + b"\x00" * 29)
+    for path, expected, text in ((extra, 2, "bogus.extra"), (trailing, 4, "trailing.bin")):
+        code, stdout, err = run_cli(capsys, "eval", *TOY_ARGS, "--checkpoint", str(path),
+                                    f"data.series={csv}", "train.max_epochs=2")
+        assert (code, stdout) == (expected, "") and text in err, path.name
+
 
 def test_train_unknown_key_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "train", "--out", str(tmp_path / "r"),

@@ -1,9 +1,10 @@
 import json
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from fusecast.config import (GraphConfig, RunConfig, apply_assignment, load_config,
-                             preset_path, schema_keys, write_manifest)
+                             preset_path, write_manifest)
 from fusecast.errors import ConfigError
 
 
@@ -144,9 +145,17 @@ def test_graph_invariants_for_node_count():
         GraphConfig(k_spatial=2, k_temporal=2, heads=4, head_dim=4).validate_for_nodes(8)
 
 
+def _section_keys():
+    """`section.field` for every field of RunConfig's sections."""
+    defaults = RunConfig()
+    sections = [f.name for f in fields(RunConfig) if is_dataclass(getattr(defaults, f.name))]
+    return [f"{section}.{f.name}" for section in sections
+            for f in fields(getattr(defaults, section))]
+
+
 def test_every_schema_key_round_trips_its_default():
     defaults = RunConfig()
-    for key in schema_keys():
+    for key in _section_keys():
         section, name = key.split(".")
         default = getattr(getattr(defaults, section), name)
         text = ",".join(map(str, default)) if isinstance(default, list) else str(default)
@@ -157,7 +166,10 @@ def test_every_schema_key_round_trips_its_default():
 
 
 def test_schema_covers_all_sections():
-    keys = schema_keys()
+    keys = _section_keys()
+    assert {key.split(".")[0] for key in keys} == {"model", "graph", "train", "data"}
+    with pytest.raises(ConfigError, match="unknown config key"):
+        apply_assignment(RunConfig(), "overrides", "x")
     assert "model.hidden" in keys
     assert "graph.alpha" in keys
     assert "train.batch_size" in keys

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, rel_err, toy_graph_config, toy_model_config
+from conftest import fd_gradient, graphs_and_flows, rel_err, toy_graph_config, toy_model_config
 from fusecast import network
 from fusecast import tensor as T
 from fusecast.errors import ConfigError, ShapeError
@@ -175,37 +175,38 @@ def _toy_model(toy_setup, **overrides):
     return series, train_ws, model
 
 
-def _x_out(model, acts):
+def _x_out(model, graphs, flows):
     """The graph-convolution output [..., Th, N, G*M*d] that feeds the GRU."""
     blocks = []
-    for g, flow in enumerate(acts.flows.flows):
+    for g, flow in enumerate(flows.flows):
         w, b = model.projections[g]
         weight = T.concat(model.rgc_weights[g], axis=-1)
-        blocks.append(rgc_forward(flow @ w + b, acts.graphs[g].final, weight, model.cfg.gamma))
+        blocks.append(rgc_forward(flow @ w + b, graphs[g].final, weight, model.cfg.gamma))
     return T.concat(blocks, axis=-1)
 
 
 def test_forward_shapes_and_activations(toy_setup):
     series, train_ws, model = _toy_model(toy_setup)
     hist, targ, tod, dow = train_ws.batch([0, 1, 2])
-    pred, acts = model.forward_batch(hist, tod, dow, collect=True)
+    pred = model.forward_batch(hist, tod, dow)
+    graphs, flows = graphs_and_flows(model, hist, tod, dow)
     cfg = model.cfg
     gmd = cfg.patterns * cfg.rgc_iterations * cfg.hidden
     md = cfg.rgc_iterations * cfg.hidden
-    x_out = _x_out(model, acts)
+    x_out = _x_out(model, graphs, flows)
     assert pred.shape == (3, cfg.horizon_steps, 4, 1)
     assert x_out.shape == (3, cfg.history_steps, 4, gmd)
     assert gru_forward(x_out, model.gru, 0.0, False).shape == (3, cfg.history_steps, 4, md)
-    assert len(acts.graphs) == cfg.patterns
-    assert len(acts.flows.flows) == cfg.patterns
+    assert len(graphs) == cfg.patterns
+    assert len(flows.flows) == cfg.patterns
 
 
 def test_forward_window_matches_contract_shapes(toy_setup):
     series, train_ws, model = _toy_model(toy_setup)
     hist, _, tod, dow = train_ws.batch([0])
-    pred, acts = model.forward_batch(hist, tod, dow, collect=True)
+    pred = model.forward_batch(hist, tod, dow)
     cfg = model.cfg
-    x_out = _x_out(model, acts)
+    x_out = _x_out(model, *graphs_and_flows(model, hist, tod, dow))
     assert pred.shape == (1, cfg.horizon_steps, 4, 1)
     assert x_out.shape == (1, cfg.history_steps, 4,
                            cfg.patterns * cfg.rgc_iterations * cfg.hidden)
@@ -281,16 +282,14 @@ def test_pattern_blocks_swap_with_pattern_parameters(toy_setup):
             p = model.parameters()[name]
             p.data = np.zeros_like(p.data)
     hist, _, tod, dow = train_ws.batch([0])
-    _, acts = model.forward_batch(hist, tod, dow, collect=True)
-    before = _x_out(model, acts).data
+    before = _x_out(model, *graphs_and_flows(model, hist, tod, dow)).data
 
     params = model.parameters()
     prefix0, prefix1 = "pattern0.", "pattern1."
     for name in [n for n in params if n.startswith(prefix0)]:
         other = prefix1 + name[len(prefix0):]
         params[name].data, params[other].data = params[other].data, params[name].data
-    _, acts2 = model.forward_batch(hist, tod, dow, collect=True)
-    after = _x_out(model, acts2).data
+    after = _x_out(model, *graphs_and_flows(model, hist, tod, dow)).data
     half = before.shape[-1] // 2
     assert np.array_equal(after[..., :half], before[..., half:])
     assert np.array_equal(after[..., half:], before[..., :half])
@@ -304,14 +303,14 @@ def test_single_pattern_single_block_collapses_to_one_rgc(toy_setup):
     model = Forecaster(series.n_nodes, series.steps_per_day, cfg, toy_graph_config(),
                        dtype=np.float64, seed=3)
     hist, _, tod, dow = train_ws.batch([0])
-    _, acts = model.forward_batch(hist, tod, dow, collect=True)
+    graphs, flows = graphs_and_flows(model, hist, tod, dow)
     # X_out must equal one RGC pass over the projected input
     w, b = model.projections[0]
     xn = Tensor(np.asarray(hist, dtype=np.float64))
     projected = xn @ w + b
-    expected = rgc_forward(projected, acts.graphs[0].final,
+    expected = rgc_forward(projected, graphs[0].final,
                            model.parameters()["pattern0.rgc0.weight"], cfg.gamma)
-    assert np.array_equal(_x_out(model, acts).data, expected.data)
+    assert np.array_equal(_x_out(model, graphs, flows).data, expected.data)
 
 
 def test_folded_blocks_equal_per_block_rgc_calls(toy_setup):
@@ -327,13 +326,13 @@ def test_folded_blocks_equal_per_block_rgc_calls(toy_setup):
                          for g in range(cfg.patterns) for m in range(m_iter)]
 
     hist, _, tod, dow = train_ws.batch([0, 3])
-    _, acts = model.forward_batch(hist, tod, dow, collect=True)
-    x_out = _x_out(model, acts).data
+    graphs, flows = graphs_and_flows(model, hist, tod, dow)
+    x_out = _x_out(model, graphs, flows).data
     width = m_iter * d
     for g in range(cfg.patterns):
         w, b = model.projections[g]
-        projected = acts.flows.flows[g] @ w + b
-        blocks = [rgc_forward(projected, acts.graphs[g].final,
+        projected = flows.flows[g] @ w + b
+        blocks = [rgc_forward(projected, graphs[g].final,
                               params[f"pattern{g}.rgc{m}.weight"], cfg.gamma)
                   for m in range(m_iter)]
         expected = np.concatenate([blk.data for blk in blocks], axis=-1)
@@ -349,6 +348,10 @@ def test_load_state_validates_names_and_shapes(toy_setup):
     state = model.state()
     state["gru.bz"] = np.zeros(99)
     with pytest.raises(ShapeError, match="gru.bz"):
+        model.load_state(state)
+    state = model.state()
+    state["bogus.extra"] = np.zeros(1)
+    with pytest.raises(ShapeError, match="bogus.extra"):
         model.load_state(state)
 
 
@@ -497,26 +500,9 @@ def test_halves_predict_the_bits_of_the_whole_batch(toy_setup, batch):
     hist, _, tod, dow = train_ws.batch([w % len(train_ws) for w in range(batch)])
     split = model.forward_batch(hist, tod, dow, training=True, rng=np.random.default_rng(0))
     uniforms = np.random.default_rng(0).random(hist.shape[:-1] + (cfg.rgc_iterations * cfg.hidden,))
-    whole, _ = model._forward_windows(Tensor(norm.apply(hist.astype(np.float32))), tod, dow,
-                                      True, uniforms, False)
+    whole = model._forward_windows(Tensor(norm.apply(hist.astype(np.float32))), tod, dow,
+                                   True, uniforms)
     assert split.data.tobytes() == whole.data.tobytes()
-
-
-def test_collected_activations_are_the_whole_batch_s(toy_setup):
-    """The halves' activations join along the batch axis; the [N, N] spatial graph is the first half's."""
-    series, train_ws, model = _toy_model(toy_setup)
-    hist, _, tod, dow = train_ws.batch([0, 1, 2])
-    _, split = model.forward_batch(hist, tod, dow, collect=True)
-    _, whole = model._forward_windows(Tensor(model.normalizer.apply(hist.astype(model.dtype))),
-                                      tod, dow, False, None, True)
-
-    def tensors(acts):
-        graphs = [t for g in acts.graphs for t in (g.spatial, g.temporal, g.final)]
-        return [None if t is None else (t.shape, t.data.tobytes())
-                for t in graphs + acts.flows.flows + acts.flows.ratios]
-
-    assert split.graphs[0].spatial.ndim == 2
-    assert tensors(split) == tensors(whole)
 
 
 @pytest.mark.parametrize("windows, cpus", [(1, 2), (2, 1)])

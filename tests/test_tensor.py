@@ -440,6 +440,29 @@ def test_ordered_map_tape_equals_the_plain_loop_under_thread_switching(monkeypat
     assert threading.active_count() == threads
 
 
+def test_every_task_after_the_first_gets_a_thread_of_its_own(monkeypatch):
+    _cpus(monkeypatch, 2)
+    started, start = [], threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    ran = []
+
+    def task(g):
+        ran.append((g, threading.current_thread()))
+        return g
+
+    assert T.ordered_map(task, 3) == [0, 1, 2]
+    assert len(started) == 2  # more tasks than CPUs still starts one thread per later task
+    assert sorted(g for g, _ in ran) == [0, 1, 2]
+    threads = dict(ran)
+    assert threads[0] is threading.main_thread()
+    assert [threads[1], threads[2]] == started
+
+
 def test_first_failure_in_task_order_raises_after_every_task_ends(monkeypatch):
     _cpus(monkeypatch, 3)
     x = Tensor([1.0], requires_grad=True)
@@ -572,7 +595,7 @@ OPS = [
     ("softmax", lambda a: T.softmax(a, axis=-1), 1),
     ("sum_axis", lambda a: a.sum(axis=0, keepdims=True), 1),
     ("mean", lambda a: a.mean(axis=1), 1),
-    ("reshape", lambda a: a.reshape(6, 4), 1),
+    ("reshape", lambda a: T.reshape(a, (6, 4)), 1),
     ("swapaxes", lambda a: T.swapaxes(a, 0, 2), 1),
     ("narrow", lambda a: T.narrow(a, 1, 1, 2), 1),
     ("broadcast_to", lambda a: T.broadcast_to(a, (3, 2, 3, 4)), 1),

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import toy_graph_config, toy_model_config
+from conftest import graphs_and_flows, toy_graph_config, toy_model_config
 from fusecast import optim, training
 from fusecast.checkpoint import load_checkpoint
 from fusecast.config import RunConfig, TrainConfig
@@ -389,8 +389,8 @@ def test_no_decouple_has_single_stream_and_no_gates(tmp_path, toy_series):
     assert len(model.gates) == 0
     assert not any(n.startswith("decouple.") for n in model.parameters())
     hist, _, tod, dow = train_ws.batch([0])
-    _, acts = model.forward_batch(hist, tod, dow, collect=True)
-    assert len(acts.flows.flows) == 1
+    _, flows = graphs_and_flows(model, hist, tod, dow)
+    assert len(flows.flows) == 1
 
 
 def test_spatial_only_cuts_pool_gradients_from_graph_path(toy_setup):
@@ -402,7 +402,7 @@ def test_spatial_only_cuts_pool_gradients_from_graph_path(toy_setup):
 
     # graphs must not respond to pool values in spatial_only mode
     def graphs():
-        return model.forward_batch(hist, tod, dow, collect=True)[1].graphs
+        return graphs_and_flows(model, hist, tod, dow)[0]
 
     before = [g.final.data.copy() for g in graphs()]
     model.pools.daily.data = model.pools.daily.data + 0.7
