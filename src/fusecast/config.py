@@ -12,8 +12,11 @@ import importlib.resources
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
+
+import numpy as np
 
 from .checkpoint import replacing
 from .errors import ConfigError
@@ -232,6 +235,24 @@ def preset_path(name: str) -> Path:
     return Path(str(resource))
 
 
+def environment() -> dict:
+    """The numpy build and the BLAS thread settings in force, which the bits can depend on.
+
+    The thread variables are None when unset. The CPU count is left out:
+    the bits do not depend on it.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without the dict form
+        blas = {}
+    env = {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = os.environ.get(name)
+    return env
+
+
 def write_manifest(cfg: RunConfig, path) -> None:
+    """Write the config, its overrides and the environment as sorted JSON."""
+    manifest = {**asdict(cfg), "environment": environment()}
     with replacing(path) as fh:
-        fh.write(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

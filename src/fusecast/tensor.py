@@ -38,6 +38,7 @@ bitwise those of a serial pass over the same tape.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 import threading
@@ -472,7 +473,19 @@ def div(a, b):
 
 
 def matmul(a: Tensor, b: Tensor):
-    """Batched matrix product over the last two axes, gradients included."""
+    """Batched matrix product over the last two axes, gradients included.
+
+    When b is a 2-D weight and a has leading axes, b's gradient is one GEMM
+    over every row of a, a.reshape(-1, K).T @ g.reshape(-1, n), rather than
+    one small product per leading index that _unbroadcast then sums. It
+    differs from that sum by float32 reassociation only, and makes no
+    temporary of a's leading shape times b's. a's pull and the forward
+    product keep the batched form. Flattening the forward too was slower and
+    not bitwise, and one GEMM for a 2-D left operand (q @ k^T) was slower
+    for the transposing copies it needs, so neither is done. The one GEMM
+    is large enough for a multi-threaded BLAS to thread, which competes
+    with the batch halves' own threads; run BLAS on one thread.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} and {b.shape}")
     a_data, b_data = a.data, b.data
@@ -481,9 +494,17 @@ def matmul(a: Tensor, b: Tensor):
         out_data = a_data @ b_data
     except ValueError:
         raise ShapeError(f"matmul: shapes {a_shape} and {b_shape} do not multiply") from None
+    if b.ndim == 2 and a.ndim > 2:
+        rows = math.prod(a_shape[:-1])  # explicit: -1 cannot be inferred when K or n is 0
+
+        def pull_b(g):
+            return a_data.reshape(rows, b_shape[0]).T @ g.reshape(rows, b_shape[1])
+    else:
+        def pull_b(g):
+            return _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape)
     return _make(out_data, [
         (a, lambda g: _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape)),
-        (b, lambda g: _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape)),
+        (b, pull_b),
     ])
 
 

@@ -1,6 +1,7 @@
 import json
 from dataclasses import fields, is_dataclass
 
+import numpy as np
 import pytest
 
 from fusecast.config import (GraphConfig, RunConfig, apply_assignment, load_config,
@@ -117,13 +118,22 @@ def test_unknown_preset():
         preset_path("pems99")
 
 
-def test_manifest_echoes_overrides(tmp_path):
+def test_manifest_echoes_overrides(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     cfg = load_config(None, overrides=["train.seed=5"])
     write_manifest(cfg, tmp_path / "manifest.json")
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["overrides"] == ["train.seed=5"]
     assert manifest["train"]["seed"] == 5
-    assert set(manifest) == {"model", "graph", "train", "data", "overrides"}
+    assert set(manifest) == {"model", "graph", "train", "data", "overrides", "environment"}
+    env = manifest["environment"]
+    assert set(env) == {"numpy", "blas", "blas_version", "OPENBLAS_NUM_THREADS",
+                        "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert env["numpy"] == np.__version__
+    assert env["OPENBLAS_NUM_THREADS"] == "3" and env["OMP_NUM_THREADS"] is None
+    write_manifest(cfg, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "manifest.json").read_bytes()
 
 
 def test_head_dim_default_rule():

@@ -41,6 +41,87 @@ def test_matmul_gradient_matches_finite_differences():
     assert rel_err(a.grad, fd) < 1e-6
 
 
+# b is a 2-D weight under an a with leading axes, so b's pull is one GEMM over
+# every row of a. Each case: a's shape, the view of a that multiplies b, and
+# the op applied to the product.
+WEIGHT_CASES = {
+    "3-d": ((6, 4, 5), None, None),
+    "4-d": ((2, 3, 4, 5), None, None),
+    "narrow": ((2, 3, 6, 5), lambda x: T.narrow(x, 2, 1, 4), None),  # a non-contiguous, as x_t
+    "swapped": ((2, 3, 4, 5), None, lambda y: T.swapaxes(y, 0, 2)),  # g arrives non-contiguous
+}
+
+
+def _weight_case(a_data, b_data, view, after):
+    """Tape gradients of sum(after(view(a) @ b) * w) for a fixed random weighting w."""
+    a = Tensor(a_data, requires_grad=True)
+    b = Tensor(b_data, requires_grad=True)
+    w = np.random.default_rng(1).standard_normal(after(view(a) @ b).shape).astype(a_data.dtype)
+
+    def scalar():
+        return (after(view(a) @ b) * w).sum()
+
+    with Tape() as tape:
+        tape.backward(scalar())
+    return a, b, scalar, w
+
+
+@pytest.mark.parametrize("case", WEIGHT_CASES)
+def test_matmul_weight_gradient(case):
+    shape, view, after = WEIGHT_CASES[case]
+    view, after = view or (lambda x: x), after or (lambda y: y)
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
+    a64, b64 = rng.standard_normal(shape), rng.standard_normal((5, 3))
+    a, b, scalar, _ = _weight_case(a64, b64, view, after)
+    for t in (a, b):
+        fd = fd_gradient(lambda: scalar().item(), t.data)
+        assert rel_err(t.grad, fd, floor=1e-3) < 1e-5, case
+    # float32: the output and a's gradient are the batched products' bits, and
+    # b's gradient is the per-window products' sum up to reassociation
+    a32, b32 = a64.astype(np.float32), b64.astype(np.float32)
+    a, b, _, w = _weight_case(a32, b32, view, after)
+    av = view(Tensor(a32)).data
+    y = Tensor(av @ b32, requires_grad=True)
+    assert np.array_equal((view(Tensor(a32)) @ Tensor(b32)).data, y.data)
+    with Tape() as tape:
+        tape.backward((after(y) * w).sum())
+    g = y.grad  # the gradient the product's pulls receive
+    x = Tensor(a32, requires_grad=True)
+    with Tape() as tape:
+        tape.backward(view(x) * Tensor(g @ b32.T))
+    assert np.array_equal(a.grad, x.grad)
+    old = T._unbroadcast(np.swapaxes(av, -1, -2) @ g, b32.shape)
+    assert b.grad.dtype == np.float32
+    assert np.linalg.norm(b.grad - old) <= 10 * np.finfo(np.float32).eps * np.linalg.norm(old)
+
+
+def test_matmul_weight_gradient_with_a_zero_length_axis():
+    # a zero-length leading axis, and a zero-length K
+    for a_shape, b_shape in (((2, 0, 4, 5), (5, 3)), ((2, 3, 4, 0), (0, 3))):
+        a, b, _, _ = _weight_case(np.zeros(a_shape), np.ones(b_shape), lambda x: x, lambda y: y)
+        assert a.grad.shape == a_shape and not a.grad.any()
+        assert b.grad.shape == b_shape and not b.grad.any()
+
+
+def test_matmul_weight_backward_memory_stays_near_the_input():
+    # the one-GEMM pull makes no [B, N, K, n] temporary: at the RGC's PEMS08
+    # shape the per-window products peaked near 7x a's bytes
+    rng = np.random.default_rng(0)
+    a = Tensor(rng.standard_normal((16, 170, 12, 96), dtype=np.float32), requires_grad=True)
+    b = Tensor(rng.standard_normal((96, 64), dtype=np.float32), requires_grad=True)
+    with Tape() as tape:
+        out = a @ b
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tape.backward(out)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert b.grad.shape == (96, 64)
+    assert peak < 2 * a.data.nbytes, f"backward peaked at {peak / a.data.nbytes:.1f}x the input"
+
+
 def test_matmul_shape_error_names_both_shapes():
     # an inner-dimension and a batch-dimension mismatch, and 1-d operands on either side
     for a_shape, b_shape in (((2, 3), (4, 2)), ((2, 3, 4), (5, 4, 2)), ((3,), (3, 2)),
