@@ -49,12 +49,12 @@ def replacing(path, mode: str = "w"):
 
 
 def save_checkpoint(path, params: dict) -> None:
-    """Write named arrays (or Tensors) to `path` in declaration order."""
+    """Write named float32 or float64 arrays to `path` in declaration order."""
     with replacing(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(params)))
         for name, value in params.items():
-            arr = np.asarray(value.data if hasattr(value, "data") else value)
+            arr = np.asarray(value)
             tag = _DTYPE_TAGS.get(arr.dtype)
             if tag is None:
                 raise ValueError(f"checkpoint: unsupported dtype {arr.dtype} for '{name}'")

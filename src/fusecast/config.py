@@ -15,6 +15,7 @@ import operator
 import os
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,7 +51,7 @@ def check_split(ratios) -> None:
 class ModelConfig:
     history_steps: int = 12      # Th
     horizon_steps: int = 12      # Tf
-    channels: int = 1            # C
+    channels: ClassVar[int] = 1  # C, a constant: the series loader yields one channel
     patterns: int = 2            # G, decoupled traffic pattern count
     rgc_iterations: int = 2      # M, parallel graph-conv blocks per pattern
     hidden: int = 32             # d, channel width after input projection

@@ -18,29 +18,28 @@ tape is single-use and backward memory falls as it walks back.
 Without an active tape every op is plain numpy with no recording, which
 doubles as inference mode.
 
-ordered_map runs one thread per task, task 0 on the caller's (every task
-there, in order, when one CPU is usable). The tape stack is shared, so
-active_tape() is the caller's tape on every thread, but a task's ops record
-into a list of its own (a threading.local names it). Once every task has
-ended, the lists are spliced onto the tape in task order and their ranges
-kept as one group, so the tape is record for record a plain loop's.
+ordered_map runs one thread per task, task 0 on the caller's. The tape
+stack is shared, so active_tape() is the caller's tape on every thread, but
+a task's ops record into a list of its own (a threading.local names it).
+Once every task has ended, the lists join the tape as one entry, a group,
+that keeps them in task order; flattened, the tape is record for record
+a plain loop's.
 
-Backward runs a group's ranges concurrently, range g on the thread that
-runs task g. A slot that a range produced is read by that range only, so
-its gradient accumulates in place there. A slot that a range writes but did
-not produce (a parameter, or an input made before the map) is shared: the
-last range, which a serial pass runs first, adds its pieces in place, and
-every other range buffers them. Once the group has ended, the buffered
-pieces are added last range first, each range's in the order it made them,
-which is the order a serial pass adds them in. The gradients are therefore
-bitwise those of a serial pass over the same tape.
+Backward runs a group's lists concurrently, list g on the thread that runs
+task g. A slot that a list produced is read by that list only, so its
+gradient accumulates in place there. A slot that a list writes but did not
+produce (a parameter, or an input made before the map) is shared: the last
+list, which a serial pass runs first, adds its pieces in place, and every
+other list buffers them. Once the group has ended, the buffered pieces are
+added last list first, each list's in the order it made them, which is the
+order a serial pass adds them in. The gradients are therefore bitwise those
+of a serial pass over the same tape.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
 import threading
 from contextlib import contextmanager
 
@@ -152,16 +151,13 @@ class _GradSlot:
 class Tape:
     """Ordered record of executed ops, consumed in reverse by backward.
 
-    A record is (output slot, [(input slot, pull_fn), ...]); the pulls
-    capture arrays and shapes, never a Tensor (see the module docstring).
-    A group is one ordered_map call's record ranges, as their bounds
-    [start of task 0, start of task 1, ..., end of the last task]; backward
-    runs a group's ranges concurrently (see the module docstring).
+    An entry is a record, (output slot, [(input slot, pull_fn), ...]), whose
+    pulls capture arrays and shapes, never a Tensor, or a _Group of records
+    that backward runs concurrently (see the module docstring).
     """
 
     def __init__(self):
-        self._records = []  # (output slot, [(input slot, pull_fn), ...]) in execution order
-        self._groups = []   # bounds of each ordered_map call's ranges, in record order
+        self._records = []  # records and _Groups in execution order
 
     def __enter__(self):
         _TAPES.append(self)
@@ -172,7 +168,8 @@ class Tape:
         return False
 
     def __len__(self):
-        return len(self._records)
+        """The number of records, a group counting the records it holds."""
+        return sum(sum(map(len, e)) if isinstance(e, _Group) else 1 for e in self._records)
 
     def backward(self, output: Tensor):
         """Accumulate d(output.sum())/d(input) into .grad of every recorded input.
@@ -183,42 +180,37 @@ class Tape:
         afterwards the tape is empty and only the inputs that no record of
         it produced (leaves, or op outputs of an earlier tape) keep a
         gradient. An output with no slot needs no gradient: the tape is
-        just emptied. A group's ranges run concurrently; if pulls raise, the
-        first failure in serial order (last range first) is raised once
-        every range has ended.
+        just emptied. A group's lists run concurrently; if pulls raise, the
+        first failure in serial order (last list first) is raised once
+        every list has ended.
         """
         slot = output._slot
         if slot is None:
             self._records.clear()
-            self._groups.clear()
             return
         seed = np.ones_like(output.data)
         slot.grad = seed if slot.grad is None else slot.grad + seed
-        owned = set()  # ids of the slots whose .grad this pass allocated
-        records, groups = self._records, self._groups
-        while records:
-            bounds = groups.pop() if groups else [0]
-            tail = records[bounds[-1]:]  # the records after the group, or all of them
-            del records[bounds[-1]:]
-            _walk_back(tail, owned)
-            if len(bounds) > 1:
-                ranges = [records[a:b] for a, b in zip(bounds, bounds[1:])]
-                del records[bounds[0]:]
-                _walk_group(ranges, owned)
+        _walk_back(self._records, owned=set())  # ids of the slots whose .grad this pass allocated
 
 
-def _walk_group(ranges, owned: set):
-    """Run one group's ranges back concurrently (see the module docstring)."""
-    last = len(ranges) - 1
-    pending = [[] for _ in range(last)]  # the shared slots' pieces of every range but the last
+class _Group(list):
+    """One ordered_map call's tape entry: its tasks' record lists, in task order."""
+
+    __slots__ = ()
+
+
+def _walk_group(group: _Group, owned: set):
+    """Run one group's lists back concurrently (see the module docstring)."""
+    last = len(group) - 1
+    pending = [[] for _ in range(last)]  # the shared slots' pieces of every list but the last
 
     def walk(g):
         if g == last:
-            _walk_back(ranges[g], owned)
+            _walk_back(group[g], owned)
         else:
-            _walk_back(ranges[g], set(), pending[g])
+            _walk_back(group[g], set(), pending[g])
 
-    failed = next((e for e in reversed(_run_tasks(walk, len(ranges))) if e is not None), None)
+    failed = next((e for e in reversed(_run_tasks(walk, len(group))) if e is not None), None)
     if failed is not None:
         raise failed
     for pieces in reversed(pending):
@@ -227,14 +219,19 @@ def _walk_group(ranges, owned: set):
 
 
 def _walk_back(records, owned: set, pending=None):
-    """Run records last first, emptying the list, and accumulate their pulls.
+    """Run tape entries last first, emptying the list, and accumulate their pulls.
 
-    With pending, the pieces for slots that no record of the list produced
-    are appended to it in order instead of accumulated.
+    A group runs through _walk_group. With pending, which a group's lists
+    pass and which holds no group, the pieces for slots that no record of
+    the list produced are appended to it in order instead of accumulated.
     """
     produced = None if pending is None else {id(out) for out, _ in records}
     while records:
-        out, pulls = records.pop()
+        entry = records.pop()
+        if isinstance(entry, _Group):
+            _walk_group(entry, owned)
+            continue
+        out, pulls = entry
         g = out.grad
         if g is None:
             continue  # nothing downstream consumed this value
@@ -315,30 +312,21 @@ def _make(out_data: np.ndarray, pulls) -> Tensor:
 
 @contextmanager
 def undo_on_error():
-    """If the block raises, drop the records and groups it added to the active tape."""
+    """If the block raises, drop the entries it added to the active tape."""
     tape = active_tape()
-    mark = len(tape) if tape is not None else 0
+    mark = len(tape._records) if tape is not None else 0
     try:
         yield
     except BaseException:
         if tape is not None:
             del tape._records[mark:]
-            while tape._groups and tape._groups[-1][-1] > mark:
-                tape._groups.pop()
         raise
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on (Linux)
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_tasks(fn, count: int) -> list:
-    """Run fn(0), ..., fn(count - 1), one thread per task, fn(0) on the caller's.
+    """Run fn(0), ..., fn(count - 1), fn(0) on the caller's thread and each later task on its own.
 
-    With one usable CPU the calling thread runs every task in order. Returns
-    each task's exception, or None, once every task has ended.
+    Returns each task's exception, or None, once every task has ended.
     """
     errors = [None] * count
 
@@ -348,13 +336,12 @@ def _run_tasks(fn, count: int) -> list:
         except BaseException as exc:  # the caller picks which one to raise
             errors[g] = exc
 
-    workers = [threading.Thread(target=work, args=(g,))
-               for g in range(1, count)] if _usable_cpus() > 1 else []
+    workers = [threading.Thread(target=work, args=(g,)) for g in range(1, count)]
     for w in workers:
         w.start()
     try:
-        for g in range(count - len(workers)):  # task 0, or every task in order
-            work(g)
+        if count:
+            work(0)
     finally:
         for w in workers:
             w.join()
@@ -364,15 +351,15 @@ def _run_tasks(fn, count: int) -> list:
 def ordered_map(fn, count: int) -> list:
     """[fn(0), ..., fn(count - 1)], run one thread per task (see _run_tasks).
 
-    The tasks must not depend on each other; their records join the active
-    tape as one group (see the module docstring). If tasks raise, the
-    exception of the lowest failed task is raised once every task has
-    ended, with nothing spliced. A task must not call ordered_map itself:
-    that raises RuntimeError.
+    The tasks must not depend on each other; their record lists join the
+    active tape as one _Group entry (see the module docstring). If tasks
+    raise, the exception of the lowest failed task is raised once every
+    task has ended, with nothing recorded. A task must not call ordered_map
+    itself: that raises RuntimeError.
     """
     if getattr(_LOCAL, "records", None) is not None:
         raise RuntimeError("ordered_map called inside an ordered_map task; "
-                           "nested calls would splice their records out of order")
+                           "a nested group would add its shared pieces out of order")
     results = [None] * count
     records = [[] for _ in range(count)]
 
@@ -388,11 +375,7 @@ def ordered_map(fn, count: int) -> list:
         raise failed
     tape = active_tape()
     if tape is not None and any(records):
-        bounds = [len(tape)]
-        for task_records in records:
-            tape._records.extend(task_records)
-            bounds.append(len(tape))
-        tape._groups.append(bounds)
+        tape._records.append(_Group(records))
     return results
 
 

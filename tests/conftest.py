@@ -1,3 +1,15 @@
+"""Shared fixtures and helpers.
+
+The tests run BLAS on one thread, as the CLI and perfbench do: the batch
+halves already keep two CPUs busy, and an explicit setting in the
+environment still wins.
+"""
+
+import os
+
+for _blas_threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_blas_threads, "1")  # read once, when numpy loads below
+
 import dataclasses
 import threading
 
@@ -9,7 +21,7 @@ from fusecast.data import fit_normalizer, make_synthetic, split_and_window
 from fusecast.decouple import decouple
 from fusecast.graphgen import generate_pattern_graph, temporal_feature_matrix
 from fusecast.network import Forecaster
-from fusecast.tensor import Tensor
+from fusecast.tensor import Tensor, _Group
 
 
 @pytest.fixture(autouse=True)
@@ -19,6 +31,23 @@ def no_thread_left_running():
     yield
     after = threading.active_count()
     assert after == before, f"{after - before} more threads running than before the test"
+
+
+def tape_groups(tape):
+    """The ordered_map groups among the tape's entries."""
+    return [entry for entry in tape._records if isinstance(entry, _Group)]
+
+
+def flat_records(tape):
+    """The tape's records in execution order, each group's lists spliced in task order."""
+    flat = []
+    for entry in tape._records:
+        if isinstance(entry, _Group):
+            for records in entry:
+                flat.extend(records)
+        else:
+            flat.append(entry)
+    return flat
 
 
 def fd_gradient(f, x, h=1e-6):

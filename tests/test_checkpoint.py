@@ -12,7 +12,7 @@ def _sample_params():
     return OrderedDict([
         ("pattern0.spatial_emb.e1", np.arange(12.0, dtype=np.float32).reshape(3, 4)),
         ("gru.bz", np.array([1.5, -2.5], dtype=np.float64)),
-        ("head.out.weight", Tensor(np.ones((2, 2), dtype=np.float32))),
+        ("head.out.weight", np.ones((2, 2), dtype=np.float32)),
     ])
 
 
@@ -73,6 +73,10 @@ def test_repeated_record_name_rejected(tmp_path):
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(ValueError, match="dtype"):
         save_checkpoint(tmp_path / "x.bin", {"w": np.zeros(3, dtype=np.int64)})
+    # a Tensor is not an array: pass its .data
+    with pytest.raises(ValueError, match="unsupported dtype object for 'w'"):
+        save_checkpoint(tmp_path / "x.bin", {"w": Tensor(np.zeros(3, dtype=np.float32))})
+    assert not (tmp_path / "x.bin").exists()
 
 
 def test_truncation_at_every_offset_raises_ingestion_error(tmp_path):

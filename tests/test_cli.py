@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -117,6 +118,11 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
                            "bogus.key=1")
     assert code == 2
     assert "bogus.key" in err
+    # the series loader yields one channel, so the channel count is a constant, not a key
+    code, _, err = run_cli(capsys, "train", *TOY_ARGS, "--out", str(tmp_path / "r"),
+                           "model.channels=2")
+    assert code == 2
+    assert "unknown config key: model.channels" in err
 
 
 def test_eval_missing_checkpoint_exits_4(tmp_path, capsys):
@@ -312,7 +318,6 @@ def test_pattern_failure_on_a_worker_exits_2(tmp_path, capsys, monkeypatch):
             raise ShapeError("worker graph")
         return real(*args)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(network, "generate_pattern_graph", generate)
     code, stdout, err = run_cli(capsys, "train", *TOY_ARGS, "--out", str(tmp_path / "r"),
                                 f"data.series={_toy_data(tmp_path, capsys)}")
@@ -448,20 +453,27 @@ def test_corrupted_inputs_exit_with_a_documented_code(tmp_path, capsys):
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SRC = str(Path(network.__file__).resolve().parent.parent)
-BLAS_PROBE = """
-import ctypes, json, os
+
+
+def openblas_threads():
+    """The thread count of the OpenBLAS this process loaded, or None if it loaded none."""
+    import ctypes
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    for path in paths:
+        for symbol in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            fn = getattr(ctypes.CDLL(path), symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn()
+    return None
+
+
+BLAS_PROBE = inspect.getsource(openblas_threads) + """
+import json, os
 import fusecast.cli
-with open("/proc/self/maps") as fh:
-    paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-in_force = None
-for path in paths:
-    for symbol in ("openblas_get_num_threads", "openblas_get_num_threads64_",
-                   "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
-        fn = getattr(ctypes.CDLL(path), symbol, None)
-        if fn is not None and in_force is None:
-            fn.restype = ctypes.c_int
-            in_force = fn()
-print(json.dumps({"env": [os.environ[v] for v in %r], "in_force": in_force}))
+print(json.dumps({"env": [os.environ[v] for v in %r], "in_force": openblas_threads()}))
 """ % (BLAS_VARS,)
 
 
@@ -483,6 +495,14 @@ def test_cli_defaults_blas_to_one_thread_unless_set(setting, expected):
     assert report["env"] == expected
     if report["in_force"] is not None:  # an OpenBLAS build: the count it runs with
         assert report["in_force"] == int(expected[0])
+
+
+def test_tests_run_blas_with_the_thread_count_conftest_sets():
+    """conftest defaults the count to 1 before numpy loads; an explicit setting still wins."""
+    in_force = openblas_threads()
+    if in_force is None:
+        pytest.skip("numpy did not load OpenBLAS")
+    assert in_force == int(os.environ["OPENBLAS_NUM_THREADS"])
 
 
 PINNED_TRAIN = ("import os, sys; os.sched_setaffinity(0, %r); "

@@ -1,4 +1,3 @@
-import os
 import re
 import sys
 import threading
@@ -9,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, rel_err
+from conftest import fd_gradient, flat_records, rel_err, tape_groups
 from fusecast import tensor as T
 from fusecast.errors import ConfigError, ShapeError
 from fusecast.tensor import Tape, Tensor, active_tape
@@ -456,12 +455,7 @@ def test_exception_inside_tape_restores_the_active_tape():
     assert active_tape() is None
 
 
-def _cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def test_op_on_a_worker_records_into_its_task_list(monkeypatch):
-    _cpus(monkeypatch, 2)
+def test_op_on_a_worker_records_into_its_task_list():
     x = Tensor([1.0, 2.0], requires_grad=True)
     seen = {}
 
@@ -469,22 +463,23 @@ def test_op_on_a_worker_records_into_its_task_list(monkeypatch):
         out = x * float(g + 2)
         seen[g] = (threading.current_thread() is threading.main_thread(),
                    T._LOCAL.records[-1][0] is out._slot,
-                   any(slot is out._slot for slot, _ in tape._records))
+                   any(slot is out._slot for slot, _ in flat_records(tape)))
         return out
 
     with Tape() as tape:
         x * 1.0
         outs = T.ordered_map(task, 2)
         assert T._LOCAL.records is None
-        assert [slot for slot, _ in tape._records[1:]] == [o._slot for o in outs]
+        assert len(tape._records) == 2 and isinstance(tape._records[1], T._Group)
+        assert [[slot for slot, _ in records] for records in tape._records[1]] == [
+            [o._slot] for o in outs]
         tape.backward(outs[0].sum() + outs[1].sum())
     assert seen == {0: (True, True, False), 1: (False, True, False)}
     assert x.grad.tolist() == [5.0, 5.0]
 
 
-def test_ordered_map_tape_equals_the_plain_loop_under_thread_switching(monkeypatch):
+def test_ordered_map_tape_equals_the_plain_loop_under_thread_switching():
     """More threads than cores and a short switch interval: lost order would show."""
-    _cpus(monkeypatch, 8)
     x = Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
 
     def task(g):
@@ -497,8 +492,8 @@ def test_ordered_map_tape_equals_the_plain_loop_under_thread_switching(monkeypat
         x.grad = None
         with Tape() as tape:
             outs = mapper(task, 16)
-            shapes = [slot.shape for slot, _ in tape._records]
-            groups = [list(bounds) for bounds in tape._groups]
+            shapes = [slot.shape for slot, _ in flat_records(tape)]
+            groups = [len(group) for group in tape_groups(tape)]
             total = outs[0]
             for out in outs[1:]:
                 total = total + out
@@ -514,15 +509,14 @@ def test_ordered_map_tape_equals_the_plain_loop_under_thread_switching(monkeypat
         for _ in range(5):
             *mapped, groups = run(T.ordered_map)
             assert mapped == serial
-            # one group, one range per task, which backward ran on the workers too
-            assert [len(bounds) for bounds in groups] == [17]
+            # one group, one list per task, which backward ran on the workers too
+            assert groups == [16]
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads
 
 
 def test_every_task_after_the_first_gets_a_thread_of_its_own(monkeypatch):
-    _cpus(monkeypatch, 2)
     started, start = [], threading.Thread.start
 
     def counted_start(thread):
@@ -537,15 +531,14 @@ def test_every_task_after_the_first_gets_a_thread_of_its_own(monkeypatch):
         return g
 
     assert T.ordered_map(task, 3) == [0, 1, 2]
-    assert len(started) == 2  # more tasks than CPUs still starts one thread per later task
+    assert len(started) == 2
     assert sorted(g for g, _ in ran) == [0, 1, 2]
     threads = dict(ran)
     assert threads[0] is threading.main_thread()
     assert [threads[1], threads[2]] == started
 
 
-def test_first_failure_in_task_order_raises_after_every_task_ends(monkeypatch):
-    _cpus(monkeypatch, 3)
+def test_first_failure_in_task_order_raises_after_every_task_ends():
     x = Tensor([1.0], requires_grad=True)
     failed, ended = threading.Event(), []
 
@@ -587,12 +580,11 @@ def test_nested_ordered_map_raises():
         with pytest.raises(RuntimeError, match="ordered_map"):
             T.ordered_map(lambda g: T.ordered_map(lambda h: x * 2.0, 2), 2)
         assert T._LOCAL.records is None
-        assert len(tape) == 0 and tape._groups == []
+        assert tape._records == []
 
 
-def test_group_adds_shared_pieces_in_serial_order(monkeypatch):
+def test_group_adds_shared_pieces_in_serial_order():
     """float32 pieces 1e8, 1 and -1e8 into one leaf: each order of adding them has its own bits."""
-    _cpus(monkeypatch, 2)
     x = Tensor(np.ones(1, dtype=np.float32), requires_grad=True)
     factors = [[1.0, -1e8], [1e8]]  # range 0 pulls -1e8 then 1, range 1 pulls 1e8
 
@@ -603,7 +595,7 @@ def test_group_adds_shared_pieces_in_serial_order(monkeypatch):
         x.grad = None
         with Tape() as tape:
             outs = [y for ys in mapper(task, 2) for y in ys]
-            assert len(tape._groups) == (mapper is T.ordered_map)
+            assert len(tape_groups(tape)) == (mapper is T.ordered_map)
             total = outs[0]
             for y in outs[1:]:
                 total = total + y
@@ -624,8 +616,7 @@ def _record(x, pull):
     return T._make(x.data * 1.0, [(x, pull)])
 
 
-def test_group_failure_raises_the_last_range_first_once_both_end(monkeypatch):
-    _cpus(monkeypatch, 2)
+def test_group_failure_raises_the_last_range_first_once_both_end():
     x = Tensor([1.0], requires_grad=True)
     failed, ended, threads = threading.Event(), [], {}
 
@@ -648,8 +639,7 @@ def test_group_failure_raises_the_last_range_first_once_both_end(monkeypatch):
     assert threads[0] is threading.main_thread() and threads[1] is not threading.main_thread()
 
 
-def test_undo_on_error_and_a_slotless_backward_drop_groups(monkeypatch):
-    _cpus(monkeypatch, 2)
+def test_undo_on_error_and_a_slotless_backward_drop_groups():
     x = Tensor([1.0], requires_grad=True)
     with Tape() as tape:
         T.ordered_map(lambda g: x * float(g), 2)
@@ -657,10 +647,28 @@ def test_undo_on_error_and_a_slotless_backward_drop_groups(monkeypatch):
             with T.undo_on_error():
                 T.ordered_map(lambda g: x * float(g), 2)
                 raise RuntimeError("boom")
-        assert len(tape) == 2 and tape._groups == [[0, 1, 2]]
+        assert len(tape) == 2 and len(tape._records) == 1
+        assert [len(records) for records in tape._records[0]] == [1, 1]
         tape.backward(Tensor(0.0))
-        assert len(tape) == 0 and tape._groups == []
+        assert len(tape) == 0 and tape._records == []
     assert x.grad is None
+
+
+@pytest.mark.parametrize("mapper", [T.ordered_map, lambda fn, count: [fn(g) for g in range(count)]],
+                         ids=["ordered_map", "plain-loop"])
+def test_undo_on_error_drops_a_whole_group(mapper):
+    x = Tensor([1.0], requires_grad=True)
+    with Tape() as tape:
+        x * 2.0
+        mapper(lambda g: [x * float(g), x + float(g)], 2)
+        with pytest.raises(RuntimeError):
+            with T.undo_on_error():
+                x * 3.0
+                mapper(lambda g: [x * float(g), x + float(g)], 3)
+                raise RuntimeError("boom")
+        assert len(tape) == 5  # the plain loop's count: the record before, then 2 per task
+        assert len(tape._records) == (2 if mapper is T.ordered_map else 5)
+        assert len(tape_groups(tape)) == (mapper is T.ordered_map)
 
 
 OPS = [
@@ -861,7 +869,7 @@ def test_tape_pulls_capture_no_tensor(toy_setup):
     with Tape() as tape:
         model.forward_batch(hist, tod, dow, training=True, rng=np.random.default_rng(0))
         assert len(tape) > 100
-        for slot, pulls in tape._records:
+        for slot, pulls in flat_records(tape):
             assert not isinstance(slot, Tensor)
             for _, pull in pulls:
                 captured = [cell.cell_contents for cell in pull.__closure__ or ()]
