@@ -49,7 +49,7 @@ class AttentionFusionParams:
 
 @dataclass
 class PatternGraphParams:
-    """Everything one traffic pattern needs to build its adjacency set."""
+    """Everything one traffic pattern needs to build its adjacency."""
 
     e1: Tensor  # [N, Nd], the two node embeddings behind the spatial score
     e2: Tensor
@@ -58,18 +58,6 @@ class PatternGraphParams:
     temporal_w1: Tensor  # [D, D]
     temporal_w2: Tensor
     fusion: AttentionFusionParams
-
-
-@dataclass
-class AdjacencySet:
-    """One pattern's spatial and temporal graphs and the `final` graph it convolves with.
-
-    `final` always exists; a graph not built in the active mode stays None.
-    """
-
-    spatial: Tensor | None
-    temporal: Tensor | None
-    final: Tensor
 
 
 def build_directed_graph(f1: Tensor, f2: Tensor, w1: Tensor, w2: Tensor,
@@ -121,9 +109,11 @@ def fuse_graphs(a_spatial: Tensor, a_temporal: Tensor, beta: float,
 
 
 def generate_pattern_graph(params: PatternGraphParams, time_features, cfg: GraphConfig,
-                           predefined: np.ndarray | None = None) -> AdjacencySet:
-    """Build one pattern's AdjacencySet in the graph mode `cfg.mode`.
+                           predefined: np.ndarray | None = None) -> Tensor:
+    """The adjacency one pattern convolves with, in the graph mode `cfg.mode`.
 
+    That is the predefined road graph, the spatial or the temporal graph of
+    build_directed_graph, or, in "fused" mode, fuse_graphs of the two.
     `time_features` is the (daily, weekly) averaged feature pair from
     temporal_feature_matrix; it may carry a leading batch dimension.
     """
@@ -131,22 +121,21 @@ def generate_pattern_graph(params: PatternGraphParams, time_features, cfg: Graph
     if mode == "predefined":
         if predefined is None:
             raise ConfigError("graph mode 'predefined' needs a loaded road-network adjacency")
-        return AdjacencySet(spatial=None, temporal=None, final=Tensor(predefined))
+        return Tensor(predefined)
 
-    spatial = temporal = None
-    if mode in ("fused", "spatial_only"):
-        spatial = build_directed_graph(params.e1, params.e2, params.spatial_w1, params.spatial_w2,
-                                       cfg.alpha, cfg.k_spatial)
-    if mode in ("fused", "temporal_only"):
+    def spatial():
+        return build_directed_graph(params.e1, params.e2, params.spatial_w1, params.spatial_w2,
+                                    cfg.alpha, cfg.k_spatial)
+
+    def temporal():
         td_bar, tw_bar = time_features
-        temporal = build_directed_graph(td_bar, tw_bar, params.temporal_w1, params.temporal_w2,
-                                        cfg.alpha, cfg.k_temporal)
+        return build_directed_graph(td_bar, tw_bar, params.temporal_w1, params.temporal_w2,
+                                    cfg.alpha, cfg.k_temporal)
+
+    if mode == "spatial_only":
+        return spatial()
+    if mode == "temporal_only":
+        return temporal()
     if mode == "fused":
-        final = fuse_graphs(spatial, temporal, cfg.beta, params.fusion)
-    elif mode == "spatial_only":
-        final = spatial
-    elif mode == "temporal_only":
-        final = temporal
-    else:
-        raise ConfigError(f"unknown graph mode {mode!r}")
-    return AdjacencySet(spatial=spatial, temporal=temporal, final=final)
+        return fuse_graphs(spatial(), temporal(), cfg.beta, params.fusion)
+    raise ConfigError(f"unknown graph mode {mode!r}")

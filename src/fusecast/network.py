@@ -16,6 +16,11 @@ follows the CPU count, so predictions and gradients are the same bits on
 any machine; two halves also cost next to nothing at small shapes, where
 more and smaller pieces would. Within a half the patterns run as a plain
 loop. The parameter-only spatial graph is built once per half.
+
+forward_batch makes every batch-wide choice once, on the calling thread:
+it normalizes the history, draws the whole batch's dropout mask in
+training, and undoes the normalization on the joined prediction. The
+halves compute in normalized space and see only their slice of the mask.
 forward_batch returns the prediction only: a reader of the graphs or flows
 builds them as _forward_windows does, with pools.lookup,
 generate_pattern_graph and decouple on the normalized history.
@@ -47,9 +52,9 @@ from . import tensor as T
 from .config import GraphConfig, ModelConfig
 from .data import DAYS_PER_WEEK, Normalizer
 from .decouple import GateParams, decouple
-from .errors import ShapeError
-from .graphgen import (AdjacencySet, AttentionFusionParams, PatternGraphParams,
-                       TimeEmbeddingPools, generate_pattern_graph, temporal_feature_matrix)
+from .errors import ConfigError, ShapeError
+from .graphgen import (AttentionFusionParams, PatternGraphParams, TimeEmbeddingPools,
+                       generate_pattern_graph, temporal_feature_matrix)
 from .tensor import Tensor, ordered_map, undo_on_error
 
 
@@ -117,13 +122,11 @@ def rgc_forward(h_in: Tensor, adjacency: Tensor, weight: Tensor, gamma: float) -
     return T.swapaxes(T.matmul(T.concat(levels, axis=-1), weight), -3, -2)
 
 
-def gru_forward(x_seq: Tensor, params: GruParams, dropout_rate: float,
-                training: bool, uniforms: np.ndarray | None = None) -> Tensor:
+def gru_forward(x_seq: Tensor, params: GruParams) -> Tensor:
     """Shared-weight GRU over the time axis of [..., Th, N, d_in].
 
-    Nodes ride along as batch elements; the hidden state starts at zero
-    and the stacked outputs pass through inverted dropout, whose uniform
-    draws [..., Th, N, d_h] the caller supplies in training mode.
+    Nodes ride along as batch elements; the hidden state starts at zero,
+    and the hidden states of every step are stacked to [..., Th, N, d_h].
     """
     th = x_seq.shape[-3]
     n = x_seq.shape[-2]
@@ -137,8 +140,7 @@ def gru_forward(x_seq: Tensor, params: GruParams, dropout_rate: float,
         cand = T.tanh(x_t @ params.wh + (r * h) @ params.uh + params.bh)
         h = (1.0 - z) * h + z * cand
         outputs.append(h)
-    stacked = T.concat(outputs, axis=-3)
-    return T.dropout(stacked, dropout_rate, training, uniforms=uniforms)
+    return T.concat(outputs, axis=-3)
 
 
 class Forecaster:
@@ -289,10 +291,13 @@ class Forecaster:
     def forward_batch(self, history, tod, dow, training: bool = False, rng=None) -> Tensor:
         """Predict [B, Tf, N, C] raw-unit flow from raw histories [B, Th, N, C].
 
-        tod/dow are integer index arrays [B, Th]. The dropout draws of the
-        whole batch come from one rng.random call on the calling thread, so
-        they do not depend on the split. A forward that raises leaves the
-        active tape as it found it.
+        tod/dow are integer index arrays [B, Th]. In training with
+        model.dropout > 0, the inverted-dropout mask of the whole batch,
+        0 or 1/(1-rate) per GRU output, comes from one rng.random call on
+        the calling thread, so it does not depend on the split; without an
+        rng that raises ConfigError before any compute. The normalization
+        is undone once, on the joined prediction. A forward that raises
+        leaves the active tape as it found it.
         """
         cfg = self.cfg
         with undo_on_error():
@@ -305,23 +310,29 @@ class Forecaster:
                         f"N={self.n_nodes}, C={cfg.channels})")
                 xn = self.normalizer.apply(x_raw) if self.normalizer else x_raw
             tod, dow = np.asarray(tod), np.asarray(dow)
-            uniforms = None
-            if training and cfg.dropout > 0.0 and rng is not None:
-                uniforms = rng.random(x_raw.shape[:-1] + (cfg.rgc_iterations * cfg.hidden,))
+            keep = None
+            if training and cfg.dropout > 0.0:
+                if rng is None:
+                    raise ConfigError("training with dropout needs an explicit rng")
+                shape = x_raw.shape[:-1] + (cfg.rgc_iterations * cfg.hidden,)
+                keep = (rng.random(shape) >= cfg.dropout).astype(self.dtype) / (1.0 - cfg.dropout)
 
             batch = len(x_raw)
             cuts = [0, (batch + 1) // 2, batch] if batch > 1 else [0, batch]
 
             def half(h):
                 part = slice(cuts[h], cuts[h + 1])
-                return self._forward_windows(
-                    Tensor(xn[part]), tod[part], dow[part], training,
-                    None if uniforms is None else uniforms[part])
+                return self._forward_windows(Tensor(xn[part]), tod[part], dow[part],
+                                             None if keep is None else keep[part])
 
-            return T.concat(ordered_map(half, len(cuts) - 1), axis=0)
+            prediction = T.concat(ordered_map(half, len(cuts) - 1), axis=0)
+            return self.normalizer.invert(prediction) if self.normalizer else prediction
 
-    def _forward_windows(self, xn: Tensor, tod, dow, training: bool, uniforms) -> Tensor:
-        """The prediction of normalized windows xn [B, Th, N, C]."""
+    def _forward_windows(self, xn: Tensor, tod, dow, keep) -> Tensor:
+        """The normalized prediction of normalized windows xn [B, Th, N, C].
+
+        keep is the windows' dropout mask [B, Th, N, M*d], or None for none.
+        """
         cfg = self.cfg
         with _stage("time-lookups"):
             daily_l, weekly_l = self.pools.lookup(tod, dow)
@@ -337,14 +348,16 @@ class Forecaster:
         def convolve(g):
             w, b = self.projections[g]
             weight = T.concat(self.rgc_weights[g], axis=-1)
-            return rgc_forward(flows.flows[g] @ w + b, graphs[g].final, weight, cfg.gamma)
+            return rgc_forward(flows.flows[g] @ w + b, graphs[g], weight, cfg.gamma)
 
         with _stage("graph-convolution"):
             x_out = T.concat([convolve(g) for g in range(cfg.patterns)], axis=-1)
-        del graphs  # spatial, temporal and final, [B, N, N] each
+        del graphs  # one [B, N, N] graph per pattern
 
         with _stage("temporal-sequence"):
-            h_out = gru_forward(x_out, self.gru, cfg.dropout, training, uniforms)
+            h_out = gru_forward(x_out, self.gru)
+            if keep is not None:
+                h_out = T.mul(h_out, keep)
 
         with _stage("regression-head"):
             # relu's pull reads only its output and concat's reads nothing,
@@ -359,8 +372,4 @@ class Forecaster:
             flat = T.reshape(per_node, lead + (cfg.history_steps * cfg.head_channels,))
             mapped = flat @ self.head_out_w + self.head_out_b
             mapped = T.reshape(mapped, lead + (cfg.horizon_steps, cfg.channels))
-            prediction = T.swapaxes(mapped, -3, -2)
-
-            if self.normalizer:
-                prediction = self.normalizer.invert(prediction)
-        return prediction
+            return T.swapaxes(mapped, -3, -2)

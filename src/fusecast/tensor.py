@@ -28,12 +28,11 @@ a plain loop's.
 Backward runs a group's lists concurrently, list g on the thread that runs
 task g. A slot that a list produced is read by that list only, so its
 gradient accumulates in place there. A slot that a list writes but did not
-produce (a parameter, or an input made before the map) is shared: the last
-list, which a serial pass runs first, adds its pieces in place, and every
-other list buffers them. Once the group has ended, the buffered pieces are
-added last list first, each list's in the order it made them, which is the
-order a serial pass adds them in. The gradients are therefore bitwise those
-of a serial pass over the same tape.
+produce (a parameter, or an input made before the map) is shared, and every
+list buffers its pieces for such slots. Once every list has ended, the
+calling thread adds the buffered pieces, last list first and each list's in
+the order it made them, which is the order a serial pass adds them in. The
+gradients are therefore bitwise those of a serial pass over the same tape.
 """
 
 from __future__ import annotations
@@ -201,14 +200,10 @@ class _Group(list):
 
 def _walk_group(group: _Group, owned: set):
     """Run one group's lists back concurrently (see the module docstring)."""
-    last = len(group) - 1
-    pending = [[] for _ in range(last)]  # the shared slots' pieces of every list but the last
+    pending = [[] for _ in group]  # each list's pieces for the shared slots
 
     def walk(g):
-        if g == last:
-            _walk_back(group[g], owned)
-        else:
-            _walk_back(group[g], set(), pending[g])
+        _walk_back(group[g], set(), pending[g])
 
     failed = next((e for e in reversed(_run_tasks(walk, len(group))) if e is not None), None)
     if failed is not None:
@@ -618,22 +613,6 @@ def gather(table: Tensor, index: np.ndarray):
         return full
 
     return _make(out_data, [(table, pull)])
-
-
-def dropout(x: Tensor, rate: float, training: bool, uniforms: np.ndarray | None = None):
-    """Inverted dropout: scales survivors by 1/(1-rate) so eval is identity.
-
-    In training mode an entry survives where its draw in `uniforms`, uniform
-    draws from an explicit rng shaped like x, is at least rate.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    if uniforms is None:
-        raise ConfigError("dropout in training mode needs uniform draws from an explicit rng")
-    keep = (uniforms >= rate).astype(x.dtype) / (1.0 - rate)
-    return _make(x.data * keep, [(x, lambda g: g * keep)])
 
 
 def top_k_rows(x: Tensor, k: int):

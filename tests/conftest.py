@@ -72,7 +72,7 @@ def rel_err(a, b, floor=1e-8):
 
 
 def graphs_and_flows(model, history, tod, dow):
-    """The per-pattern AdjacencySets and the PatternFlows that model's forward builds.
+    """The per-pattern adjacency tensors and the PatternFlows that model's forward builds.
 
     The graphs depend only on the parameters and the calendar indices, the
     flows also on the normalized history, so the building blocks give them.

@@ -157,13 +157,24 @@ def _time_features(rng, n, d_time, batch=None):
     return (Tensor(rng.standard_normal(shape)), Tensor(rng.standard_normal(shape)))
 
 
+def _spatial(pattern, cfg):
+    return build_directed_graph(pattern.e1, pattern.e2, pattern.spatial_w1, pattern.spatial_w2,
+                                cfg.alpha, cfg.k_spatial)
+
+
+def _temporal(pattern, feats, cfg):
+    return build_directed_graph(*feats, pattern.temporal_w1, pattern.temporal_w2,
+                                cfg.alpha, cfg.k_temporal)
+
+
 def test_predefined_mode_passes_graph_through():
     rng = np.random.default_rng(9)
     cfg = toy_graph_config(mode="predefined")
     adj = rng.uniform(0, 2, (4, 4))
-    out = generate_pattern_graph(_pattern(rng, 4, 3, 3), None, cfg, adj)
-    assert np.array_equal(out.final.data, adj)
-    assert out.spatial is None and out.temporal is None
+    with Tape() as tape:
+        out = generate_pattern_graph(_pattern(rng, 4, 3, 3), None, cfg, adj)
+        assert len(tape) == 0  # no graph is built from the pattern's parameters
+    assert np.array_equal(out.data, adj)
 
 
 def test_predefined_mode_requires_graph():
@@ -184,24 +195,30 @@ def test_independent_patterns_produce_different_graphs():
     tf_feats = _time_features(rng, 4, 3)
     a = generate_pattern_graph(_pattern(rng, 4, 3, 3), tf_feats, cfg)
     b = generate_pattern_graph(_pattern(rng, 4, 3, 3), tf_feats, cfg)
-    assert not np.array_equal(a.final.data, b.final.data)
+    assert not np.array_equal(a.data, b.data)
 
 
 def test_spatial_only_mode_inherits_topk_sparsity():
     rng = np.random.default_rng(12)
     cfg = toy_graph_config(k_spatial=2, mode="spatial_only")
-    out = generate_pattern_graph(_pattern(rng, 6, 3, 3), None, cfg)
-    assert out.final is out.spatial
-    assert ((out.final.data != 0).sum(axis=-1) <= 2).all()
-    assert np.all(out.final.data >= 0)
+    pattern = _pattern(rng, 6, 3, 3)
+    out = generate_pattern_graph(pattern, None, cfg)
+    assert out.data.tobytes() == _spatial(pattern, cfg).data.tobytes()
+    assert ((out.data != 0).sum(axis=-1) <= 2).all()
+    assert np.all(out.data >= 0)
 
 
 def test_temporal_only_mode_uses_time_features():
     rng = np.random.default_rng(13)
     cfg = toy_graph_config(k_temporal=2, mode="temporal_only")
-    out = generate_pattern_graph(_pattern(rng, 5, 3, 3), _time_features(rng, 5, 3), cfg)
-    assert out.final is out.temporal
-    assert out.spatial is None
+    pattern, feats = _pattern(rng, 5, 3, 3), _time_features(rng, 5, 3)
+    with Tape() as tape:
+        out = generate_pattern_graph(pattern, feats, cfg)
+        tape.backward(out)
+    assert out.data.tobytes() == _temporal(pattern, feats, cfg).data.tobytes()
+    assert pattern.temporal_w1.grad is not None
+    # the spatial graph is not built
+    assert pattern.e1.grad is None and pattern.spatial_w1.grad is None
 
 
 def test_fused_mode_is_deterministic_and_nonnegative():
@@ -211,8 +228,11 @@ def test_fused_mode_is_deterministic_and_nonnegative():
     feats = _time_features(rng, 4, 3)
     a = generate_pattern_graph(pattern, feats, cfg)
     b = generate_pattern_graph(pattern, feats, cfg)
-    assert np.array_equal(a.final.data, b.final.data)
-    assert np.all(a.final.data >= 0)
+    assert np.array_equal(a.data, b.data)
+    assert np.all(a.data >= 0)
+    expected = fuse_graphs(_spatial(pattern, cfg), _temporal(pattern, feats, cfg), cfg.beta,
+                           pattern.fusion)
+    assert a.data.tobytes() == expected.data.tobytes()
 
 
 def test_fused_mode_broadcasts_batched_time_features():
@@ -221,8 +241,11 @@ def test_fused_mode_broadcasts_batched_time_features():
     pattern = _pattern(rng, 4, 3, 3)
     feats = _time_features(rng, 4, 3, batch=3)
     out = generate_pattern_graph(pattern, feats, cfg)
-    assert out.final.shape == (3, 4, 4)
-    assert out.spatial.shape == (4, 4)
+    spatial = _spatial(pattern, cfg)
+    assert out.shape == (3, 4, 4)
+    assert spatial.shape == (4, 4)  # built once from the parameters, not per window
+    expected = fuse_graphs(spatial, _temporal(pattern, feats, cfg), cfg.beta, pattern.fusion)
+    assert out.data.tobytes() == expected.data.tobytes()
 
 
 def test_full_fuse_pipeline_gradients_match_finite_differences():
@@ -234,8 +257,7 @@ def test_full_fuse_pipeline_gradients_match_finite_differences():
     w = rng.standard_normal((n, n))
 
     def scalar():
-        out = generate_pattern_graph(pattern, feats, cfg)
-        return (out.final * w).sum()
+        return (generate_pattern_graph(pattern, feats, cfg) * w).sum()
 
     params = {
         "e1": pattern.e1, "e2": pattern.e2,

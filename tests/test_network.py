@@ -146,14 +146,14 @@ def _zero_gru(d_in, d_h):
 
 
 def test_gru_zero_weights_zero_input_stays_zero():
-    out = gru_forward(Tensor(np.zeros((4, 3, 2))), _zero_gru(2, 2), 0.0, False)
+    out = gru_forward(Tensor(np.zeros((4, 3, 2))), _zero_gru(2, 2))
     assert np.array_equal(out.data, np.zeros((4, 3, 2)))
 
 
 def test_gru_single_step_shape():
     rng = np.random.default_rng(4)
     params = _zero_gru(3, 2)
-    out = gru_forward(Tensor(rng.standard_normal((1, 5, 3))), params, 0.0, False)
+    out = gru_forward(Tensor(rng.standard_normal((1, 5, 3))), params)
     assert out.shape == (1, 5, 2)
 
 
@@ -166,7 +166,7 @@ def test_gru_hidden_stays_inside_unit_ball():
                        uz=u((d_h, d_h)), ur=u((d_h, d_h)), uh=u((d_h, d_h)),
                        bz=u((d_h,)), br=u((d_h,)), bh=u((d_h,)))
     x = Tensor(rng.standard_normal((2, 20, 5, d_in)) * 3.0)
-    out = gru_forward(x, params, 0.0, False)
+    out = gru_forward(x, params)
     assert np.abs(out.data).max() < 1.0
 
 
@@ -181,7 +181,7 @@ def _x_out(model, graphs, flows):
     for g, flow in enumerate(flows.flows):
         w, b = model.projections[g]
         weight = T.concat(model.rgc_weights[g], axis=-1)
-        blocks.append(rgc_forward(flow @ w + b, graphs[g].final, weight, model.cfg.gamma))
+        blocks.append(rgc_forward(flow @ w + b, graphs[g], weight, model.cfg.gamma))
     return T.concat(blocks, axis=-1)
 
 
@@ -196,7 +196,7 @@ def test_forward_shapes_and_activations(toy_setup):
     x_out = _x_out(model, graphs, flows)
     assert pred.shape == (3, cfg.horizon_steps, 4, 1)
     assert x_out.shape == (3, cfg.history_steps, 4, gmd)
-    assert gru_forward(x_out, model.gru, 0.0, False).shape == (3, cfg.history_steps, 4, md)
+    assert gru_forward(x_out, model.gru).shape == (3, cfg.history_steps, 4, md)
     assert len(graphs) == cfg.patterns
     assert len(flows.flows) == cfg.patterns
 
@@ -210,7 +210,7 @@ def test_forward_window_matches_contract_shapes(toy_setup):
     assert pred.shape == (1, cfg.horizon_steps, 4, 1)
     assert x_out.shape == (1, cfg.history_steps, 4,
                            cfg.patterns * cfg.rgc_iterations * cfg.hidden)
-    assert (gru_forward(x_out, model.gru, 0.0, False).shape
+    assert (gru_forward(x_out, model.gru).shape
             == (1, cfg.history_steps, 4, cfg.rgc_iterations * cfg.hidden))
 
 
@@ -308,7 +308,7 @@ def test_single_pattern_single_block_collapses_to_one_rgc(toy_setup):
     w, b = model.projections[0]
     xn = Tensor(np.asarray(hist, dtype=np.float64))
     projected = xn @ w + b
-    expected = rgc_forward(projected, graphs[0].final,
+    expected = rgc_forward(projected, graphs[0],
                            model.parameters()["pattern0.rgc0.weight"], cfg.gamma)
     assert np.array_equal(_x_out(model, graphs, flows).data, expected.data)
 
@@ -332,7 +332,7 @@ def test_folded_blocks_equal_per_block_rgc_calls(toy_setup):
     for g in range(cfg.patterns):
         w, b = model.projections[g]
         projected = flows.flows[g] @ w + b
-        blocks = [rgc_forward(projected, graphs[g].final,
+        blocks = [rgc_forward(projected, graphs[g],
                               params[f"pattern{g}.rgc{m}.weight"], cfg.gamma)
                   for m in range(m_iter)]
         expected = np.concatenate([blk.data for blk in blocks], axis=-1)
@@ -476,19 +476,73 @@ def test_concurrent_patterns_match_the_plain_loop(toy_setup, monkeypatch, dtype,
     assert _training_step(model, hist, targ, tod, dow) == (pred, records, 0, grads)
 
 
+def _dropout_model(toy_setup, rate):
+    """The toy setup's training windows, normalizer and a float32 model with dropout."""
+    series, train_ws, _, _, norm, _ = toy_setup
+    cfg = dataclasses.replace(toy_model_config(), dropout=rate)
+    return train_ws, norm, Forecaster(series.n_nodes, series.steps_per_day, cfg,
+                                      toy_graph_config(), normalizer=norm, dtype=np.float32,
+                                      seed=3)
+
+
 @pytest.mark.parametrize("batch", [3, 5, 6, 31])
 def test_halves_predict_the_bits_of_the_whole_batch(toy_setup, batch):
-    """In training mode with dropout: the batch's draws come from one rng.random call."""
-    series, train_ws, _, _, norm, _ = toy_setup
-    cfg = dataclasses.replace(toy_model_config(), dropout=0.2)
-    model = Forecaster(series.n_nodes, series.steps_per_day, cfg, toy_graph_config(),
-                       normalizer=norm, dtype=np.float32, seed=3)
+    """In training mode with dropout: the batch's mask comes from one rng.random call."""
+    train_ws, norm, model = _dropout_model(toy_setup, 0.2)
+    cfg = model.cfg
     hist, _, tod, dow = train_ws.batch([w % len(train_ws) for w in range(batch)])
     split = model.forward_batch(hist, tod, dow, training=True, rng=np.random.default_rng(0))
     uniforms = np.random.default_rng(0).random(hist.shape[:-1] + (cfg.rgc_iterations * cfg.hidden,))
-    whole = model._forward_windows(Tensor(norm.apply(hist.astype(np.float32))), tod, dow,
-                                   True, uniforms)
+    keep = (uniforms >= cfg.dropout).astype(np.float32) / (1.0 - cfg.dropout)
+    whole = norm.invert(model._forward_windows(Tensor(norm.apply(hist.astype(np.float32))),
+                                               tod, dow, keep))
     assert split.data.tobytes() == whole.data.tobytes()
+
+
+def test_training_forward_without_dropout_is_the_eval_forward(toy_setup):
+    series, train_ws, model = _toy_model(toy_setup)
+    assert model.cfg.dropout == 0.0
+    hist, _, tod, dow = train_ws.batch([0, 1, 2])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    trained = model.forward_batch(hist, tod, dow, training=True, rng=rng)
+    assert trained.data.tobytes() == model.forward_batch(hist, tod, dow).data.tobytes()
+    assert rng.bit_generator.state == state  # no draw is made
+
+
+def test_dropout_mask_is_inverted_and_keeps_the_expectation(toy_setup, monkeypatch):
+    rate = 0.2
+    train_ws, _, model = _dropout_model(toy_setup, rate)
+    hist, _, tod, dow = train_ws.batch([w % len(train_ws) for w in range(31)])
+    masks, real = [], model._forward_windows
+
+    def forward_windows(xn, tod, dow, keep):
+        masks.append(keep)
+        return real(xn, tod, dow, keep)
+
+    monkeypatch.setattr(model, "_forward_windows", forward_windows)
+    model.forward_batch(hist, tod, dow, training=True, rng=np.random.default_rng(0))
+    assert sorted(len(m) for m in masks) == [15, 16]  # each half gets its windows' slice
+    mask = np.concatenate(masks)
+    assert mask.shape == hist.shape[:-1] + (model.cfg.rgc_iterations * model.cfg.hidden,)
+    assert mask.dtype == np.float32
+    assert set(np.unique(mask)) == {0.0, np.float32(1.0 / (1.0 - rate))}
+    # the sample mean's std is sqrt(rate / (1 - rate) / n); allow 5 of them
+    assert abs(mask.mean() - 1.0) < 5 * np.sqrt(rate / (1.0 - rate) / mask.size)
+
+
+def test_dropout_without_an_rng_raises_before_any_compute(toy_setup, monkeypatch):
+    train_ws, _, model = _dropout_model(toy_setup, 0.2)
+    hist, _, tod, dow = train_ws.batch([0, 1])
+    mapped = []
+    monkeypatch.setattr(network, "ordered_map", lambda fn, count: mapped.append(count))
+    x = Tensor([1.0], requires_grad=True)
+    with Tape() as tape:
+        x * 2.0
+        with pytest.raises(ConfigError, match="explicit rng"):
+            model.forward_batch(hist, tod, dow, training=True)
+        assert mapped == []
+        assert len(tape._records) == 1  # only the record made before the forward
 
 
 def test_one_window_step_starts_no_thread(toy_setup, monkeypatch):

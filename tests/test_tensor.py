@@ -270,38 +270,6 @@ def test_out_of_range_axis_raises_instead_of_wrapping(op):
             AXIS_OPS[op](x, axis)
 
 
-def test_dropout_rate_zero_is_identity():
-    x = Tensor(np.arange(6.0))
-    out = T.dropout(x, 0.0, training=True, uniforms=np.random.default_rng(0).random(6))
-    assert out is x
-
-
-def test_dropout_eval_mode_is_identity():
-    x = Tensor(np.arange(6.0))
-    assert T.dropout(x, 0.5, training=False) is x
-
-
-def test_dropout_preserves_expectation():
-    rng = np.random.default_rng(123)
-    x = Tensor(np.full(100_000, 2.0))
-    out = T.dropout(x, 0.5, training=True, uniforms=rng.random(x.shape))
-    # mean of inverted dropout equals the input in expectation;
-    # std of the sample mean is ~2/sqrt(1e5) ~ 0.0063, allow 5 sigma
-    assert abs(out.data.mean() - 2.0) < 0.032
-    kept = out.data[out.data != 0]
-    assert np.allclose(kept, 4.0)
-
-
-def test_dropout_invalid_rate():
-    with pytest.raises(ConfigError):
-        T.dropout(Tensor([1.0]), 1.0, training=True, uniforms=np.random.default_rng(0).random(1))
-
-
-def test_dropout_in_training_needs_an_rng():
-    with pytest.raises(ConfigError, match="explicit rng"):
-        T.dropout(Tensor([1.0]), 0.5, training=True)
-
-
 def test_top_k_rows_example():
     x = Tensor([[0.5, 0.2, 0.9, 0.1]])
     out = T.top_k_rows(x, 2)

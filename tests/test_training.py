@@ -404,9 +404,9 @@ def test_spatial_only_cuts_pool_gradients_from_graph_path(toy_setup):
     def graphs():
         return graphs_and_flows(model, hist, tod, dow)[0]
 
-    before = [g.final.data.copy() for g in graphs()]
+    before = [g.data.copy() for g in graphs()]
     model.pools.daily.data = model.pools.daily.data + 0.7
-    after = [g.final.data for g in graphs()]
+    after = [g.data for g in graphs()]
     for a, b in zip(before, after):
         assert np.array_equal(a, b)
 
