@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import threading
 
 import numpy as np
@@ -11,6 +12,7 @@ from fusecast import tensor as T
 from fusecast.errors import ConfigError, ShapeError
 from fusecast.network import (Forecaster, GruParams, _stage, gru_forward,
                               normalized_propagation, rgc_forward)
+from fusecast.optim import randomize_parameters
 from fusecast.tensor import Tape, Tensor
 from fusecast.training import masked_mae_loss
 
@@ -591,3 +593,98 @@ def test_pattern_failure_on_a_worker_surfaces_after_pattern_0(toy_setup, monkeyp
         assert sorted(finished) == [(False, 0), (False, 1), (True, 0)]
         assert gru_threads == [threading.main_thread()]  # the calling thread's half went on
         assert len(tape._records) == 1  # only the record made before the forward, and no group
+
+
+def _node_axis(name):
+    """The axis of a parameter that is indexed by node, or None for a node-free one."""
+    if name.startswith("time_pool.") or name.endswith(".attn.wo"):
+        return 1
+    if ".spatial_emb." in name or re.search(r"\.attn\.head\d+\.w[qkv]$", name):
+        return 0
+    return None
+
+
+def _prediction_and_gradients(model, history, tod, dow, weight):
+    with Tape() as tape:
+        pred = model.forward_batch(history, tod, dow)
+        tape.backward(T.mul(pred, Tensor(weight)))  # d(sum(weight * pred))
+    grads = {name: p.grad for name, p in model.parameters().items()}
+    for p in model.parameters().values():
+        p.grad = None
+    return pred.data, grads
+
+
+def _assert_normwise_close(actual, expected, what):
+    # relabelled nodes sum in another order: gradients of node-free
+    # parameters moved by up to 35 float64 eps of their largest entry
+    bound = 256 * np.finfo(np.float64).eps * np.abs(expected).max()
+    assert np.abs(actual - expected).max() <= bound, what
+
+
+def _positive_tie_at_the_cut(x, k):
+    """Whether some row's k-th largest entry is positive and equals the next one."""
+    if k >= x.shape[-1]:
+        return False
+    ranked = -np.sort(-x, axis=-1)
+    kth = ranked[..., k - 1]
+    return bool(((kth > 0) & (kth == ranked[..., k])).any())
+
+
+@pytest.mark.parametrize("mode", ["fused", "spatial_only", "temporal_only", "predefined"])
+@pytest.mark.parametrize("n_nodes", [4, 5], ids=["toy", "n5"])
+def test_prediction_and_gradients_permute_with_the_nodes(monkeypatch, mode, n_nodes):
+    """Relabelling the nodes relabels the prediction and every gradient, nothing else.
+
+    At N=5 the node count differs from every other width of the toy
+    config (head_dim, heads*head_dim, hidden, node_embed_dim, history_steps,
+    the 7 days of the weekly pool), so mixing the node axis with another
+    axis of the same size cannot pass unseen.
+    """
+    top_k_rows, top_k_inputs = T.top_k_rows, []
+
+    def recording_top_k(x, k):
+        top_k_inputs.append((x.data.copy(), k))
+        return top_k_rows(x, k)
+
+    monkeypatch.setattr(T, "top_k_rows", recording_top_k)
+    rng = np.random.default_rng(n_nodes)
+    perm = rng.permutation(n_nodes)
+    assert (perm != np.arange(n_nodes)).any()
+    batch, cfg = 3, toy_model_config()
+    history = rng.standard_normal((batch, cfg.history_steps, n_nodes, cfg.channels))
+    tod = rng.integers(0, 8, size=(batch, cfg.history_steps))
+    dow = rng.integers(0, 7, size=(batch, cfg.history_steps))
+    weight = rng.standard_normal((batch, cfg.horizon_steps, n_nodes, cfg.channels))
+    road = rng.uniform(0.1, 1.0, (n_nodes, n_nodes)) * (rng.random((n_nodes, n_nodes)) < 0.5)
+    np.fill_diagonal(road, 0.0)
+
+    def model(graph):
+        return Forecaster(n_nodes, 8, cfg, toy_graph_config(mode=mode),
+                          predefined_graph=graph if mode == "predefined" else None,
+                          dtype=np.float64, seed=0)
+
+    original = model(road)
+    randomize_parameters(original.parameters(), seed=11)
+    relabelled = model(road[np.ix_(perm, perm)])
+
+    def permute(name, value):
+        axis = _node_axis(name)
+        return value if value is None or axis is None else np.take(value, perm, axis=axis)
+
+    relabelled.load_state({name: permute(name, p.data)
+                           for name, p in original.parameters().items()})
+    pred, grads = _prediction_and_gradients(original, history, tod, dow, weight)
+    pred_p, grads_p = _prediction_and_gradients(relabelled, history[:, :, perm], tod, dow,
+                                                weight[:, :, perm])
+
+    _assert_normwise_close(pred_p, pred[:, :, perm], "prediction")
+    for name, grad in grads.items():
+        expected = permute(name, grad)
+        if expected is None:  # a parameter this graph mode does not use
+            assert grads_p[name] is None, name
+        else:
+            _assert_normwise_close(grads_p[name], expected, name)
+    # top_k_rows gives a tie to the lower index, so a positive tie at the
+    # cut would keep a different node after relabelling
+    assert (mode == "predefined") == (not top_k_inputs)
+    assert not any(_positive_tie_at_the_cut(x, k) for x, k in top_k_inputs)

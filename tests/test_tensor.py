@@ -1,4 +1,6 @@
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -12,6 +14,8 @@ from conftest import fd_gradient, flat_records, rel_err, tape_groups
 from fusecast import tensor as T
 from fusecast.errors import ConfigError, ShapeError
 from fusecast.tensor import Tape, Tensor, active_tape
+
+SRC = os.path.dirname(os.path.dirname(T.__file__))
 
 
 def test_matmul_identity():
@@ -893,3 +897,65 @@ def test_relu_mask_from_its_output_matches_the_input_sign(dtype):
         tape.backward(y)
     assert np.array_equal(y.data > 0, x.data > 0)
     assert x.grad.tobytes() == (x.data > 0).astype(dtype).tobytes()
+
+
+# Each round allocates and frees two 8 MB float32 arrays on the main thread
+# and two on a worker; prints the minor faults of the 40 counted rounds.
+FAULT_PROBE = """
+import resource, threading
+import numpy as np
+import fusecast.tensor
+
+def churn():
+    np.ones(2 << 20, dtype=np.float32) * 2.0
+
+def rounds(count):
+    for _ in range(count):
+        churn()
+        worker = threading.Thread(target=churn)
+        worker.start()
+        worker.join()
+
+rounds(5)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+rounds(40)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _on_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def _probe_faults(**malloc_env):
+    env = {k: v for k, v in os.environ.items()
+           if k not in T._MALLOC_ENVIRONMENT and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(malloc_env)
+    done = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout)
+
+
+def test_malloc_policy_values_fit_a_c_int():
+    # mallopt takes a C int: 1 << 32 would wrap to 0 and trim everything
+    assert all(0 < value < 2**31 for _, value in T._MALLOC_POLICY)
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the allocator policy is set on glibc only")
+def test_freed_arrays_stay_mapped_on_every_thread():
+    # glibc's defaults map, unmap and fault in each array again: about 40k faults
+    faults = _probe_faults()
+    assert faults < 1000, f"{faults} minor faults over 40 rounds of 8 MB arrays"
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the allocator policy is set on glibc only")
+def test_an_explicit_malloc_setting_wins_over_the_policy():
+    # a trim threshold of 0 returns every freed array to the OS, so the
+    # probe faults its memory in again each round if the setting was kept
+    faults = _probe_faults(MALLOC_TRIM_THRESHOLD_="0")
+    assert faults > 1000, f"only {faults} minor faults: the explicit setting was overridden"
