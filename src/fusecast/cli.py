@@ -32,7 +32,7 @@ import numpy as np
 
 from . import training
 from .config import RunConfig, load_config, preset_path, write_manifest
-from .data import Normalizer, make_synthetic, save_series
+from .data import Normalizer, WindowSet, make_synthetic, save_series
 from .errors import ConfigError, IngestionError, NumericalError, ShapeError
 from .optim import grad_check, randomize_parameters
 from .checkpoint import load_checkpoint
@@ -146,12 +146,10 @@ def cmd_gradcheck(args) -> int:
     model = training.build_model(cfg, series, norm, dtype=np.float64)
     randomize_parameters(model.parameters(), seed=cfg.train.seed)
     th, tf = cfg.model.history_steps, cfg.model.horizon_steps
-    hist = series.values[None, :th]
-    targ = series.values[None, th:th + tf]
-    tod, dow = series.time_indices(np.arange(th))
+    hist, targ, tod, dow = WindowSet(series, 0, th + tf, th, tf).batch([0])
 
     def loss_fn():
-        pred = model.forward_batch(hist, tod[None], dow[None], training=False)
+        pred = model.forward_batch(hist, tod, dow, training=False)
         return masked_mae_loss(pred, targ)
 
     report = grad_check(loss_fn, model.parameters(), h=1e-5)

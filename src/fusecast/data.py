@@ -2,8 +2,8 @@
 
 Series come in as a plain CSV (one row per time step, one column per
 sensor) plus a JSON sidecar declaring at least `steps_per_day` and
-`first_step_day_of_week`. A value of exactly 0 is the conventional
-missing-reading marker and is masked out of losses and metrics downstream.
+`first_step_day_of_week`. A value of 0 or below is a missing reading (0
+is the conventional marker) and is masked out of losses and metrics downstream.
 """
 
 from __future__ import annotations

@@ -220,9 +220,10 @@ class Tape:
     def backward(self, output: Tensor):
         """Accumulate d(output.sum())/d(input) into .grad of every recorded input.
 
-        The seed is ones, the gradient of output.sum(), and goes into
-        output's gradient slot. The tape is consumed: each record is
-        popped as it runs and its output slot's .grad is reset to None, so
+        The seed is ones, the gradient of output.sum(); _accumulate adds it
+        into output's slot as it adds a pull's piece, so a gradient already
+        there stays unwritten. The tape is consumed: each record is popped
+        as it runs and its output slot's .grad is reset to None, so
         afterwards the tape is empty and only the inputs that no record of
         it produced (leaves, or op outputs of an earlier tape) keep a
         gradient. An output with no slot needs no gradient: the tape is
@@ -234,9 +235,9 @@ class Tape:
         if slot is None:
             self._records.clear()
             return
-        seed = np.ones_like(output.data)
-        slot.grad = seed if slot.grad is None else slot.grad + seed
-        _walk_back(self._records, owned=set())  # ids of the slots whose .grad this pass allocated
+        owned = set()  # ids of the slots whose .grad this pass allocated
+        _accumulate(slot, np.ones_like(output.data), owned)
+        _walk_back(self._records, owned)
 
 
 class _Group(list):
@@ -445,52 +446,50 @@ def _axis(axis: int, ndim: int, op: str) -> int:
     return axis % ndim
 
 
-def _operands(a, b, op: str):
-    """Both operands as Tensors, a plain number taking the other's dtype; they must broadcast."""
+def _binary(a, b, fn, op: str):
+    """a, b as Tensors (a number takes the other's dtype) and fn(a.data, b.data), or ShapeError."""
     if not isinstance(a, Tensor):
         a = Tensor(np.asarray(a, dtype=b.dtype))
     if not isinstance(b, Tensor):
         b = Tensor(np.asarray(b, dtype=a.dtype))
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return a, b, fn(a.data, b.data)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not broadcastable") from None
-    return a, b
 
 
 def add(a, b):
-    a, b = _operands(a, b, "add")
+    a, b, out_data = _binary(a, b, operator.add, "add")
     a_shape, b_shape = a.shape, b.shape
-    return _make(a.data + b.data, [
+    return _make(out_data, [
         (a, lambda g: _unbroadcast(g, a_shape)),
         (b, lambda g: _unbroadcast(g, b_shape)),
     ])
 
 
 def sub(a, b):
-    a, b = _operands(a, b, "sub")
+    a, b, out_data = _binary(a, b, operator.sub, "sub")
     a_shape, b_shape = a.shape, b.shape
-    return _make(a.data - b.data, [
+    return _make(out_data, [
         (a, lambda g: _unbroadcast(g, a_shape)),
         (b, lambda g: _unbroadcast(-g, b_shape)),
     ])
 
 
 def mul(a, b):
-    a, b = _operands(a, b, "mul")
+    a, b, out_data = _binary(a, b, operator.mul, "mul")
     a_data, b_data = a.data, b.data
     a_shape, b_shape = a.shape, b.shape
-    return _make(a_data * b_data, [
+    return _make(out_data, [
         (a, lambda g: _unbroadcast(g * b_data, a_shape)),
         (b, lambda g: _unbroadcast(g * a_data, b_shape)),
     ])
 
 
 def div(a, b):
-    a, b = _operands(a, b, "div")
+    a, b, out_data = _binary(a, b, operator.truediv, "div")
     b_data = b.data
     a_shape, b_shape = a.shape, b.shape
-    out_data = a.data / b_data
     return _make(out_data, [
         (a, lambda g: _unbroadcast(g / b_data, a_shape)),
         (b, lambda g: _unbroadcast(-g * out_data / b_data, b_shape)),
@@ -500,16 +499,16 @@ def div(a, b):
 def matmul(a: Tensor, b: Tensor):
     """Batched matrix product over the last two axes, gradients included.
 
-    When b is a 2-D weight and a has leading axes, b's gradient is one GEMM
-    over every row of a, a.reshape(-1, K).T @ g.reshape(-1, n), rather than
-    one small product per leading index that _unbroadcast then sums. It
-    differs from that sum by float32 reassociation only, and makes no
-    temporary of a's leading shape times b's. a's pull and the forward
-    product keep the batched form. Flattening the forward too was slower and
-    not bitwise, and one GEMM for a 2-D left operand (q @ k^T) was slower
-    for the transposing copies it needs, so neither is done. The one GEMM
-    is large enough for a multi-threaded BLAS to thread, which competes
-    with the batch halves' own threads; run BLAS on one thread.
+    When b is a 2-D weight, its gradient is one GEMM over every row of a,
+    a.reshape(rows, K).T @ g.reshape(rows, n): a.T @ g for a 2-D a, and for
+    a with leading axes the sum of one product per leading index up to
+    float32 reassociation, with no temporary of a's leading shape times
+    b's. The _unbroadcast pull serves a batched b only. a's pull and the
+    forward product keep the batched form. Flattening the forward too was
+    slower and not bitwise, and one GEMM for a 2-D left operand (q @ k^T)
+    was slower for the transposing copies it needs, so neither is done. The
+    one GEMM is large enough for a multi-threaded BLAS to thread, which
+    competes with the batch halves' own threads; run BLAS on one thread.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} and {b.shape}")
@@ -519,7 +518,7 @@ def matmul(a: Tensor, b: Tensor):
         out_data = a_data @ b_data
     except ValueError:
         raise ShapeError(f"matmul: shapes {a_shape} and {b_shape} do not multiply") from None
-    if b.ndim == 2 and a.ndim > 2:
+    if b.ndim == 2:
         rows = math.prod(a_shape[:-1])  # explicit: -1 cannot be inferred when K or n is 0
 
         def pull_b(g):

@@ -1,7 +1,7 @@
 """Loss, metrics, schedules, the training loop, and the ablation variants.
 
 The loss is masked mean absolute error on denormalized predictions:
-entries whose ground truth is exactly 0 are treated as missing and drop
+entries whose ground truth is 0 or below are treated as missing and drop
 out of both numerator and denominator. Training follows a warm-up phase on
 the full horizon, then a curriculum that restarts at a one-step horizon
 and grows it by one step every `curriculum_step` epochs. Validation runs

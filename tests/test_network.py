@@ -452,6 +452,21 @@ def _training_step(model, hist, targ, tod, dow):
     return pred.data.tobytes(), records, groups, grads
 
 
+def test_toy_training_step_tape_record_count(toy_setup):
+    """The tape's record count of one step, pinned: fewer records is a win to claim.
+
+    A change that moves it updates the number here and says why in CHANGES.md.
+    """
+    _, train_ws, _, _, _, model = toy_setup
+    hist, targ, tod, dow = train_ws.batch(list(range(8)))  # two halves of four
+    with Tape() as tape:
+        pred = model.forward_batch(hist, tod, dow, training=True, rng=np.random.default_rng(0))
+        forward = len(tape)
+        loss = masked_mae_loss(pred, targ)
+        assert (forward, len(tape)) == (505, 510)
+        tape.backward(loss)
+
+
 @pytest.mark.parametrize("dtype, overrides, batch", [(np.float64, {"dropout": 0.2}, 3),
                                                      (np.float32, {"patterns": 3}, 3),
                                                      (np.float32, {"dropout": 0.2}, 5)],

@@ -44,10 +44,10 @@ def test_matmul_gradient_matches_finite_differences():
     assert rel_err(a.grad, fd) < 1e-6
 
 
-# b is a 2-D weight under an a with leading axes, so b's pull is one GEMM over
-# every row of a. Each case: a's shape, the view of a that multiplies b, and
-# the op applied to the product.
+# b is a 2-D weight, so b's pull is one GEMM over every row of a. Each case:
+# a's shape, the view of a that multiplies b, and the op applied to the product.
 WEIGHT_CASES = {
+    "2-d": ((4, 5), None, None),  # no leading axes, as a_spatial @ wq
     "3-d": ((6, 4, 5), None, None),
     "4-d": ((2, 3, 4, 5), None, None),
     "narrow": ((2, 3, 6, 5), lambda x: T.narrow(x, 2, 1, 4), None),  # a non-contiguous, as x_t
@@ -95,6 +95,8 @@ def test_matmul_weight_gradient(case):
     assert np.array_equal(a.grad, x.grad)
     old = T._unbroadcast(np.swapaxes(av, -1, -2) @ g, b32.shape)
     assert b.grad.dtype == np.float32
+    if av.ndim == 2:  # the one GEMM is a.T @ g itself
+        assert b.grad.tobytes() == (av.T @ g).tobytes()
     assert np.linalg.norm(b.grad - old) <= 10 * np.finfo(np.float32).eps * np.linalg.norm(old)
 
 
@@ -229,8 +231,14 @@ def test_concat_gradient_routes_ones():
 
 @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
 def test_elementwise_shape_error_names_both_shapes(op):
-    with pytest.raises(ShapeError, match=r"\(2, 3\) and \(4, 3\) are not broadcastable"):
+    message = rf"^{op.__name__}: shapes \(2, 3\) and \(4, 3\) are not broadcastable$"
+    with pytest.raises(ShapeError, match=message):
         op(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))))
+    # under a tape and with a gradient slot: the same error, and nothing recorded
+    with Tape() as tape:
+        with pytest.raises(ShapeError, match=message):
+            op(Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.ones((4, 3))))
+        assert len(tape) == 0
 
 
 def test_concat_of_nothing_raises():
@@ -736,6 +744,23 @@ def test_backward_consumes_the_tape():
     expected = 2 * np.tanh(3 * x.data) * (1 - np.tanh(3 * x.data) ** 2)
     assert np.allclose(x.grad, expected * 3.0, rtol=1e-14)
     assert np.allclose(w.grad, expected * x.data, rtol=1e-14)
+
+
+def test_backward_adds_the_seed_to_a_gradient_already_in_the_output_slot():
+    # through an op, and from a leaf that no record produced
+    x = Tensor(np.arange(1.0, 4.0), requires_grad=True)
+    g0 = np.array([10.0, 20.0, 30.0])
+    with Tape() as tape:
+        y = x * 2.0
+        y.grad = g0
+        tape.backward(y)
+    assert x.grad.tolist() == [22.0, 42.0, 62.0]
+    assert g0.tolist() == [10.0, 20.0, 30.0]
+    x.grad = g0
+    with Tape() as tape:
+        tape.backward(x)
+    assert x.grad.tolist() == [11.0, 21.0, 31.0]
+    assert g0.tolist() == [10.0, 20.0, 30.0]
 
 
 def test_aliased_first_contribution_is_not_written_in_place():

@@ -47,6 +47,23 @@ def test_masked_mae_ignores_zero_target_entries():
     assert masked_mae_loss(Tensor(pred2), target2).item() == pytest.approx(base)
 
 
+def test_a_negative_reading_is_missing_as_a_zero_is():
+    rng = np.random.default_rng(0)
+    pred_data = rng.uniform(1, 5, (2, 3, 4, 1))
+    zero = rng.uniform(1, 5, pred_data.shape)
+    zero[1, 2, 0, 0] = 0.0
+    negative = zero.copy()
+    negative[1, 2, 0, 0] = -3.0
+    seen = []
+    for target in (zero, negative):
+        pred = Tensor(pred_data, requires_grad=True)
+        with Tape() as tape:
+            loss = masked_mae_loss(pred, target)
+            tape.backward(loss)
+        seen.append((loss.data.tobytes(), pred.grad.tobytes(), metrics(pred_data, target).to_dict()))
+    assert seen[0] == seen[1]
+
+
 def test_masked_mae_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3, 1\) vs target \(2, 3, 2\)"):
         masked_mae_loss(Tensor(np.ones((2, 3, 1))), np.ones((2, 3, 2)))
