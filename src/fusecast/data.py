@@ -143,9 +143,9 @@ def _meta_int(meta_path, meta: dict, key: str, low=-math.inf, high=math.inf) -> 
 
 
 def _text_rows(path):
-    """(row number, stripped text) of each non-blank line of a UTF-8 file."""
+    """(row number, stripped text) of each non-blank line of a UTF-8 file, past any BOM."""
     # undecodable bytes become lone surrogates, which a strict encode rejects
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for row_no, line in enumerate(fh, start=1):
             try:
                 line.encode("utf-8")
@@ -157,7 +157,7 @@ def _text_rows(path):
 
 def _read_numeric_csv(path: Path) -> np.ndarray:
     try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64, encoding="utf-8-sig")
     except ValueError:  # the slow scan pinpoints the bad row or cell
         width = None
         for row_no, line in _text_rows(path):
@@ -292,19 +292,19 @@ def save_series(series: TrafficSeries, csv_path, meta_path=None) -> None:
 def load_predefined_graph(edge_path, n_nodes: int, directed: bool = False) -> np.ndarray:
     """Load `from,to[,weight]` edges into a dense, non-negative [N, N] adjacency.
 
-    A header row is skipped if present. Self-loops are dropped with a
-    warning; undirected graphs are symmetrized.
+    The first non-blank row is skipped if it is a header. Self-loops are
+    dropped with a warning; undirected graphs are symmetrized.
     """
     adjacency = np.zeros((n_nodes, n_nodes))
     n_edges = 0
-    for row_no, line in _text_rows(edge_path):
+    for i, (row_no, line) in enumerate(_text_rows(edge_path)):
         cells = line.split(",")
         if len(cells) not in (2, 3):
             raise IngestionError(f"{edge_path}: row {row_no} has {len(cells)} fields, expected 2 or 3")
         try:
             src, dst = int(cells[0]), int(cells[1])
         except ValueError:
-            if row_no == 1:
+            if i == 0:
                 continue  # header row
             raise IngestionError(f"{edge_path}: non-integer node id at row {row_no}") from None
         if not (0 <= src < n_nodes and 0 <= dst < n_nodes):

@@ -55,7 +55,7 @@ from .decouple import GateParams, decouple
 from .errors import ConfigError, ShapeError
 from .graphgen import (AttentionFusionParams, PatternGraphParams, TimeEmbeddingPools,
                        generate_pattern_graph, temporal_feature_matrix)
-from .tensor import Tensor, ordered_map, undo_on_error
+from .tensor import Tensor, ordered_map
 
 
 @dataclass
@@ -144,10 +144,13 @@ def gru_forward(x_seq: Tensor, params: GruParams) -> Tensor:
 
 
 class Forecaster:
-    """The assembled model over a fixed sensor network."""
+    """The assembled model over a fixed sensor network.
+
+    It computes in its normalizer's space; Normalizer(0.0, 1.0) keeps raw units.
+    """
 
     def __init__(self, n_nodes: int, steps_per_day: int, model_cfg: ModelConfig,
-                 graph_cfg: GraphConfig, normalizer: Normalizer | None = None,
+                 graph_cfg: GraphConfig, normalizer: Normalizer,
                  predefined_graph: np.ndarray | None = None,
                  dtype=np.float32, seed: int = 0):
         model_cfg.validate()
@@ -297,36 +300,36 @@ class Forecaster:
         the calling thread, so it does not depend on the split; without an
         rng that raises ConfigError before any compute. The normalization
         is undone once, on the joined prediction. A forward that raises
-        leaves the active tape as it found it.
+        before its halves end records nothing, as its checks come before
+        the first record and ordered_map joins no group when a task fails.
         """
         cfg = self.cfg
-        with undo_on_error():
-            with _stage("normalize"):
-                x_raw = np.asarray(history, dtype=self.dtype)
-                if (x_raw.ndim != 4 or x_raw.shape[1] != cfg.history_steps
-                        or x_raw.shape[2] != self.n_nodes or x_raw.shape[3] != cfg.channels):
-                    raise ShapeError(
-                        f"history shaped {x_raw.shape} does not match (B, Th={cfg.history_steps}, "
-                        f"N={self.n_nodes}, C={cfg.channels})")
-                xn = self.normalizer.apply(x_raw) if self.normalizer else x_raw
-            tod, dow = np.asarray(tod), np.asarray(dow)
-            keep = None
-            if training and cfg.dropout > 0.0:
-                if rng is None:
-                    raise ConfigError("training with dropout needs an explicit rng")
-                shape = x_raw.shape[:-1] + (cfg.rgc_iterations * cfg.hidden,)
-                keep = (rng.random(shape) >= cfg.dropout).astype(self.dtype) / (1.0 - cfg.dropout)
+        with _stage("normalize"):
+            x_raw = np.asarray(history, dtype=self.dtype)
+            if (x_raw.ndim != 4 or x_raw.shape[1] != cfg.history_steps
+                    or x_raw.shape[2] != self.n_nodes or x_raw.shape[3] != cfg.channels):
+                raise ShapeError(
+                    f"history shaped {x_raw.shape} does not match (B, Th={cfg.history_steps}, "
+                    f"N={self.n_nodes}, C={cfg.channels})")
+            xn = self.normalizer.apply(x_raw)
+        tod, dow = np.asarray(tod), np.asarray(dow)
+        keep = None
+        if training and cfg.dropout > 0.0:
+            if rng is None:
+                raise ConfigError("training with dropout needs an explicit rng")
+            shape = x_raw.shape[:-1] + (cfg.rgc_iterations * cfg.hidden,)
+            keep = (rng.random(shape) >= cfg.dropout).astype(self.dtype) / (1.0 - cfg.dropout)
 
-            batch = len(x_raw)
-            cuts = [0, (batch + 1) // 2, batch] if batch > 1 else [0, batch]
+        batch = len(x_raw)
+        cuts = [0, (batch + 1) // 2, batch] if batch > 1 else [0, batch]
 
-            def half(h):
-                part = slice(cuts[h], cuts[h + 1])
-                return self._forward_windows(Tensor(xn[part]), tod[part], dow[part],
-                                             None if keep is None else keep[part])
+        def half(h):
+            part = slice(cuts[h], cuts[h + 1])
+            return self._forward_windows(Tensor(xn[part]), tod[part], dow[part],
+                                         None if keep is None else keep[part])
 
-            prediction = T.concat(ordered_map(half, len(cuts) - 1), axis=0)
-            return self.normalizer.invert(prediction) if self.normalizer else prediction
+        prediction = T.concat(ordered_map(half, len(cuts) - 1), axis=0)
+        return self.normalizer.invert(prediction)
 
     def _forward_windows(self, xn: Tensor, tod, dow, keep) -> Tensor:
         """The normalized prediction of normalized windows xn [B, Th, N, C].

@@ -64,7 +64,6 @@ import math
 import operator
 import os
 import threading
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -351,19 +350,6 @@ def _make(out_data: np.ndarray, pulls) -> Tensor:
     records = getattr(_LOCAL, "records", None)
     (tape._records if records is None else records).append((out._slot, live))
     return out
-
-
-@contextmanager
-def undo_on_error():
-    """If the block raises, drop the entries it added to the active tape."""
-    tape = active_tape()
-    mark = len(tape._records) if tape is not None else 0
-    try:
-        yield
-    except BaseException:
-        if tape is not None:
-            del tape._records[mark:]
-        raise
 
 
 def _run_tasks(fn, count: int) -> list:

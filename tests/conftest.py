@@ -81,9 +81,7 @@ def graphs_and_flows(model, history, tod, dow):
     features = temporal_feature_matrix(daily, weekly)
     graphs = [generate_pattern_graph(params, features, model.graph_cfg, model.predefined_graph)
               for params in model.patterns]
-    xn = np.asarray(history, dtype=model.dtype)
-    if model.normalizer:
-        xn = model.normalizer.apply(xn)
+    xn = model.normalizer.apply(np.asarray(history, dtype=model.dtype))
     return graphs, decouple(Tensor(xn), daily, weekly, model.patterns[0].e1, model.gates)
 
 

@@ -119,6 +119,20 @@ def test_load_series_non_utf8_row_cites_location(tmp_path):
         load_series(csv)
 
 
+@pytest.mark.parametrize("bad_row", [False, True], ids=["clean", "bad-row"])
+def test_load_series_skips_a_byte_order_mark(tmp_path, bad_row):
+    values = np.array([[109.32, 2.5], [3.0, 4.25], [5.5, 6.0]])
+    csv = _write_series(tmp_path, values)
+    plain = load_series(csv).values
+    text = csv.read_text(encoding="utf-8")
+    csv.write_text("\ufeff" + text, encoding="utf-8")
+    assert load_series(csv).values.tobytes() == plain.tobytes()
+    if bad_row:  # the slow scan's row and column count from the BOM'd first row too
+        csv.write_text("\ufeff" + text.replace("6.0000", "oops"), encoding="utf-8")
+        with pytest.raises(IngestionError, match="non-numeric cell at row 3, column 2: 'oops'"):
+            load_series(csv)
+
+
 def test_load_series_node_count_mismatch(tmp_path):
     csv = _write_series(tmp_path, np.ones((4, 2)), nodes=3)
     with pytest.raises(IngestionError, match="3 columns"):
@@ -315,6 +329,23 @@ def test_predefined_graph_non_utf8_row_cites_location(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_bytes(b"0,1\n1,\xff\n")
     with pytest.raises(IngestionError, match="edges.csv: row 2 is not valid UTF-8"):
+        load_predefined_graph(path, 3)
+
+
+@pytest.mark.parametrize("text", ["\ufeff0,1\n1,2\n", "\ufefffrom,to\n0,1\n1,2\n",
+                                  "\n\nfrom,to\n0,1\n1,2\n", "\ufeff\n  \nfrom,to\n0,1\n1,2\n"],
+                         ids=["bom", "bom-header", "blank-lines-header", "bom-blank-lines-header"])
+def test_predefined_graph_header_is_the_first_non_blank_row_past_a_bom(tmp_path, text):
+    path = tmp_path / "edges.csv"
+    path.write_text(text, encoding="utf-8")
+    expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
+    assert np.array_equal(load_predefined_graph(path, 3), expected)
+
+
+def test_predefined_graph_header_after_the_first_row_is_rejected(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("0,1\nfrom,to\n1,2\n")
+    with pytest.raises(IngestionError, match="non-integer node id at row 2"):
         load_predefined_graph(path, 3)
 
 

@@ -9,12 +9,15 @@ from conftest import (fd_gradient, flat_records, graphs_and_flows, rel_err, tape
                       toy_graph_config, toy_model_config)
 from fusecast import network
 from fusecast import tensor as T
+from fusecast.data import Normalizer
 from fusecast.errors import ConfigError, ShapeError
 from fusecast.network import (Forecaster, GruParams, _stage, gru_forward,
                               normalized_propagation, rgc_forward)
 from fusecast.optim import randomize_parameters
 from fusecast.tensor import Tape, Tensor
 from fusecast.training import masked_mae_loss
+
+RAW = Normalizer(0.0, 1.0)  # (x - 0.0) / 1.0 is bitwise x: the model computes in raw units
 
 
 def test_propagation_rows_sum_to_one_exactly():
@@ -235,7 +238,7 @@ def test_prediction_responds_to_input(toy_setup):
 
 def test_zero_head_weights_give_zero_prediction(toy_setup):
     series, train_ws, model = _toy_model(toy_setup)
-    model.normalizer = None  # look at the raw regression output
+    model.normalizer = RAW  # look at the raw regression output
     for name in ("head.w1", "head.b1", "head.w2", "head.b2",
                  "head.out.weight", "head.out.bias"):
         p = model.parameters()[name]
@@ -250,7 +253,7 @@ def test_output_shape_at_pems08_scale():
     cfg.history_steps = 12
     cfg.horizon_steps = 12
     gcfg = toy_graph_config(k_spatial=10, k_temporal=10, heads=4, head_dim=8)
-    model = Forecaster(170, 288, cfg, gcfg, dtype=np.float32, seed=0)
+    model = Forecaster(170, 288, cfg, gcfg, RAW, dtype=np.float32, seed=0)
     rng = np.random.default_rng(0)
     hist = rng.uniform(0, 100, (1, 12, 170, 1))
     tod = np.arange(12)[None, :]
@@ -273,7 +276,7 @@ def test_parameter_count_formula_across_configs():
                                              ((2, 3, 4), 2635)):
         cfg = toy_model_config()
         cfg.patterns, cfg.rgc_iterations, cfg.depth = patterns, m_iter, depth
-        assert Forecaster(5, 6, cfg, toy_graph_config(), seed=1).n_parameters == count
+        assert Forecaster(5, 6, cfg, toy_graph_config(), RAW, seed=1).n_parameters == count
 
 
 def test_pattern_blocks_swap_with_pattern_parameters(toy_setup):
@@ -302,7 +305,7 @@ def test_single_pattern_single_block_collapses_to_one_rgc(toy_setup):
     cfg = toy_model_config()
     cfg.patterns = 1
     cfg.rgc_iterations = 1
-    model = Forecaster(series.n_nodes, series.steps_per_day, cfg, toy_graph_config(),
+    model = Forecaster(series.n_nodes, series.steps_per_day, cfg, toy_graph_config(), RAW,
                        dtype=np.float64, seed=3)
     hist, _, tod, dow = train_ws.batch([0])
     graphs, flows = graphs_and_flows(model, hist, tod, dow)
@@ -319,7 +322,7 @@ def test_folded_blocks_equal_per_block_rgc_calls(toy_setup):
     series, train_ws, _ = _toy_model(toy_setup)
     cfg = toy_model_config()
     cfg.patterns, cfg.rgc_iterations, cfg.depth = 2, 3, 3
-    model = Forecaster(series.n_nodes, series.steps_per_day, cfg, toy_graph_config(),
+    model = Forecaster(series.n_nodes, series.steps_per_day, cfg, toy_graph_config(), RAW,
                        dtype=np.float64, seed=5)
     params = model.parameters()
     k_d, d, m_iter = cfg.depth * cfg.hidden, cfg.hidden, cfg.rgc_iterations
@@ -371,7 +374,7 @@ def test_state_roundtrip_preserves_predictions(toy_setup):
 def test_head_dim_invariant_enforced():
     cfg = toy_model_config()
     with pytest.raises(ConfigError, match="head_dim"):
-        Forecaster(4, 8, cfg, toy_graph_config(heads=4, head_dim=8), seed=0)
+        Forecaster(4, 8, cfg, toy_graph_config(heads=4, head_dim=8), RAW, seed=0)
 
 
 def test_mismatched_history_shape_rejected(toy_setup):
@@ -610,6 +613,31 @@ def test_pattern_failure_on_a_worker_surfaces_after_pattern_0(toy_setup, monkeyp
         assert len(tape._records) == 1  # only the record made before the forward, and no group
 
 
+@pytest.mark.parametrize("batch, on_worker", [(1, False), (2, False), (2, True)],
+                         ids=["one-window", "calling-half", "worker-half"])
+def test_a_failed_forward_records_nothing(toy_setup, monkeypatch, batch, on_worker):
+    """Pattern 1's graph raises inside a half after that half has made records."""
+    series, train_ws, model = _toy_model(toy_setup)
+    hist, _, tod, dow = train_ws.batch(list(range(batch)))
+    real, raised = network.generate_pattern_graph, []
+
+    def generate(params, *args):
+        worker = threading.current_thread() is not threading.main_thread()
+        if params is model.patterns[1] and worker == on_worker:
+            raised.append(len(T._LOCAL.records))  # the half's records so far
+            raise ShapeError("pattern 1 graph")
+        return real(params, *args)
+
+    monkeypatch.setattr(network, "generate_pattern_graph", generate)
+    x = Tensor([1.0], requires_grad=True)
+    with Tape() as tape:
+        x * 2.0
+        with pytest.raises(ShapeError, match=r"^\[graph-generation\] pattern 1 graph$"):
+            model.forward_batch(hist, tod, dow, training=True, rng=np.random.default_rng(0))
+        assert len(raised) == 1 and raised[0] > 0
+        assert len(tape._records) == 1  # only the record made before the forward
+
+
 def _node_axis(name):
     """The axis of a parameter that is indexed by node, or None for a node-free one."""
     if name.startswith("time_pool.") or name.endswith(".attn.wo"):
@@ -674,7 +702,7 @@ def test_prediction_and_gradients_permute_with_the_nodes(monkeypatch, mode, n_no
     np.fill_diagonal(road, 0.0)
 
     def model(graph):
-        return Forecaster(n_nodes, 8, cfg, toy_graph_config(mode=mode),
+        return Forecaster(n_nodes, 8, cfg, toy_graph_config(mode=mode), RAW,
                           predefined_graph=graph if mode == "predefined" else None,
                           dtype=np.float64, seed=0)
 

@@ -540,20 +540,6 @@ def test_first_failure_in_task_order_raises_after_every_task_ends():
             T.ordered_map(lambda g: 1 / g, 2)
 
 
-def test_undo_on_error_drops_only_the_blocks_records():
-    x = Tensor([1.0], requires_grad=True)
-    with Tape() as tape:
-        x * 2.0
-        with pytest.raises(RuntimeError):
-            with T.undo_on_error():
-                x * 3.0
-                raise RuntimeError("boom")
-        assert len(tape) == 1
-        with T.undo_on_error():
-            x * 4.0
-        assert len(tape) == 2
-
-
 def test_nested_ordered_map_raises():
     x = Tensor([1.0], requires_grad=True)
     with Tape() as tape:
@@ -619,14 +605,10 @@ def test_group_failure_raises_the_last_range_first_once_both_end():
     assert threads[0] is threading.main_thread() and threads[1] is not threading.main_thread()
 
 
-def test_undo_on_error_and_a_slotless_backward_drop_groups():
+def test_a_slotless_backward_drops_groups():
     x = Tensor([1.0], requires_grad=True)
     with Tape() as tape:
         T.ordered_map(lambda g: x * float(g), 2)
-        with pytest.raises(RuntimeError):
-            with T.undo_on_error():
-                T.ordered_map(lambda g: x * float(g), 2)
-                raise RuntimeError("boom")
         assert len(tape) == 2 and len(tape._records) == 1
         assert [len(records) for records in tape._records[0]] == [1, 1]
         tape.backward(Tensor(0.0))
@@ -634,21 +616,25 @@ def test_undo_on_error_and_a_slotless_backward_drop_groups():
     assert x.grad is None
 
 
-@pytest.mark.parametrize("mapper", [T.ordered_map, lambda fn, count: [fn(g) for g in range(count)]],
-                         ids=["ordered_map", "plain-loop"])
-def test_undo_on_error_drops_a_whole_group(mapper):
-    x = Tensor([1.0], requires_grad=True)
-    with Tape() as tape:
-        x * 2.0
-        mapper(lambda g: [x * float(g), x + float(g)], 2)
-        with pytest.raises(RuntimeError):
-            with T.undo_on_error():
-                x * 3.0
-                mapper(lambda g: [x * float(g), x + float(g)], 3)
-                raise RuntimeError("boom")
-        assert len(tape) == 5  # the plain loop's count: the record before, then 2 per task
-        assert len(tape._records) == (2 if mapper is T.ordered_map else 5)
-        assert len(tape_groups(tape)) == (mapper is T.ordered_map)
+def test_records_nothing_consumes_leave_backward_unchanged():
+    """A record or group whose output no later op reads gets no gradient, so backward skips it."""
+    rng = np.random.default_rng(0)
+    w = Tensor(rng.standard_normal((3, 3)).astype(np.float32), requires_grad=True)
+    x = rng.standard_normal((4, 3)).astype(np.float32)
+
+    def grad(leftovers):
+        w.grad = None
+        with Tape() as tape:
+            loss = T.tanh(Tensor(x) @ w).sum()
+            if leftovers:
+                T.tanh(Tensor(x) @ w) * 3.0
+                T.ordered_map(lambda g: Tensor(x[2 * g:2 * g + 2]) @ w, 2)
+                assert len(tape) == 8 and len(tape_groups(tape)) == 1
+            tape.backward(loss)
+            assert len(tape) == 0 and tape._records == []
+        return w.grad
+
+    assert grad(True).tobytes() == grad(False).tobytes()
 
 
 OPS = [
