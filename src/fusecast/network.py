@@ -5,6 +5,13 @@ skip-connection regression head.
 A pattern's M graph-convolution blocks differ only in their mixing weights,
 so they share one propagation pass mixed by the M weights side by side.
 
+The GRU is one tape record, not 21 per step: gru_forward runs the
+recurrence in numpy with the float expressions of the tensor ops it stands
+for, keeps only what its hand-written backward-through-time pass reads,
+and that pass adds every piece in the order a tape of those ops would. So
+predictions, and the gradients of one batch half, are the bits of the loop
+of tensor ops.
+
 Each window builds its temporal and fused graphs from its own time
 features, so the windows of a batch are independent until the loss; only
 the parameters are shared. forward_batch therefore splits every batch into
@@ -43,8 +50,9 @@ checkpoint contract:
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -123,24 +131,108 @@ def rgc_forward(h_in: Tensor, adjacency: Tensor, weight: Tensor, gamma: float) -
 
 
 def gru_forward(x_seq: Tensor, params: GruParams) -> Tensor:
-    """Shared-weight GRU over the time axis of [..., Th, N, d_in].
+    """Shared-weight GRU over the time axis of [..., Th, N, d_in], as one tape record.
 
-    Nodes ride along as batch elements; the hidden state starts at zero,
-    and the hidden states of every step are stacked to [..., Th, N, d_h].
+    Nodes ride along as batch elements; the hidden state starts at a zero
+    [1, N, d_h] that every window shares, and the hidden states of every
+    step are stacked to [..., Th, N, d_h]. Each step computes
+
+        z = sigmoid(x_t @ wz + h @ uz + bz)
+        r = sigmoid(x_t @ wr + h @ ur + br)
+        cand = tanh(x_t @ wh + (r * h) @ uh + bh)
+        h = (1 - z) * h + z * cand
+
+    in numpy with the float expressions of tensor's ops, in their order and
+    at their shapes, the zero state's products included, so the output is
+    bitwise that of the same loop of tensor ops. Under a tape the recurrence
+    is one record: it keeps z, r, cand and h of each step, and its pulls
+    share one backward-through-time pass (see _gru_backward). Without a tape
+    nothing outlives its step.
     """
-    th = x_seq.shape[-3]
-    n = x_seq.shape[-2]
-    d_h = params.uz.shape[0]
-    h = Tensor(np.zeros((1, n, d_h), dtype=x_seq.dtype))
-    outputs = []
+    operands = [x_seq] + [getattr(params, f.name) for f in fields(params)]
+    x, *weights = [t.data for t in operands]
+    wz, wr, wh, uz, ur, uh, bz, br, bh = weights
+    if x.ndim < 3 or x.shape[-3] == 0 or x.shape[-1] != wz.shape[0]:
+        raise ShapeError(f"gru: input {x.shape} is not [..., Th>0, N, d_in={wz.shape[0]}]")
+    taped = T.active_tape() is not None and any(t.requires_grad for t in operands)
+    th, n = x.shape[-3], x.shape[-2]
+    out = np.empty(x.shape[:-1] + (uz.shape[0],), dtype=np.result_type(x, *weights))
+    h = np.zeros((1, n, uz.shape[0]), dtype=x.dtype)
+    saved = []  # (h_{t-1}, z, r, cand) of each step, under a tape
     for t in range(th):
-        x_t = T.narrow(x_seq, -3, t, 1)
-        z = T.sigmoid(x_t @ params.wz + h @ params.uz + params.bz)
-        r = T.sigmoid(x_t @ params.wr + h @ params.ur + params.br)
-        cand = T.tanh(x_t @ params.wh + (r * h) @ params.uh + params.bh)
+        x_t = x[..., t:t + 1, :, :]
+        z = 0.5 * (np.tanh(0.5 * (x_t @ wz + h @ uz + bz)) + 1.0)
+        r = 0.5 * (np.tanh(0.5 * (x_t @ wr + h @ ur + br)) + 1.0)
+        cand = np.tanh(x_t @ wh + (r * h) @ uh + bh)
+        if taped:
+            saved.append((h, z, r, cand))
         h = (1.0 - z) * h + z * cand
-        outputs.append(h)
-    return T.concat(outputs, axis=-3)
+        out[..., t:t + 1, :, :] = h
+    if not taped:
+        return Tensor(out)
+
+    pieces = {}  # operand index -> gradient, filled by the first pull that runs
+
+    def pull(i):
+        def fn(g):
+            if not pieces:
+                pieces.update(enumerate(_gru_backward(g, x, weights, saved)))
+            return pieces.pop(i)
+        return fn
+
+    return T._make(out, [(t, pull(i)) for i, t in enumerate(operands)])
+
+
+def _gru_backward(g, x, weights, saved):
+    """The gradients of x and of wz ... bh from the output's gradient g, emptying saved.
+
+    Every expression is the pull of the op that the taped loop in
+    gru_forward's docstring records, at that op's shapes: a sigmoid's
+    g * out * (1 - out), a tanh's g * (1 - out * out), _unbroadcast for the
+    biases and for the zero state, which every window shares, and one
+    a.reshape(rows, K).T @ g.reshape(rows, n) per weight. A tape adds a
+    tensor's pieces in reverse record order, so h_{t-1} takes its output
+    slice first, then the 1 - z, r * h, ur and uz paths, and each weight
+    its pieces from the last step to the first. The gradients are therefore
+    bitwise the loop's for one list of records; across the two batch
+    halves, each weight's gradient adds one sum per half instead of one
+    piece per step, which reassociates.
+    """
+    wz, wr, wh, uz, ur, uh, bz, br, bh = weights
+    th, d_in, d_h = x.shape[-3], x.shape[-1], uz.shape[0]
+    gx = np.empty(x.shape, dtype=g.dtype)
+    sums = [None] * len(weights)
+    gh = g[..., th - 1:th, :, :]
+    for t in reversed(range(th)):
+        h, z, r, cand = saved.pop()
+        x_t = x[..., t:t + 1, :, :]
+        gz = gh * cand + -(gh * h)  # z * cand's pull, then 1 - z's
+        ga_h = gh * z * (1.0 - cand * cand)  # z * cand's, then tanh's
+        rh = r * h
+        grh = ga_h @ uh.T
+        ga_r = grh * h * r * (1.0 - r)  # r * h's, then sigmoid's
+        ga_z = gz * z * (1.0 - z)
+        gx[..., t:t + 1, :, :] = ga_h @ wh.T + ga_r @ wr.T + ga_z @ wz.T
+        # h @ ur's and h @ uz's output; at t = 0 it is summed over the windows
+        gr_h, gz_h = T._unbroadcast(ga_r, h.shape), T._unbroadcast(ga_z, h.shape)
+        x_rows = x_t.reshape(math.prod(x_t.shape[:-1]), d_in)
+        h_rows = h.reshape(math.prod(h.shape[:-1]), d_h)
+        # this step's pieces of wz, wr, wh, uz, ur, uh, bz, br, bh
+        step = [x_rows.T @ ga.reshape(len(x_rows), d_h) for ga in (ga_z, ga_r, ga_h)]
+        step += [h_rows.T @ ga.reshape(len(h_rows), d_h) for ga in (gz_h, gr_h)]
+        step.append(rh.reshape(len(x_rows), d_h).T @ ga_h.reshape(len(x_rows), d_h))
+        step += [T._unbroadcast(ga, b.shape) for ga, b in ((ga_z, bz), (ga_r, br), (ga_h, bh))]
+        for i, piece in enumerate(step):
+            if sums[i] is None:
+                sums[i] = piece
+            else:
+                sums[i] += piece
+        if t:
+            gh = g[..., t - 1:t, :, :] + gh * (1.0 - z)
+            gh += grh * r
+            gh += gr_h @ ur.T
+            gh += gz_h @ uz.T
+    return [gx] + sums
 
 
 class Forecaster:

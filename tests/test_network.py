@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,7 +176,131 @@ def test_gru_hidden_stays_inside_unit_ball():
     assert np.abs(out.data).max() < 1.0
 
 
-def _toy_model(toy_setup, **overrides):
+def _taped_gru(x_seq, params):
+    """Reference GRU: the loop of tensor ops that gru_forward's one record replaces."""
+    th = x_seq.shape[-3]
+    n = x_seq.shape[-2]
+    d_h = params.uz.shape[0]
+    h = Tensor(np.zeros((1, n, d_h), dtype=x_seq.dtype))
+    outputs = []
+    for t in range(th):
+        x_t = T.narrow(x_seq, -3, t, 1)
+        z = T.sigmoid(x_t @ params.wz + h @ params.uz + params.bz)
+        r = T.sigmoid(x_t @ params.wr + h @ params.ur + params.br)
+        cand = T.tanh(x_t @ params.wh + (r * h) @ params.uh + params.bh)
+        h = (1.0 - z) * h + z * cand
+        outputs.append(h)
+    return T.concat(outputs, axis=-3)
+
+
+def _random_gru(rng, d_in, d_h, dtype, scale=0.5):
+    u = lambda shape: Tensor((scale * rng.standard_normal(shape)).astype(dtype),
+                             requires_grad=True)
+    return GruParams(wz=u((d_in, d_h)), wr=u((d_in, d_h)), wh=u((d_in, d_h)),
+                     uz=u((d_h, d_h)), ur=u((d_h, d_h)), uh=u((d_h, d_h)),
+                     bz=u((d_h,)), br=u((d_h,)), bh=u((d_h,)))
+
+
+GRU_FIELDS = [f.name for f in dataclasses.fields(GruParams)]
+
+
+def _gru_step(gru, x_seq, params, weight, skip):
+    """gru's output and the gradients of x_seq and the nine weights, one tape.
+
+    x_seq feeds a second consumer after the GRU, as the regression head reads
+    the GRU's input, so its slot takes the GRU's pieces on top of another.
+    """
+    with Tape() as tape:
+        out = gru(x_seq, params)
+        loss = (out * Tensor(weight)).sum() + (x_seq * Tensor(skip)).sum()
+        tape.backward(loss)
+    tensors = [x_seq] + [getattr(params, name) for name in GRU_FIELDS]
+    grads = [t.grad for t in tensors]
+    for t in tensors:
+        t.grad = None
+    return out.data, grads
+
+
+# (lead, Th, N, d_in, d_h): an unbatched input, a batched one whose zero state
+# broadcasts over the windows, and the toy preset's GRU shape
+GRU_SHAPES = [((), 5, 3, 4, 2), ((2,), 6, 5, 3, 4), ((4,), 4, 4, 16, 8)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", GRU_SHAPES, ids=["unbatched", "batched", "toy"])
+def test_gru_kernel_is_bitwise_the_taped_loop(shape, dtype):
+    """Output and every gradient of one tape are the bits of the loop of tensor ops."""
+    lead, th, n, d_in, d_h = shape
+    rng = np.random.default_rng(th * n + d_in)
+    x_seq = Tensor(rng.standard_normal(lead + (th, n, d_in)).astype(dtype), requires_grad=True)
+    params = _random_gru(rng, d_in, d_h, dtype)
+    weight = rng.standard_normal(lead + (th, n, d_h)).astype(dtype)
+    skip = rng.standard_normal(x_seq.shape).astype(dtype)
+    out, grads = _gru_step(gru_forward, x_seq, params, weight, skip)
+    ref, ref_grads = _gru_step(_taped_gru, x_seq, params, weight, skip)
+    assert out.dtype == ref.dtype == dtype
+    assert out.tobytes() == ref.tobytes()
+    for name, got, want in zip(["x_seq"] + GRU_FIELDS, grads, ref_grads):
+        assert got.dtype == want.dtype == dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_gru_kernel_multiplies_the_zero_state_as_the_loop_does():
+    # 0 * inf is NaN: an infinite uz entry poisons the first step through the
+    # zero state's product h @ uz, which the kernel must compute as the loop does
+    rng = np.random.default_rng(11)
+    x_seq = Tensor(rng.standard_normal((2, 3, 4, 3)), requires_grad=True)
+    params = _random_gru(rng, 3, 2, np.float64)
+    params.uz.data[1, 0] = np.inf
+    weight = rng.standard_normal((2, 3, 4, 2))
+    skip = rng.standard_normal(x_seq.shape)
+    with np.errstate(invalid="ignore"):
+        out, grads = _gru_step(gru_forward, x_seq, params, weight, skip)
+        ref, ref_grads = _gru_step(_taped_gru, x_seq, params, weight, skip)
+    assert np.isnan(ref[:, 0, :, 0]).all()
+    assert np.array_equal(out, ref, equal_nan=True)
+    for name, got, want in zip(["x_seq"] + GRU_FIELDS, grads, ref_grads):
+        assert np.array_equal(got, want, equal_nan=True), name
+
+
+def test_gru_kernel_gradients_match_finite_differences():
+    rng = np.random.default_rng(12)
+    x_seq = Tensor(rng.standard_normal((2, 4, 3, 5)), requires_grad=True)
+    params = _random_gru(rng, 5, 3, np.float64, scale=0.8)
+    weight = rng.standard_normal((2, 4, 3, 3))
+
+    def scalar():
+        return (gru_forward(x_seq, params) * Tensor(weight)).sum()
+
+    with Tape() as tape:
+        tape.backward(scalar())
+    for name in ["x_seq"] + GRU_FIELDS:
+        t = x_seq if name == "x_seq" else getattr(params, name)
+        fd = fd_gradient(lambda: scalar().item(), t.data)
+        assert rel_err(t.grad, fd, floor=1e-6) < 1e-6, name
+
+
+def test_gru_kernel_is_one_record_and_keeps_nothing_without_a_tape():
+    rng = np.random.default_rng(13)
+    x_seq = Tensor(rng.standard_normal((4, 12, 50, 16)), requires_grad=True)
+    params = _random_gru(rng, 16, 32, np.float64)
+    with Tape() as tape:
+        out = gru_forward(x_seq, params)
+        assert len(tape) == 1
+    # without a tape no step's z, r or candidate outlives it: each is 1/Th of
+    # the output, so keeping all three of every step would add 3x its bytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        untaped = gru_forward(x_seq, params)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert untaped.data.tobytes() == out.data.tobytes()
+    assert peak < 2 * untaped.data.nbytes, f"peaked at {peak / untaped.data.nbytes:.1f}x the output"
+
+
+def _toy_model(toy_setup):
     series, train_ws, val_ws, test_ws, norm, model = toy_setup
     return series, train_ws, model
 
@@ -466,7 +591,7 @@ def test_toy_training_step_tape_record_count(toy_setup):
         pred = model.forward_batch(hist, tod, dow, training=True, rng=np.random.default_rng(0))
         forward = len(tape)
         loss = masked_mae_loss(pred, targ)
-        assert (forward, len(tape)) == (505, 510)
+        assert (forward, len(tape)) == (337, 342)
         tape.backward(loss)
 
 
