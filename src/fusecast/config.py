@@ -201,10 +201,14 @@ def apply_assignment(cfg: RunConfig, key: str, raw_value: str):
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
-    """Build a RunConfig from an optional file plus `key=value` overrides."""
+    """Build a RunConfig from an optional UTF-8 file, BOM or not, plus `key=value` overrides."""
     cfg = RunConfig()
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8-sig")
+        except UnicodeDecodeError as exc:
+            line_no = exc.object.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"{path}:{line_no}: not valid UTF-8") from None
         for line_no, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:

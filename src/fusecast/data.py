@@ -98,7 +98,7 @@ def load_series(data_path, meta_path=None) -> TrafficSeries:
     data_path = Path(data_path)
     meta_path = Path(meta_path) if meta_path else data_path.with_suffix(".json")
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(meta_path.read_text(encoding="utf-8-sig"))
     except ValueError as exc:  # bad JSON or bytes that are not UTF-8
         raise IngestionError(f"{meta_path}: invalid JSON sidecar: {exc}") from None
     if not isinstance(meta, dict):

@@ -25,9 +25,12 @@ Once every task has ended, the lists join the tape as one entry, a group,
 that keeps them in task order; flattened, the tape is record for record
 a plain loop's.
 
+Backward adds each pull's piece to its slot's gradient as a new sum
+(_accumulate), and never writes a gradient array in place.
+
 Backward runs a group's lists concurrently, list g on the thread that runs
 task g. A slot that a list produced is read by that list only, so its
-gradient accumulates in place there. A slot that a list writes but did not
+gradient accumulates there. A slot that a list writes but did not
 produce (a parameter, or an input made before the map) is shared, and every
 list buffers its pieces for such slots. Once every list has ended, the
 calling thread adds the buffered pieces, last list first and each list's in
@@ -220,23 +223,21 @@ class Tape:
         """Accumulate d(output.sum())/d(input) into .grad of every recorded input.
 
         The seed is ones, the gradient of output.sum(); _accumulate adds it
-        into output's slot as it adds a pull's piece, so a gradient already
-        there stays unwritten. The tape is consumed: each record is popped
-        as it runs and its output slot's .grad is reset to None, so
-        afterwards the tape is empty and only the inputs that no record of
-        it produced (leaves, or op outputs of an earlier tape) keep a
-        gradient. An output with no slot needs no gradient: the tape is
-        just emptied. A group's lists run concurrently; if pulls raise, the
-        first failure in serial order (last list first) is raised once
-        every list has ended.
+        to output's slot as it adds a pull's piece. The tape is consumed:
+        each record is popped as it runs and its output slot's .grad is
+        reset to None, so afterwards the tape is empty and only the inputs
+        that no record of it produced (leaves, or op outputs of an earlier
+        tape) keep a gradient. An output with no slot needs no gradient: the
+        tape is just emptied. A group's lists run concurrently; if pulls
+        raise, the first failure in serial order (last list first) is raised
+        once every list has ended.
         """
         slot = output._slot
         if slot is None:
             self._records.clear()
             return
-        owned = set()  # ids of the slots whose .grad this pass allocated
-        _accumulate(slot, np.ones_like(output.data), owned)
-        _walk_back(self._records, owned)
+        _accumulate(slot, np.ones_like(output.data))
+        _walk_back(self._records)
 
 
 class _Group(list):
@@ -245,22 +246,22 @@ class _Group(list):
     __slots__ = ()
 
 
-def _walk_group(group: _Group, owned: set):
+def _walk_group(group: _Group):
     """Run one group's lists back concurrently (see the module docstring)."""
     pending = [[] for _ in group]  # each list's pieces for the shared slots
 
     def walk(g):
-        _walk_back(group[g], set(), pending[g])
+        _walk_back(group[g], pending[g])
 
     failed = next((e for e in reversed(_run_tasks(walk, len(group))) if e is not None), None)
     if failed is not None:
         raise failed
     for pieces in reversed(pending):
         for t, piece in pieces:
-            _accumulate(t, piece, owned)
+            _accumulate(t, piece)
 
 
-def _walk_back(records, owned: set, pending=None):
+def _walk_back(records, pending=None):
     """Run tape entries last first, emptying the list, and accumulate their pulls.
 
     A group runs through _walk_group. With pending, which a group's lists
@@ -271,7 +272,7 @@ def _walk_back(records, owned: set, pending=None):
     while records:
         entry = records.pop()
         if isinstance(entry, _Group):
-            _walk_group(entry, owned)
+            _walk_group(entry)
             continue
         out, pulls = entry
         g = out.grad
@@ -279,51 +280,20 @@ def _walk_back(records, owned: set, pending=None):
             continue  # nothing downstream consumed this value
         for t, pull in pulls:
             if produced is None or id(t) in produced:
-                _accumulate(t, pull(g), owned)
+                _accumulate(t, pull(g))
             else:
                 pending.append((t, pull(g)))
         out.grad = None
-        owned.discard(id(out))
 
 
-class _Slice:
-    """A gradient that is nonzero only on `index` of its operand."""
+def _accumulate(t, piece):
+    """Add one pull's piece to the .grad of slot t, never writing either array.
 
-    __slots__ = ("index", "grad")
-
-    def __init__(self, index, grad):
-        self.index = index
-        self.grad = grad
-
-
-def _accumulate(t, piece, owned: set):
-    """Add one pull's contribution into the .grad of slot t.
-
-    Pulls may hand out aliases of the downstream gradient (add, reshape,
-    concat views, sum_'s read-only broadcast), so a first dense
-    contribution is stored as it is, and t.grad is only updated in place
-    once this pass has allocated t a buffer. That buffer's dtype holds every
-    later piece: no op narrows a dtype, so each piece of one pass has the
-    dtype of the pass's output.
+    A pull may hand out an alias of the downstream gradient or a read-only
+    view, so the first piece is stored as it is and each later one makes a
+    new sum. np.asarray keeps a sum of 0-d arrays an array.
     """
-    index, piece = (piece.index, piece.grad) if isinstance(piece, _Slice) else (..., piece)
-    grad = t.grad
-    if grad is None:
-        if index is ...:
-            t.grad = piece
-            return
-        grad = np.zeros(t.shape, dtype=piece.dtype)
-        grad[index] = piece
-    elif id(t) in owned:
-        view = grad[index]
-        np.add(view, piece, out=view)
-    elif index is ...:
-        grad = np.asarray(grad + piece)  # 0-d operands add to a numpy scalar
-    else:
-        grad = grad.astype(np.result_type(grad, piece))
-        grad[index] += piece
-    t.grad = grad
-    owned.add(id(t))
+    t.grad = piece if t.grad is None else np.asarray(t.grad + piece)
 
 
 def active_tape():
@@ -620,10 +590,17 @@ def concat(tensors, axis: int = 0):
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int):
-    """Contiguous slice along one axis; backward adds into that slice only."""
+    """Contiguous slice along one axis; backward pads the gradient with zeros."""
     axis = _axis(axis, x.ndim, "narrow")
     idx = tuple(slice(None) if i != axis else slice(start, start + length) for i in range(x.ndim))
-    return _make(x.data[idx], [(x, lambda g: _Slice(idx, g))])
+    x_shape = x.shape
+
+    def pull(g):
+        full = np.zeros(x_shape, dtype=g.dtype)
+        full[idx] = g
+        return full
+
+    return _make(x.data[idx], [(x, pull)])
 
 
 def gather(table: Tensor, index: np.ndarray):

@@ -125,6 +125,18 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
     assert "unknown config key: model.channels" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"model.hidden = 4  # caf\xe9\n", "run.cfg:1: not valid UTF-8"),
+    (b"\xef\xbb\xbfmodel.bogus = 1\n", "unknown config key: model.bogus"),
+], ids=["latin-1", "bom"])
+def test_train_config_file_encoding_errors_exit_2(tmp_path, capsys, content, message):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(content)
+    code, _, err = run_cli(capsys, "train", "--config", str(path), "--out", str(tmp_path / "r"))
+    assert code == 2
+    assert err.startswith("config error:") and message in err
+
+
 def test_eval_missing_checkpoint_exits_4(tmp_path, capsys):
     csv = _toy_data(tmp_path, capsys)
     code, _, err = run_cli(capsys, "eval", *TOY_ARGS, "--checkpoint",

@@ -52,6 +52,19 @@ def test_config_line_without_equals_names_file_and_line(tmp_path):
         load_config(path)
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes("\ufeffmodel.hidden = 4  # café\n".encode("utf-8"))
+    assert load_config(path).model.hidden == 4
+
+
+def test_config_file_that_is_not_utf8_names_file_and_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xef\xbb\xbf# comment\nmodel.hidden = 4  # caf\xe9\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:2: not valid UTF-8"):
+        load_config(path)
+
+
 def test_boolean_words():
     for raw, value in (("true", True), (" On ", True), ("1", True), ("no", False), ("OFF", False)):
         cfg = load_config(None, overrides=[f"data.directed_graph={raw}"])

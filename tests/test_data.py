@@ -119,14 +119,20 @@ def test_load_series_non_utf8_row_cites_location(tmp_path):
         load_series(csv)
 
 
-@pytest.mark.parametrize("bad_row", [False, True], ids=["clean", "bad-row"])
-def test_load_series_skips_a_byte_order_mark(tmp_path, bad_row):
+@pytest.mark.parametrize("bad_row, sidecar", [(False, False), (True, False), (False, True)],
+                         ids=["clean", "bad-row", "sidecar"])
+def test_load_series_skips_a_byte_order_mark(tmp_path, bad_row, sidecar):
     values = np.array([[109.32, 2.5], [3.0, 4.25], [5.5, 6.0]])
-    csv = _write_series(tmp_path, values)
-    plain = load_series(csv).values
+    csv = _write_series(tmp_path, values, name="bom")
+    plain = load_series(csv)
     text = csv.read_text(encoding="utf-8")
     csv.write_text("\ufeff" + text, encoding="utf-8")
-    assert load_series(csv).values.tobytes() == plain.tobytes()
+    if sidecar:
+        meta = csv.with_suffix(".json")
+        meta.write_text("\ufeff" + meta.read_text(encoding="utf-8"), encoding="utf-8")
+    series = load_series(csv)
+    assert series.values.tobytes() == plain.values.tobytes()
+    assert (series.name, series.steps_per_day) == (plain.name, plain.steps_per_day) == ("bom", 288)
     if bad_row:  # the slow scan's row and column count from the BOM'd first row too
         csv.write_text("\ufeff" + text.replace("6.0000", "oops"), encoding="utf-8")
         with pytest.raises(IngestionError, match="non-numeric cell at row 3, column 2: 'oops'"):

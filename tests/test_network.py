@@ -526,17 +526,13 @@ def test_stage_tag_keeps_non_string_arguments(args, tagged):
 
 
 def _dense_backward(tape, output):
-    """Reference backward: keeps every record, pads slices, never writes in place."""
+    """Reference backward: keeps every record and never writes in place."""
     output._slot.grad = np.ones_like(output.data)
     for out, pulls in reversed(flat_records(tape)):
         if out.grad is None:
             continue
         for t, pull in pulls:
             piece = pull(out.grad)
-            if isinstance(piece, T._Slice):
-                full = np.zeros(t.shape, dtype=piece.grad.dtype)
-                full[piece.index] = piece.grad
-                piece = full
             t.grad = piece if t.grad is None else t.grad + piece
 
 
@@ -628,6 +624,40 @@ def _dropout_model(toy_setup, rate):
     return train_ws, norm, Forecaster(series.n_nodes, series.steps_per_day, cfg,
                                       toy_graph_config(), normalizer=norm, dtype=np.float32,
                                       seed=3)
+
+
+def test_backward_never_writes_a_pulled_piece(toy_setup, monkeypatch):
+    """With every pull's piece read-only, a step keeps its gradient bytes.
+
+    The step has dropout, two batch halves, the GRU kernel and a horizon-1
+    loss, so every kind of pull runs; backward must sum the pieces, never
+    add into one in place.
+    """
+    train_ws, _, model = _dropout_model(toy_setup, 0.2)
+    hist, targ, tod, dow = train_ws.batch(list(range(6)))
+    assert targ.shape[-3] > 1  # so the loss narrows the prediction
+
+    def step():
+        with Tape() as tape:
+            pred = model.forward_batch(hist, tod, dow, training=True, rng=np.random.default_rng(0))
+            tape.backward(masked_mae_loss(pred, targ, horizon_limit=1))
+        grads = {name: p.grad.tobytes() for name, p in model.parameters().items()}
+        for p in model.parameters().values():
+            p.grad = None
+        return grads
+
+    plain, make = step(), T._make
+
+    def read_only(fn):
+        def pull(g):
+            piece = np.asarray(fn(g))
+            piece.flags.writeable = False
+            return piece
+        return pull
+
+    monkeypatch.setattr(T, "_make", lambda out, pulls: make(out, [(t, read_only(fn))
+                                                                  for t, fn in pulls]))
+    assert step() == plain
 
 
 @pytest.mark.parametrize("batch", [3, 5, 6, 31])

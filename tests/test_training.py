@@ -34,6 +34,18 @@ def test_masked_mae_horizon_limit():
     pred = Tensor(np.array([2.0, 100.0]).reshape(2, 1, 1))
     target = np.array([1.0, 1.0]).reshape(2, 1, 1)
     assert masked_mae_loss(pred, target, horizon_limit=1).item() == pytest.approx(1.0)
+    # backward: sign(pred - target) / count within the limit, exactly +0.0 beyond it
+    rng = np.random.default_rng(0)
+    pred = Tensor(rng.uniform(1, 5, (2, 4, 3, 1)).astype(np.float32), requires_grad=True)
+    target = rng.uniform(1, 5, pred.shape).astype(np.float32)
+    target[0, 1, 2, 0] = pred.data[0, 1, 2, 0]  # a zero difference has a zero gradient
+    with Tape() as tape:
+        tape.backward(masked_mae_loss(pred, target, horizon_limit=2))
+    within, beyond = pred.grad[:, :2], pred.grad[:, 2:]
+    assert pred.grad.dtype == np.float32
+    assert np.array_equal(within, np.sign(pred.data[:, :2] - target[:, :2]) / np.float32(12))
+    assert within[0, 1, 2, 0] == 0.0
+    assert not beyond.any() and not np.signbit(beyond).any()
 
 
 def test_masked_mae_ignores_zero_target_entries():
