@@ -1,14 +1,14 @@
-"""Binary checkpoint format for named parameter tensors.
+"""The file boundary, with both its rules, and the binary checkpoint format.
 
-Layout: an 8-byte magic, a format version, a record count, then one record
-per parameter in the order given. Each record is
+Every text input is read by `decode_text`, and every file the program
+writes goes through `replacing`: beside its target, then moved over it
+when complete, so a failed write leaves the earlier file untouched.
+
+Checkpoint layout: an 8-byte magic, a format version, a record count, then
+one record per parameter in the order given. Each record is
 (name length u16, name utf-8, dtype tag u8, ndim u8, dims u32 each,
 raw little-endian values). Writing the same parameters twice produces
 byte-identical files.
-
-Every run artifact (checkpoint, manifest, history, metrics) is written
-through `replacing`: beside its target, then moved over it when complete,
-so a failed write leaves the earlier file untouched.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +47,21 @@ def replacing(path, mode: str = "w"):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def decode_text(path, error: type[Exception]) -> str:
+    """A UTF-8 file's text past an optional BOM, with universal newlines, as `open()` reads it.
+
+    A byte that is not UTF-8 raises `error("<path>:<line>: not valid UTF-8")`.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]  # newline bytes never occur inside a UTF-8 sequence
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise error(f"{path}:{line_no}: not valid UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def save_checkpoint(path, params: dict) -> None:

@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .checkpoint import replacing
+from .checkpoint import decode_text, replacing
 from .errors import ConfigError
 
 GRAPH_MODES = ("fused", "spatial_only", "temporal_only", "predefined")
@@ -201,22 +201,19 @@ def apply_assignment(cfg: RunConfig, key: str, raw_value: str):
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
-    """Build a RunConfig from an optional UTF-8 file, BOM or not, plus `key=value` overrides."""
+    """Build a RunConfig from an optional file, whose errors name their line, plus overrides."""
     cfg = RunConfig()
     if path is not None:
-        try:
-            text = Path(path).read_text(encoding="utf-8-sig")
-        except UnicodeDecodeError as exc:
-            line_no = exc.object.count(b"\n", 0, exc.start) + 1
-            raise ConfigError(f"{path}:{line_no}: not valid UTF-8") from None
-        for line_no, line in enumerate(text.splitlines(), start=1):
+        for line_no, line in enumerate(decode_text(path, ConfigError).split("\n"), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{line_no}: expected key = value, got {line!r}")
-            key, raw = stripped.split("=", 1)
-            apply_assignment(cfg, key, raw)
+            try:
+                apply_assignment(cfg, *stripped.split("=", 1))
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{line_no}: {exc}") from None
     apply_overrides(cfg, overrides)
     cfg.validate()
     return cfg

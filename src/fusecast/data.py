@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import decode_text, replacing
 from .config import check_split
 from .errors import ConfigError, IngestionError
 
@@ -97,9 +98,10 @@ def load_series(data_path, meta_path=None) -> TrafficSeries:
     """Read a series CSV plus its JSON sidecar."""
     data_path = Path(data_path)
     meta_path = Path(meta_path) if meta_path else data_path.with_suffix(".json")
+    text = decode_text(meta_path, IngestionError)
     try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8-sig"))
-    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+        meta = json.loads(text)
+    except ValueError as exc:
         raise IngestionError(f"{meta_path}: invalid JSON sidecar: {exc}") from None
     if not isinstance(meta, dict):
         raise IngestionError(
@@ -143,16 +145,10 @@ def _meta_int(meta_path, meta: dict, key: str, low=-math.inf, high=math.inf) -> 
 
 
 def _text_rows(path):
-    """(row number, stripped text) of each non-blank line of a UTF-8 file, past any BOM."""
-    # undecodable bytes become lone surrogates, which a strict encode rejects
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for row_no, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise IngestionError(f"{path}: row {row_no} is not valid UTF-8") from None
-            if line.strip():
-                yield row_no, line.strip()
+    """(row number, stripped text) of each non-blank line, as `decode_text` reads the file."""
+    for row_no, line in enumerate(decode_text(path, IngestionError).split("\n"), start=1):
+        if line.strip():
+            yield row_no, line.strip()
 
 
 def _read_numeric_csv(path: Path) -> np.ndarray:
@@ -276,17 +272,23 @@ def make_synthetic(n_nodes: int, days: int, seed: int, coupling: float, *,
 
 
 def save_series(series: TrafficSeries, csv_path, meta_path=None) -> None:
-    """Write a series as CSV plus sidecar, the same format load_series reads."""
+    """Write a series as CSV plus sidecar, the same format load_series reads.
+
+    Neither file replaces its target until both are written.
+    """
     csv_path = Path(csv_path)
     meta_path = Path(meta_path) if meta_path else csv_path.with_suffix(".json")
-    np.savetxt(csv_path, series.values[:, :, 0], delimiter=",", fmt="%.6f")
     meta = {
         "steps_per_day": series.steps_per_day,
         "first_step_day_of_week": series.first_step_day_of_week,
         "name": series.name,
         "nodes": series.n_nodes,
     }
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    row = ",".join(["%.6f"] * series.n_nodes) + "\n"  # the rows np.savetxt(fmt="%.6f") writes
+    with replacing(csv_path) as csv_fh, replacing(meta_path) as meta_fh:
+        for values in series.values[:, :, 0]:
+            csv_fh.write(row % tuple(values))
+        meta_fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
 def load_predefined_graph(edge_path, n_nodes: int, directed: bool = False) -> np.ndarray:

@@ -15,11 +15,13 @@ class Adam:
     `train()` sets `learning_rate` each epoch; `m` and `v` are keyed by parameter name.
     """
 
-    def __init__(self, params: dict[str, Tensor], learning_rate=0.004,
-                 beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+    beta1, beta2 = 0.9, 0.999
+
+    def __init__(self, params: dict[str, Tensor], learning_rate=0.004, eps=1e-8,
+                 weight_decay=0.0):
         self.params = params
         self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.eps, self.weight_decay = beta1, beta2, eps, weight_decay
+        self.eps, self.weight_decay = eps, weight_decay
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -51,17 +53,16 @@ class GradCheckReport:
     worst_param: str
 
 
-def grad_check(f, params: dict[str, Tensor], h: float = 1e-6,
-               floor: float = 1e-4) -> GradCheckReport:
+def grad_check(f, params: dict[str, Tensor], h: float = 1e-6) -> GradCheckReport:
     """Compare tape gradients of a scalar function against central differences.
 
     f is a zero-argument callable closing over `params`; it must return a
     scalar Tensor and be deterministic. Parameters must be float64, since
     finite differences at step h are meaningless in float32.
 
-    Each entry's relative error uses max(|fd|, |analytic|, floor) as the
+    Each entry's relative error uses max(|fd|, |analytic|, 1e-4) as the
     denominator. The central difference itself carries roundoff error of
-    order eps * |f| / h, so entries far below `floor` cannot be resolved by
+    order eps * |f| / h, so entries far below the floor cannot be resolved by
     finite differences and are measured against the floor instead. The
     first non-finite error ends the check and is reported with its parameter.
     """
@@ -92,7 +93,7 @@ def grad_check(f, params: dict[str, Tensor], h: float = 1e-6,
             f_minus = f().item()
             flat[i] = keep
             fd = (f_plus - f_minus) / (2.0 * h)
-            rel = abs(fd - ana[i]) / max(abs(fd), abs(ana[i]), floor)
+            rel = abs(fd - ana[i]) / max(abs(fd), abs(ana[i]), 1e-4)
             if not np.isfinite(rel):  # a NaN pull or gradient; no finite error outranks it
                 return GradCheckReport(max_rel_error=float(rel), worst_param=name)
             if rel > worst_here:
@@ -102,8 +103,8 @@ def grad_check(f, params: dict[str, Tensor], h: float = 1e-6,
     return GradCheckReport(max_rel_error=worst[1], worst_param=worst[0])
 
 
-def randomize_parameters(params: dict[str, Tensor], seed: int, scale: float = 0.5):
-    """Re-draw every parameter uniformly in [-scale, scale].
+def randomize_parameters(params: dict[str, Tensor], seed: int):
+    """Re-draw every parameter uniformly in [-0.5, 0.5].
 
     Gradient checks linearize at this point instead of the training init:
     the 0.01-scale embedding init leaves graph-path gradients near the
@@ -112,4 +113,4 @@ def randomize_parameters(params: dict[str, Tensor], seed: int, scale: float = 0.
     """
     rng = np.random.default_rng(seed)
     for p in params.values():
-        p.data = rng.uniform(-scale, scale, size=p.shape).astype(p.dtype)
+        p.data = rng.uniform(-0.5, 0.5, size=p.shape).astype(p.dtype)

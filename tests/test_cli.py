@@ -127,7 +127,7 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("content, message", [
     (b"model.hidden = 4  # caf\xe9\n", "run.cfg:1: not valid UTF-8"),
-    (b"\xef\xbb\xbfmodel.bogus = 1\n", "unknown config key: model.bogus"),
+    (b"\xef\xbb\xbfmodel.bogus = 1\n", "run.cfg:1: unknown config key: model.bogus"),
 ], ids=["latin-1", "bom"])
 def test_train_config_file_encoding_errors_exit_2(tmp_path, capsys, content, message):
     path = tmp_path / "run.cfg"
@@ -135,6 +135,31 @@ def test_train_config_file_encoding_errors_exit_2(tmp_path, capsys, content, mes
     code, _, err = run_cli(capsys, "train", "--config", str(path), "--out", str(tmp_path / "r"))
     assert code == 2
     assert err.startswith("config error:") and message in err
+
+
+BAD_LINE_3 = {
+    "config": [b"# comment", b"model.hidden = 4", b"model.depth = 2  # caf\xe9",
+               b"train.max_epochs = 1"],
+    "series": [b"1,2,3,4", b"5,6,7,8", b"9,\xff,11,12", b"13,14,15,16"],
+    "sidecar": [b"{", b'  "steps_per_day": 8,', b'  "name": "caf\xe9",',
+                b'  "first_step_day_of_week": 0', b"}"],
+    "edges": [b"from,to", b"0,1", b"1,\xb2", b"2,3"],
+}
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("kind", BAD_LINE_3)
+def test_a_bad_byte_on_line_3_is_named_in_one_form(tmp_path, capsys, kind, newline):
+    csv = _toy_data(tmp_path, capsys)
+    bad = {"config": tmp_path / "run.cfg", "series": csv, "sidecar": csv.with_suffix(".json"),
+           "edges": tmp_path / "edges.csv"}[kind]
+    bad.write_bytes(newline.join(BAD_LINE_3[kind]) + newline)
+    args = ["--config", str(bad)] if kind == "config" else [*TOY_ARGS, f"data.series={csv}"]
+    if kind == "edges":
+        args += ["graph.mode=predefined", f"data.graph={bad}"]
+    code, stdout, err = run_cli(capsys, "train", "--out", str(tmp_path / "r"), *args)
+    expected = (2, "config error") if kind == "config" else (4, "I/O error")
+    assert (code, stdout, err) == (expected[0], "", f"{expected[1]}: {bad}:3: not valid UTF-8\n")
 
 
 def test_eval_missing_checkpoint_exits_4(tmp_path, capsys):

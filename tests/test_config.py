@@ -41,7 +41,7 @@ train.milestones = 40,70
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("model.bogus = 1\n")
-    with pytest.raises(ConfigError, match="model.bogus"):
+    with pytest.raises(ConfigError, match=r"run\.cfg:1: unknown config key: model\.bogus$"):
         load_config(path)
 
 
@@ -62,6 +62,28 @@ def test_config_file_that_is_not_utf8_names_file_and_line(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"\xef\xbb\xbf# comment\nmodel.hidden = 4  # caf\xe9\n")
     with pytest.raises(ConfigError, match=r"run\.cfg:2: not valid UTF-8"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_config_lines_end_at_lf_crlf_or_cr(tmp_path, newline):
+    path = tmp_path / "run.cfg"
+    lines = ["model.hidden = 4", "model.depth = 2", "model.gamma = abc"]
+    path.write_bytes(newline.join(lines).encode())
+    with pytest.raises(ConfigError, match=r"run\.cfg:3: model\.gamma: could not convert"):
+        load_config(path)
+    path.write_bytes(newline.join(lines[:2]).encode())
+    cfg = load_config(path)
+    assert (cfg.model.hidden, cfg.model.depth) == (4, 2)
+
+
+def test_form_feed_does_not_split_a_config_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# note\fmodel.hidden = 4\nmodel.depth = 2\n")
+    cfg = load_config(path)
+    assert (cfg.model.hidden, cfg.model.depth) == (32, 2)  # the first line is all comment
+    path.write_text("# note\fmodel.hidden = 4\nmodel.depth 2\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:2: expected key = value"):
         load_config(path)
 
 

@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from fusecast import checkpoint
 from fusecast.data import (Normalizer, TrafficSeries, WindowSet, fit_normalizer,
                            load_predefined_graph, load_series, make_synthetic, save_series,
                            split_and_window)
@@ -85,7 +87,8 @@ def test_load_series_missing_metadata_key(tmp_path):
 
 
 @pytest.mark.parametrize("sidecar, key", [
-    ("\xff{}", "invalid JSON"),
+    ("\xff{}", "1: not valid UTF-8"),
+    ("{]", "invalid JSON"),
     ("5", "JSON object"),
     ('{"steps_per_day": "abc", "first_step_day_of_week": 0}', "steps_per_day"),
     ('{"steps_per_day": null, "first_step_day_of_week": 0}', "steps_per_day"),
@@ -115,7 +118,7 @@ def test_load_series_accepts_integral_float_sidecar_values(tmp_path):
 def test_load_series_non_utf8_row_cites_location(tmp_path):
     csv = _write_series(tmp_path, np.ones((3, 3)))
     csv.write_bytes(b"1,2,3\n4,\xff,6\n7,8,9\n")
-    with pytest.raises(IngestionError, match="series.csv: row 2 is not valid UTF-8"):
+    with pytest.raises(IngestionError, match=r"series\.csv:2: not valid UTF-8"):
         load_series(csv)
 
 
@@ -295,9 +298,36 @@ def test_synthetic_returns_generation_parameters():
 def test_series_roundtrip_through_csv(tmp_path):
     series, _ = make_synthetic(3, 2, seed=1, coupling=0.4, steps_per_day=12)
     save_series(series, tmp_path / "s.csv")
+    np.savetxt(tmp_path / "ref.csv", series.values[:, :, 0], delimiter=",", fmt="%.6f")
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     back = load_series(tmp_path / "s.csv")
     assert back.values.shape == series.values.shape
     assert np.abs(back.values - series.values).max() < 1e-5  # %.6f rounding
+
+
+@pytest.mark.parametrize("failure", ["content", "rename"])
+def test_save_series_failing_at_the_sidecar_leaves_the_earlier_pair(tmp_path, monkeypatch,
+                                                                    failure):
+    csv = tmp_path / "s.csv"
+    save_series(make_synthetic(3, 2, seed=1, coupling=0.4, steps_per_day=12)[0], csv)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    series, _ = make_synthetic(3, 2, seed=2, coupling=0.4, steps_per_day=12)
+    if failure == "content":
+        series.name = object()  # json.dumps raises TypeError after the CSV rows are written
+        expected = TypeError
+    else:  # the sidecar's move over its target fails, as on a full disk
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith(".json"):
+                raise OSError(28, "No space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(checkpoint.os, "replace", replace)
+        expected = OSError
+    with pytest.raises(expected):
+        save_series(series, csv)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_predefined_graph_edges_and_mirrors(tmp_path):
@@ -334,7 +364,7 @@ def test_predefined_graph_out_of_range_cites_row(tmp_path):
 def test_predefined_graph_non_utf8_row_cites_location(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_bytes(b"0,1\n1,\xff\n")
-    with pytest.raises(IngestionError, match="edges.csv: row 2 is not valid UTF-8"):
+    with pytest.raises(IngestionError, match=r"edges\.csv:2: not valid UTF-8"):
         load_predefined_graph(path, 3)
 
 

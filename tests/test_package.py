@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -19,3 +20,37 @@ def test_each_module_is_the_package_attribute_of_its_name():
         [sys.executable, "-c", "import fusecast; print(sorted(n for n in vars(fusecast) if n[0] != '_'))"],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert fresh.stdout.strip() == "[]"
+
+
+FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes", "savetxt", "loadtxt",
+              "decode"}
+
+
+def _file_calls(tree):
+    """(enclosing function, called name) of each call in tree to a name in FILE_CALLS."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name in FILE_CALLS:
+                    found.append((func, name))
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_file_boundary_reads_writes_or_decodes_files():
+    # checkpoint.py is the file boundary: decode_text reads every text input,
+    # replacing opens every output; the series CSV's np.loadtxt fast path is the one exception
+    calls = {path.name: _file_calls(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(Path(fusecast.__file__).parent.glob("*.py"))}
+    boundary = {("decode_text", "read_bytes"), ("decode_text", "decode"), ("replacing", "open")}
+    assert boundary <= set(calls.pop("checkpoint.py"))
+    assert {name: found for name, found in calls.items() if found} == {
+        "data.py": [("_read_numeric_csv", "loadtxt")]}
