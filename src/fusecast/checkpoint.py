@@ -1,8 +1,9 @@
-"""The file boundary, with both its rules, and the binary checkpoint format.
+"""The file boundary, with its rules, and the binary checkpoint format.
 
-Every text input is read by `decode_text`, and every file the program
-writes goes through `replacing`: beside its target, then moved over it
-when complete, so a failed write leaves the earlier file untouched.
+Every text input is read by `decode_text`, and config files, series CSVs
+and edge lists are cut into lines by `numbered_lines`. Every file the
+program writes goes through `replacing`: beside its target, then moved over
+it when complete, so a failed write leaves the earlier file untouched.
 
 Checkpoint layout: an 8-byte magic, a format version, a record count, then
 one record per parameter in the order given. Each record is
@@ -62,6 +63,17 @@ def decode_text(path, error: type[Exception]) -> str:
         line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise error(f"{path}:{line_no}: not valid UTF-8") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def numbered_lines(path, error: type[Exception]):
+    """(line number, content) of each line `decode_text` reads that is not blank past its comment.
+
+    `#` starts a comment that runs to the end of the line; content is stripped of whitespace.
+    """
+    for line_no, line in enumerate(decode_text(path, error).split("\n"), start=1):
+        content = line.split("#", 1)[0].strip()
+        if content:
+            yield line_no, content
 
 
 def save_checkpoint(path, params: dict) -> None:

@@ -1,6 +1,6 @@
 """Run configuration: dataclasses, flat key=value files, and presets.
 
-Config files are plain `section.key = value` lines (comments with '#').
+Config files are plain `section.key = value` lines, read by `checkpoint.numbered_lines`.
 Every key is validated against the schema before any compute happens and
 unknown keys are rejected, so a config file plus the echoed overrides in
 the run manifest fully reproduce a run.
@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .checkpoint import decode_text, replacing
+from .checkpoint import numbered_lines, replacing
 from .errors import ConfigError
 
 GRAPH_MODES = ("fused", "spatial_only", "temporal_only", "predefined")
@@ -204,14 +204,11 @@ def load_config(path=None, overrides=()) -> RunConfig:
     """Build a RunConfig from an optional file, whose errors name their line, plus overrides."""
     cfg = RunConfig()
     if path is not None:
-        for line_no, line in enumerate(decode_text(path, ConfigError).split("\n"), start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
+        for line_no, line in numbered_lines(path, ConfigError):
+            if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected key = value, got {line!r}")
             try:
-                apply_assignment(cfg, *stripped.split("=", 1))
+                apply_assignment(cfg, *line.split("=", 1))
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{line_no}: {exc}") from None
     apply_overrides(cfg, overrides)

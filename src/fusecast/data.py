@@ -16,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import decode_text, replacing
+from .checkpoint import decode_text, numbered_lines, replacing
 from .config import check_split
 from .errors import ConfigError, IngestionError
 
 DAYS_PER_WEEK = 7
+_FLOAT32_MAX = float(np.finfo(np.float32).max)  # training runs in float32
 
 
 @dataclass
@@ -114,11 +115,6 @@ def load_series(data_path, meta_path=None) -> TrafficSeries:
     if nodes is not None and values.shape[1] != nodes:
         raise IngestionError(
             f"{data_path}: expected {nodes} columns per metadata, found {values.shape[1]}")
-    # training runs in float32, so every value must fit in it; NaN fails the comparison too
-    bad = np.argwhere(~(np.abs(values) <= np.finfo(np.float32).max))
-    if bad.size:
-        r, c = bad[0]
-        raise IngestionError(f"{data_path}: row {r + 1}, column {c + 1} is not a finite float32")
     return TrafficSeries(
         values=values[:, :, None],
         steps_per_day=steps_per_day,
@@ -144,32 +140,47 @@ def _meta_int(meta_path, meta: dict, key: str, low=-math.inf, high=math.inf) -> 
     return value
 
 
-def _text_rows(path):
-    """(row number, stripped text) of each non-blank line, as `decode_text` reads the file."""
-    for row_no, line in enumerate(decode_text(path, IngestionError).split("\n"), start=1):
-        if line.strip():
-            yield row_no, line.strip()
+def _cell(cell: str, kind=float):
+    """The `kind` (float or int) a table cell holds by `np.loadtxt`'s grammar, or None.
+
+    That is Python's past surrounding whitespace, but ASCII only and without `_` separators.
+    """
+    text = cell.strip()
+    try:
+        return kind(text) if text.isascii() and "_" not in text else None
+    except ValueError:
+        return None
 
 
 def _read_numeric_csv(path: Path) -> np.ndarray:
+    """The CSV's values as float64 [rows, columns], each within float32 range.
+
+    `np.loadtxt` reads a good file. Otherwise a scan by `numbered_lines` names
+    the first fault's line and column; it accepts a cell exactly when
+    `np.loadtxt` does, and reads a file whose one fault for `np.loadtxt` is a
+    line of whitespace, which is blank here as in every text table.
+    """
     try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64, encoding="utf-8-sig")
-    except ValueError:  # the slow scan pinpoints the bad row or cell
-        width = None
-        for row_no, line in _text_rows(path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file: said once, below
+            arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64, encoding="utf-8-sig")
+    except ValueError:
+        arr = None
+    if arr is None or not (np.abs(arr) <= _FLOAT32_MAX).all():  # NaN fails the comparison too
+        rows = []
+        for line_no, line in numbered_lines(path, IngestionError):
             cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
+            if rows and len(cells) != len(rows[0]):
                 raise IngestionError(
-                    f"{path}: row {row_no} has {len(cells)} columns, expected {width}") from None
-            for col_no, cell in enumerate(cells, start=1):
-                try:
-                    float(cell)
-                except ValueError:
+                    f"{path}:{line_no}: {len(cells)} columns, expected {len(rows[0])}")
+            values = [_cell(cell) for cell in cells]
+            for col_no, (cell, value) in enumerate(zip(cells, values), start=1):
+                if value is None or not abs(value) <= _FLOAT32_MAX:
+                    fault = "a number" if value is None else "a finite float32"
                     raise IngestionError(
-                        f"{path}: non-numeric cell at row {row_no}, column {col_no}: {cell!r}") from None
-        raise IngestionError(f"{path}: could not parse CSV") from None
+                        f"{path}:{line_no}: column {col_no} is not {fault}: {cell!r}")
+            rows.append(np.array(values))
+        arr = np.array(rows, ndmin=2)
     if arr.size == 0:
         raise IngestionError(f"{path}: file contains no data rows")
     return arr
@@ -217,14 +228,14 @@ def fit_normalizer(train_windows: WindowSet) -> Normalizer:
 
 
 def make_synthetic(n_nodes: int, days: int, seed: int, coupling: float, *,
-                   steps_per_day: int = 288, base: float = 100.0,
-                   daily_amplitude: float = 50.0, weekly_amplitude: float = 0.2,
+                   steps_per_day: int = 288, weekly_amplitude: float = 0.2,
                    noise_std: float = 2.0, steps: int | None = None):
     """Generate a coupled periodic traffic series with known structure.
 
-    Each node carries a daily sinusoid (own phase and amplitude) under a
-    weekly modulation envelope; node i additionally follows node i-1 (mod N)
-    at a one-step lag with the given coupling strength, plus Gaussian noise.
+    Each node carries a daily sinusoid (own phase, amplitude 50 and base 100,
+    each scaled by 0.8-1.2) under a weekly modulation envelope; node i
+    additionally follows node i-1 (mod N) at a one-step lag with the given
+    coupling strength, plus Gaussian noise.
 
     Returns (series, params) where params records every generation constant
     so tests can build oracle baselines against the construction.
@@ -243,8 +254,8 @@ def make_synthetic(n_nodes: int, days: int, seed: int, coupling: float, *,
     rng = np.random.default_rng(seed)
     total = days * steps_per_day
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n_nodes)
-    amps = daily_amplitude * rng.uniform(0.8, 1.2, size=n_nodes)
-    bases = base * rng.uniform(0.8, 1.2, size=n_nodes)
+    amps = 50.0 * rng.uniform(0.8, 1.2, size=n_nodes)
+    bases = 100.0 * rng.uniform(0.8, 1.2, size=n_nodes)
 
     t = np.arange(total)
     daily = np.sin(2.0 * np.pi * t[:, None] / steps_per_day + phases[None, :])
@@ -271,13 +282,12 @@ def make_synthetic(n_nodes: int, days: int, seed: int, coupling: float, *,
     return series, params
 
 
-def save_series(series: TrafficSeries, csv_path, meta_path=None) -> None:
-    """Write a series as CSV plus sidecar, the same format load_series reads.
+def save_series(series: TrafficSeries, csv_path) -> None:
+    """Write a series as CSV plus the `.json` sidecar beside it, the format load_series reads.
 
     Neither file replaces its target until both are written.
     """
     csv_path = Path(csv_path)
-    meta_path = Path(meta_path) if meta_path else csv_path.with_suffix(".json")
     meta = {
         "steps_per_day": series.steps_per_day,
         "first_step_day_of_week": series.first_step_day_of_week,
@@ -285,7 +295,7 @@ def save_series(series: TrafficSeries, csv_path, meta_path=None) -> None:
         "nodes": series.n_nodes,
     }
     row = ",".join(["%.6f"] * series.n_nodes) + "\n"  # the rows np.savetxt(fmt="%.6f") writes
-    with replacing(csv_path) as csv_fh, replacing(meta_path) as meta_fh:
+    with replacing(csv_path) as csv_fh, replacing(csv_path.with_suffix(".json")) as meta_fh:
         for values in series.values[:, :, 0]:
             csv_fh.write(row % tuple(values))
         meta_fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
@@ -294,36 +304,30 @@ def save_series(series: TrafficSeries, csv_path, meta_path=None) -> None:
 def load_predefined_graph(edge_path, n_nodes: int, directed: bool = False) -> np.ndarray:
     """Load `from,to[,weight]` edges into a dense, non-negative [N, N] adjacency.
 
-    The first non-blank row is skipped if it is a header. Self-loops are
-    dropped with a warning; undirected graphs are symmetrized.
+    Lines are read by `checkpoint.numbered_lines`, so `#` comments and blank
+    lines are skipped. The first row left is a header, and skipped, if neither
+    of its node ids is an integer. Ids and weights follow `_cell`'s grammar.
+    Self-loops are dropped with a warning; undirected graphs are symmetrized.
     """
     adjacency = np.zeros((n_nodes, n_nodes))
     n_edges = 0
-    for i, (row_no, line) in enumerate(_text_rows(edge_path)):
+    for i, (line_no, line) in enumerate(numbered_lines(edge_path, IngestionError)):
+        at = f"{edge_path}:{line_no}:"
         cells = line.split(",")
         if len(cells) not in (2, 3):
-            raise IngestionError(f"{edge_path}: row {row_no} has {len(cells)} fields, expected 2 or 3")
-        try:
-            src, dst = int(cells[0]), int(cells[1])
-        except ValueError:
-            if i == 0:
-                continue  # header row
-            raise IngestionError(f"{edge_path}: non-integer node id at row {row_no}") from None
+            raise IngestionError(f"{at} {len(cells)} fields, expected 2 or 3")
+        src, dst = _cell(cells[0], int), _cell(cells[1], int)
+        if i == 0 and src is None and dst is None:
+            continue  # header row
+        if src is None or dst is None:
+            raise IngestionError(f"{at} non-integer node id: {line!r}")
         if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
-            raise IngestionError(
-                f"{edge_path}: row {row_no} references node ({src}, {dst}) outside 0..{n_nodes - 1}")
-        weight = 1.0
-        if len(cells) == 3:
-            try:
-                weight = float(cells[2])
-            except ValueError:
-                raise IngestionError(f"{edge_path}: non-numeric weight at row {row_no}") from None
-            if not 0 <= weight <= float(np.finfo(np.float32).max):
-                raise IngestionError(
-                    f"{edge_path}: weight at row {row_no} must be non-negative and within "
-                    f"float32 range, got {cells[2]!r}")
+            raise IngestionError(f"{at} node ({src}, {dst}) outside 0..{n_nodes - 1}")
+        weight = _cell(cells[2]) if len(cells) == 3 else 1.0
+        if weight is None or not 0 <= weight <= _FLOAT32_MAX:
+            raise IngestionError(f"{at} weight must be a non-negative float32, got {cells[2]!r}")
         if src == dst:
-            warnings.warn(f"{edge_path}: dropping self-loop on node {src} at row {row_no}")
+            warnings.warn(f"{at} dropping self-loop on node {src}")
             continue
         adjacency[src, dst] = weight
         if not directed:

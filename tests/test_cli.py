@@ -162,6 +162,31 @@ def test_a_bad_byte_on_line_3_is_named_in_one_form(tmp_path, capsys, kind, newli
     assert (code, stdout, err) == (expected[0], "", f"{expected[1]}: {bad}:3: not valid UTF-8\n")
 
 
+BAD_CELL_ON_LINE_3 = {  # line 1 is a comment and line 2 is blank
+    "config": ([b"# run", b"", b"model.depth = two", b"train.max_epochs = 1"],
+               "model.depth: invalid literal for int() with base 10: ' two'"),
+    "series": ([b"# sensors a,b,c,d", b"", b"9,1_0,11,12", b"13,14,15,16"],
+               "column 2 is not a number: '1_0'"),
+    "edges": ([b"# ring", b"", b"0,1,1_5", b"1,2"],
+              "weight must be a non-negative float32, got '1_5'"),
+}
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("kind", BAD_CELL_ON_LINE_3)
+def test_a_bad_cell_on_line_3_is_named_in_one_form(tmp_path, capsys, kind, newline):
+    csv = _toy_data(tmp_path, capsys)
+    bad = {"config": tmp_path / "run.cfg", "series": csv, "edges": tmp_path / "edges.csv"}[kind]
+    lines, message = BAD_CELL_ON_LINE_3[kind]
+    bad.write_bytes(newline.join(lines) + newline)
+    args = ["--config", str(bad)] if kind == "config" else [*TOY_ARGS, f"data.series={csv}"]
+    if kind == "edges":
+        args += ["graph.mode=predefined", f"data.graph={bad}"]
+    code, stdout, err = run_cli(capsys, "train", "--out", str(tmp_path / "r"), *args)
+    expected = (2, "config error") if kind == "config" else (4, "I/O error")
+    assert (code, stdout, err) == (expected[0], "", f"{expected[1]}: {bad}:3: {message}\n")
+
+
 def test_eval_missing_checkpoint_exits_4(tmp_path, capsys):
     csv = _toy_data(tmp_path, capsys)
     code, _, err = run_cli(capsys, "eval", *TOY_ARGS, "--checkpoint",
@@ -313,16 +338,13 @@ BAD_RUN_INPUTS = {
     "boolean_maybe": (2, "data.directed_graph"),
     "series_unset": (2, "data.series must point at a series CSV"),
     "config_line_without_equals": (2, "run.cfg:2: expected key = value"),
-    "series_beyond_float32": (4, "row 3, column 2 is not a finite float32"),
-    "edge_weight_beyond_float32": (4, "weight at row 2"),
+    "series_beyond_float32": (4, "toy.csv:3: column 2 is not a finite float32: '1e39'"),
+    "edge_weight_beyond_float32": (4, "edges.csv:2: weight must be a non-negative float32"),
     "empty_series": (4, "no data rows"),
 }
 
 
-@pytest.mark.parametrize("case", [
-    pytest.param(case, marks=pytest.mark.filterwarnings("ignore::UserWarning"))
-    if case == "empty_series" else case  # numpy warns that the file holds no data
-    for case in BAD_RUN_INPUTS])
+@pytest.mark.parametrize("case", BAD_RUN_INPUTS)
 def test_bad_run_input_exits_with_its_code(tmp_path, capsys, case):
     expected, text = BAD_RUN_INPUTS[case]
     argv = _bad_run_input(case, tmp_path, _toy_data(tmp_path, capsys))

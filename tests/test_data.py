@@ -43,7 +43,7 @@ def test_load_series_non_numeric_cell_cites_location(tmp_path):
     csv.write_text("\n".join(rows) + "\n")
     csv.with_suffix(".json").write_text(json.dumps(
         {"steps_per_day": 288, "first_step_day_of_week": 0}))
-    with pytest.raises(IngestionError, match="row 5.*column 2"):
+    with pytest.raises(IngestionError, match=r"bad\.csv:5: column 2 is not a number: 'oops'"):
         load_series(csv)
 
 
@@ -54,7 +54,7 @@ def test_load_series_non_finite_value_cites_location(tmp_path):
     csv.write_text("\n".join(rows) + "\n")
     csv.with_suffix(".json").write_text(json.dumps(
         {"steps_per_day": 288, "first_step_day_of_week": 0}))
-    with pytest.raises(IngestionError, match="row 3, column 1"):
+    with pytest.raises(IngestionError, match=r"nancsv\.csv:3: column 1 is not a finite float32"):
         load_series(csv)
 
 
@@ -66,16 +66,17 @@ def test_load_series_value_beyond_float32_cites_location(tmp_path, value):
     rows = csv.read_text().splitlines()
     rows[3] = f"1.0,1.0,{value}"  # row 4, column 3
     csv.write_text("\n".join(rows) + "\n")
-    with pytest.raises(IngestionError, match="row 4, column 3 is not a finite float32"):
+    with pytest.raises(IngestionError,
+                       match=rf"series\.csv:4: column 3 is not a finite float32: '{value}'"):
         load_series(csv)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")  # numpy warns that the file holds no data
 def test_load_series_empty_file_rejected(tmp_path):
     csv = _write_series(tmp_path, np.ones((2, 2)))
-    csv.write_text("")
-    with pytest.raises(IngestionError, match="no data rows"):
-        load_series(csv)
+    for text in ("", "# sensors a,b\n\n", " \n"):  # and no UserWarning, which the tests raise
+        csv.write_text(text)
+        with pytest.raises(IngestionError, match="no data rows"):
+            load_series(csv)
 
 
 def test_load_series_missing_metadata_key(tmp_path):
@@ -138,8 +139,48 @@ def test_load_series_skips_a_byte_order_mark(tmp_path, bad_row, sidecar):
     assert (series.name, series.steps_per_day) == (plain.name, plain.steps_per_day) == ("bom", 288)
     if bad_row:  # the slow scan's row and column count from the BOM'd first row too
         csv.write_text("\ufeff" + text.replace("6.0000", "oops"), encoding="utf-8")
-        with pytest.raises(IngestionError, match="non-numeric cell at row 3, column 2: 'oops'"):
+        with pytest.raises(IngestionError, match=r"series\.csv:3: column 2 is not a number: 'oops'"):
             load_series(csv)
+
+
+CELLS = ["1_0", "\uff14", "\u0663", " 4", "\t4", "1e3", "+.5", "nan", "-Infinity", "0x10", "1d3", "",
+         ".", "1.", "e3", "1e+", "++1", "1 2", "infinit", "iNfInItY", "\x1c4 ", "\u30004", "\ufeff4",
+         "nan(1)", "\u0131nf"]
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=[ascii(cell) for cell in CELLS])
+def test_load_series_accepts_a_cell_exactly_when_loadtxt_does(tmp_path, cell):
+    csv = _write_series(tmp_path, np.ones((2, 2)))
+    csv.write_text(f"# sensors a,b\n1,2\n3,{cell}\n", encoding="utf-8")
+    try:
+        expected = np.loadtxt(csv, delimiter=",", ndmin=2, encoding="utf-8")
+    except ValueError:
+        expected = None
+    if expected is None:
+        with pytest.raises(IngestionError, match=r"series\.csv:3: column 2 is not a number"):
+            load_series(csv)
+    elif not np.isfinite(expected).all():
+        with pytest.raises(IngestionError, match=r"series\.csv:3: column 2 is not a finite float32"):
+            load_series(csv)
+    else:
+        assert load_series(csv).values[:, :, 0].tobytes() == expected.tobytes()
+    # the scan reads what the fast path reads: a whitespace line sends the file to it
+    csv.write_text(f"# sensors a,b\n1,2\n \n3,{cell}\n", encoding="utf-8")
+    if expected is not None and np.isfinite(expected).all():
+        assert load_series(csv).values[:, :, 0].tobytes() == expected.tobytes()
+    else:
+        with pytest.raises(IngestionError, match=r"series\.csv:4: column 2 is not a"):
+            load_series(csv)
+
+
+def test_load_series_reads_a_file_with_whitespace_lines_to_the_same_bits(tmp_path):
+    series, _ = make_synthetic(5, 2, seed=4, coupling=0.4, steps_per_day=12)
+    save_series(series, tmp_path / "s.csv")
+    plain = load_series(tmp_path / "s.csv").values
+    rows = (tmp_path / "s.csv").read_text().splitlines()
+    rows[3:3] = ["  ", "\t# a comment after a tab"]  # np.loadtxt rejects both lines
+    (tmp_path / "s.csv").write_text("\n".join(rows) + "\n")
+    assert load_series(tmp_path / "s.csv").values.tobytes() == plain.tobytes()
 
 
 def test_load_series_node_count_mismatch(tmp_path):
@@ -357,7 +398,7 @@ def test_predefined_graph_empty_warns(tmp_path):
 def test_predefined_graph_out_of_range_cites_row(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("0,1\n999,0\n")
-    with pytest.raises(IngestionError, match="row 2"):
+    with pytest.raises(IngestionError, match=r"edges\.csv:2: node \(999, 0\) outside 0\.\.169"):
         load_predefined_graph(path, 170)
 
 
@@ -369,8 +410,11 @@ def test_predefined_graph_non_utf8_row_cites_location(tmp_path):
 
 
 @pytest.mark.parametrize("text", ["\ufeff0,1\n1,2\n", "\ufefffrom,to\n0,1\n1,2\n",
-                                  "\n\nfrom,to\n0,1\n1,2\n", "\ufeff\n  \nfrom,to\n0,1\n1,2\n"],
-                         ids=["bom", "bom-header", "blank-lines-header", "bom-blank-lines-header"])
+                                  "\n\nfrom,to\n0,1\n1,2\n", "\ufeff\n  \nfrom,to\n0,1\n1,2\n",
+                                  "from,to\n0,1\n# ring\n1,2\n", "0,1 # ring\n1,2\n",
+                                  "# ring\n\n0,1\n  # after blanks\n1,2 # last\n"],
+                         ids=["bom", "bom-header", "blank-lines-header", "bom-blank-lines-header",
+                              "comment-row", "first-row-comment", "comments-and-blanks"])
 def test_predefined_graph_header_is_the_first_non_blank_row_past_a_bom(tmp_path, text):
     path = tmp_path / "edges.csv"
     path.write_text(text, encoding="utf-8")
@@ -381,15 +425,25 @@ def test_predefined_graph_header_is_the_first_non_blank_row_past_a_bom(tmp_path,
 def test_predefined_graph_header_after_the_first_row_is_rejected(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("0,1\nfrom,to\n1,2\n")
-    with pytest.raises(IngestionError, match="non-integer node id at row 2"):
+    with pytest.raises(IngestionError, match=r"edges\.csv:2: non-integer node id: 'from,to'"):
         load_predefined_graph(path, 3)
 
 
-@pytest.mark.parametrize("weight", ["nan", "inf", "1e39", "-1"])
+@pytest.mark.parametrize("row", ["0,1_0", "0,\u0663", "\uff10,1", "0,1.0", "0,"])
+@pytest.mark.parametrize("first", [True, False], ids=["first-row", "second-row"])
+def test_predefined_graph_node_ids_are_ascii_integers(tmp_path, row, first):
+    path = tmp_path / "edges.csv"
+    path.write_text(f"{row}\n" if first else f"1,2\n{row}\n", encoding="utf-8")
+    line = 1 if first else 2
+    with pytest.raises(IngestionError, match=rf"edges\.csv:{line}: non-integer node id"):
+        load_predefined_graph(path, 12)
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "1e39", "-1", "1_5", "\uff15"])
 def test_predefined_graph_non_finite_weight_cites_row(tmp_path, weight):
     path = tmp_path / "edges.csv"
-    path.write_text(f"0,1,1.0\n0,2,{weight}\n")
-    with pytest.raises(IngestionError, match=f"weight at row 2 .*'{weight}'"):
+    path.write_text(f"0,1,1.0\n0,2,{weight}\n", encoding="utf-8")
+    with pytest.raises(IngestionError, match=rf"edges\.csv:2: weight .*'{weight}'"):
         load_predefined_graph(path, 3)
 
 

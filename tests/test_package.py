@@ -22,8 +22,18 @@ def test_each_module_is_the_package_attribute_of_its_name():
     assert fresh.stdout.strip() == "[]"
 
 
+# file access, decoding, and cutting text into lines or comments
 FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes", "savetxt", "loadtxt",
-              "decode"}
+              "decode", "splitlines", r"split('\n')", "split('#')"}
+
+
+def _call_name(call):
+    """The called name; a split by a constant string is named with it, as in `split('#')`."""
+    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    arg = call.args[0] if call.args else None
+    if name == "split" and isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return f"split({arg.value!r})"
+    return name
 
 
 def _file_calls(tree):
@@ -35,10 +45,8 @@ def _file_calls(tree):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                name = getattr(child.func, "id", getattr(child.func, "attr", None))
-                if name in FILE_CALLS:
-                    found.append((func, name))
+            if isinstance(child, ast.Call) and _call_name(child) in FILE_CALLS:
+                found.append((func, _call_name(child)))
             visit(child, func)
 
     visit(tree, None)
@@ -46,11 +54,13 @@ def _file_calls(tree):
 
 
 def test_only_the_file_boundary_reads_writes_or_decodes_files():
-    # checkpoint.py is the file boundary: decode_text reads every text input,
-    # replacing opens every output; the series CSV's np.loadtxt fast path is the one exception
+    # checkpoint.py is the file boundary: decode_text reads every text input, numbered_lines
+    # cuts it into lines past comments, and replacing opens every output; the series CSV's
+    # np.loadtxt fast path is the one exception
     calls = {path.name: _file_calls(ast.parse(path.read_text(encoding="utf-8")))
              for path in sorted(Path(fusecast.__file__).parent.glob("*.py"))}
-    boundary = {("decode_text", "read_bytes"), ("decode_text", "decode"), ("replacing", "open")}
+    boundary = {("decode_text", "read_bytes"), ("decode_text", "decode"), ("replacing", "open"),
+                ("numbered_lines", r"split('\n')"), ("numbered_lines", "split('#')")}
     assert boundary <= set(calls.pop("checkpoint.py"))
     assert {name: found for name, found in calls.items() if found} == {
         "data.py": [("_read_numeric_csv", "loadtxt")]}
