@@ -160,7 +160,7 @@ class RunConfig:
 
 
 def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
+    low = raw.lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
@@ -177,9 +177,7 @@ def _parser(default):
         return _parse_bool
     if isinstance(default, list):
         item = type(default[0])
-        return lambda raw: [item(x) for x in raw.split(",")] if raw.strip() else []
-    if isinstance(default, str):
-        return str.strip
+        return lambda raw: [item(x) for x in raw.split(",")] if raw else []
     return type(default)
 
 
@@ -188,13 +186,17 @@ _SCHEMA = {f"{section}.{f.name}": _parser(getattr(cls(), f.name))
 
 
 def apply_assignment(cfg: RunConfig, key: str, raw_value: str):
-    """Set one `section.field = value` assignment, validating the key path."""
+    """Set one `section.field = value` assignment, validating the key path.
+
+    Key and value are stripped first, so a parse error quotes the value as
+    the file or command line shows it.
+    """
     key = key.strip()
     if key not in _SCHEMA:
         raise ConfigError(f"unknown config key: {key}")
     section, name = key.split(".", 1)
     try:
-        value = _SCHEMA[key](raw_value)
+        value = _SCHEMA[key](raw_value.strip())
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
     setattr(getattr(cfg, section), name, value)

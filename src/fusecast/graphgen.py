@@ -67,13 +67,13 @@ def build_directed_graph(f1: Tensor, f2: Tensor, w1: Tensor, w2: Tensor,
     Projects both sides through saturated tanh, scores with the
     antisymmetric product m1 @ m2^T - m2 @ m1^T (so the diagonal is exactly
     zero and at most one direction of each pair survives the ReLU), then
-    keeps the top k entries per row.
+    keeps the top k entries per row of relu(tanh(alpha * score)), which
+    tensor.saturated_top_k makes as one record that keeps only the graph.
     """
     m1 = T.tanh(T.mul(T.matmul(f1, w1), alpha))
     m2 = T.tanh(T.mul(T.matmul(f2, w2), alpha))
     score = T.sub(T.matmul(m1, T.swapaxes(m2, -1, -2)), T.matmul(m2, T.swapaxes(m1, -1, -2)))
-    raw = T.relu(T.tanh(T.mul(score, alpha)))
-    return T.top_k_rows(raw, k)
+    return T.saturated_top_k(score, alpha, k)
 
 
 def temporal_feature_matrix(daily_lookup: Tensor, weekly_lookup: Tensor):
@@ -85,12 +85,17 @@ def fuse_graphs(a_spatial: Tensor, a_temporal: Tensor, beta: float,
                 params: AttentionFusionParams, return_scores: bool = False):
     """Blend spatial and temporal adjacencies through multi-head attention.
 
-    The saturated product of the two graphs is the attention's value
-    input. Returns `final`, the attention output after the terminal ReLU
-    that keeps the adjacency non-negative, or (final, head_scores) with
-    return_scores, head_scores being the per-head attention matrices.
+    The saturated product of the two graphs, relu(tanh(beta * a_s @ a_t))
+    as one tensor.saturated_top_k record that keeps every entry, is the
+    attention's value input. Each head is one tensor.attention record,
+    which keeps its query, key and value but not its [..., N, N] scores.
+    Returns `final`, the attention output after the terminal ReLU that
+    keeps the adjacency non-negative, or (final, head_scores) with
+    return_scores: head_scores are the per-head attention matrices as
+    Tensors without a gradient, computed by the helper the heads run, so
+    they are the bits the forward used.
     """
-    fused = T.relu(T.tanh(T.mul(T.matmul(a_spatial, a_temporal), beta)))
+    fused = T.saturated_top_k(T.matmul(a_spatial, a_temporal), beta, a_temporal.shape[-1])
     head_outputs = []
     head_scores = []
     for wq, wk, wv in zip(params.query, params.key, params.value):
@@ -98,10 +103,9 @@ def fuse_graphs(a_spatial: Tensor, a_temporal: Tensor, beta: float,
         k = T.matmul(a_temporal, wk)
         v = T.matmul(fused, wv)
         scale = 1.0 / np.sqrt(wq.shape[-1])
-        scores = T.softmax(T.mul(T.matmul(q, T.swapaxes(k, -1, -2)), scale), axis=-1)
-        if return_scores:  # [..., N, N] each, so kept only when asked for
-            head_scores.append(scores)
-        head_outputs.append(T.matmul(scores, v))
+        if return_scores:  # [..., N, N] each, so made only when asked for
+            head_scores.append(Tensor(T._attention_scores(q.data, k.data, scale)))
+        head_outputs.append(T.attention(q, k, v, scale))
     final = T.relu(T.matmul(T.concat(head_outputs, axis=-1), params.output))
     if return_scores:
         return final, head_scores

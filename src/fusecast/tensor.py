@@ -28,6 +28,14 @@ a plain loop's.
 Backward adds each pull's piece to its slot's gradient as a new sum
 (_accumulate), and never writes a gradient array in place.
 
+saturated_top_k and attention are each one record for a chain of ops that
+graph generation runs per window: relu(tanh(scale * x)) with a per-row
+top-k, and softmax(q @ k^T * scale) @ v. Each keeps only what its pull
+reads, saturated_top_k its output and attention its three operands, whose
+[..., N, N] scores backward recomputes. Every value is computed with the
+expression of the op it stands for, in the same order and at the same
+shapes, so the outputs and gradients are bitwise the chain's.
+
 Backward runs a group's lists concurrently, list g on the thread that runs
 task g. A slot that a list produced is read by that list only, so its
 gradient accumulates there. A slot that a list writes but did not
@@ -474,18 +482,23 @@ def matmul(a: Tensor, b: Tensor):
         out_data = a_data @ b_data
     except ValueError:
         raise ShapeError(f"matmul: shapes {a_shape} and {b_shape} do not multiply") from None
-    if b.ndim == 2:
-        rows = math.prod(a_shape[:-1])  # explicit: -1 cannot be inferred when K or n is 0
-
-        def pull_b(g):
-            return a_data.reshape(rows, b_shape[0]).T @ g.reshape(rows, b_shape[1])
-    else:
-        def pull_b(g):
-            return _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape)
     return _make(out_data, [
-        (a, lambda g: _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape)),
-        (b, pull_b),
+        (a, lambda g: _matmul_pull_a(g, b_data, a_shape)),
+        (b, lambda g: _matmul_pull_b(g, a_data, b_shape)),
     ])
+
+
+def _matmul_pull_a(g, b, a_shape):
+    """The gradient of a in a @ b from the product's gradient g."""
+    return _unbroadcast(g @ np.swapaxes(b, -1, -2), a_shape)
+
+
+def _matmul_pull_b(g, a, b_shape):
+    """The gradient of b in a @ b from g: one GEMM over a's rows for a 2-D b (see matmul)."""
+    if len(b_shape) == 2:
+        rows = math.prod(a.shape[:-1])  # explicit: -1 cannot be inferred when K or n is 0
+        return a.reshape(rows, b_shape[0]).T @ g.reshape(rows, b_shape[1])
+    return _unbroadcast(np.swapaxes(a, -1, -2) @ g, b_shape)
 
 
 def tanh(x: Tensor):
@@ -509,23 +522,6 @@ def relu(x: Tensor):
 def abs_(x: Tensor):
     x_data = x.data
     return _make(np.abs(x_data), [(x, lambda g: g * np.sign(x_data))])
-
-
-def softmax(x: Tensor, axis: int = -1):
-    """Numerically stabilized softmax along one axis.
-
-    The exponent and the normalization run in place in the freshly
-    allocated shifted copy, so x.data is never written.
-    """
-    axis = _axis(axis, x.ndim, "softmax")
-    out_data = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(out_data, out=out_data)
-    out_data /= out_data.sum(axis=axis, keepdims=True)
-
-    def pull(g):
-        return out_data * (g - (g * out_data).sum(axis=axis, keepdims=True))
-
-    return _make(out_data, [(x, pull)])
 
 
 def sum_(x: Tensor, axis=None, keepdims=False):
@@ -624,23 +620,47 @@ def gather(table: Tensor, index: np.ndarray):
     return _make(out_data, [(table, pull)])
 
 
-def top_k_rows(x: Tensor, k: int):
-    """Keep the k largest entries of each row (last axis), zero the rest.
+def saturated_top_k(x: Tensor, scale: float, k: int):
+    """The k largest entries of each row (last axis) of relu(tanh(scale * x)), the rest zeroed.
 
-    Selects exactly what a stable descending sort would: ties go to the
-    lower column index, and NaN ranks below every number (it stays NaN in
-    the output either way). A partition finds each row's k-th largest
-    value; entries above it are kept and the open slots go to the
-    lowest-index entries equal to it, resolved only on rows with more
-    such ties than slots (saturated tanh scores, rows of zeros). The mask
-    is a constant during backward, so gradient flows only through survivors.
+    One tape record. k = n, the row length, keeps every entry. tanh and
+    the ReLU run in place in the one fresh buffer scale * x, and the
+    selection (_top_k_mask) multiplies it by its mask, so the output holds
+    the bits of tensor's mul, tanh, relu and the selection applied in turn.
+    The record keeps only that output a: its pull is
+    g * (a > 0) * (1 - a * a) * scale, the relu's and tanh's pulls read
+    from a. Where the selection zeroed an entry, or the ReLU did, a > 0 is
+    False and the gradient is the same signed zero (or NaN) the chain's
+    mask gives, so the gradient's bits are the chain's too.
     """
     n = x.shape[-1]
     if not 1 <= k <= n:
         raise ConfigError(f"top-k: k={k} outside [1, {n}], the row length")
-    if k == n:
-        return x
-    rows = x.data.reshape(-1, n)
+    scale = np.asarray(scale, dtype=x.dtype)
+    out_data = x.data * scale
+    np.tanh(out_data, out=out_data)
+    np.maximum(out_data, 0.0, out=out_data)
+    if k < n:
+        out_data *= _top_k_mask(out_data, k)  # x * 1.0 or x * 0.0, as a float mask gives
+
+    def pull(g):
+        return g * (out_data > 0) * (1.0 - out_data * out_data) * scale
+
+    return _make(out_data, [(x, pull)])
+
+
+def _top_k_mask(x: np.ndarray, k: int) -> np.ndarray:
+    """The bool mask of the k largest entries of each row (last axis) of x, for k < its length.
+
+    Selects exactly what a stable descending sort would: ties go to the
+    lower column index, and NaN ranks below every number. A partition
+    finds each row's k-th largest value; entries above it are kept and the
+    open slots go to the lowest-index entries equal to it, resolved only on
+    rows with more such ties than slots (saturated tanh scores, rows of
+    zeros). The mask is a constant during backward, so gradient flows only
+    through survivors.
+    """
+    rows = x.reshape(-1, x.shape[-1])
     neg = -rows
     neg.partition(k - 1, axis=-1)
     kth = -neg[:, k - 1:k]  # partition sorts NaN last, as the descending order ranks it
@@ -657,5 +677,71 @@ def top_k_rows(x: Tensor, k: int):
     ties &= np.cumsum(ties, axis=-1, dtype=np.int32) <= open_slots[over, None]
     tied[over] = ties
     keep |= tied
-    mask = keep.reshape(x.shape).astype(x.dtype)
-    return _make(x.data * mask, [(x, lambda g: g * mask)])
+    return keep.reshape(x.shape)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float):
+    """softmax(q @ k^T * scale) @ v over the last two axes, as one tape record.
+
+    The record keeps q, k and v and no [..., N, N] array: the pulls
+    recompute the scores with _attention_scores, the helper the forward
+    runs, and share one backward (_attention_backward). Without a tape the
+    scores are freed once the product is made.
+    """
+    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
+        raise ShapeError(f"attention: operands must be at least 2-d, "
+                         f"got {q.shape}, {k.shape} and {v.shape}")
+    q_data, k_data, v_data = q.data, k.data, v.data
+    try:
+        out_data = _attention_scores(q_data, k_data, scale) @ v_data
+    except ValueError:
+        raise ShapeError(f"attention: shapes {q.shape}, {k.shape} and {v.shape} "
+                         f"do not multiply") from None
+    pieces = {}  # operand index -> gradient, filled by the first pull that runs
+
+    def pull(i):
+        def fn(g):
+            if not pieces:
+                pieces.update(enumerate(_attention_backward(g, q_data, k_data, v_data, scale)))
+            return pieces.pop(i)
+        return fn
+
+    # v first, then q and k: the order in which the chain's records add their pieces
+    return _make(out_data, [(t, pull(i)) for i, t in enumerate((v, q, k))])
+
+
+def _attention_scores(q: np.ndarray, k: np.ndarray, scale) -> np.ndarray:
+    """softmax(q @ k^T * scale) along the last axis, with scale cast to the product's dtype."""
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores *= np.asarray(scale, dtype=scores.dtype)
+    return _softmax(scores)
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Numerically stabilized softmax along the last axis.
+
+    The exponent and the normalization run in place in the freshly
+    allocated shifted copy, so x is never written.
+    """
+    out = x - x.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _attention_backward(g, q, k, v, scale):
+    """The gradients of v, q and k in attention from its output's gradient g.
+
+    Each expression is the pull of the op the chain swapaxes(k), q @ k^T,
+    * scale, softmax and @ v records, at that op's shapes, so the bits are
+    the chain's.
+    """
+    kt = np.swapaxes(k, -1, -2)
+    scores = _attention_scores(q, k, scale)
+    g_v = _matmul_pull_b(g, scores, v.shape)
+    g_s = _matmul_pull_a(g, v, scores.shape)
+    g_s = scores * (g_s - (g_s * scores).sum(axis=-1, keepdims=True))  # softmax's pull
+    del scores
+    g_s *= np.asarray(scale, dtype=g_s.dtype)
+    g_k = np.swapaxes(_matmul_pull_b(g_s, q, kt.shape), -1, -2)
+    return g_v, _matmul_pull_a(g_s, kt, q.shape), g_k

@@ -164,7 +164,7 @@ def test_a_bad_byte_on_line_3_is_named_in_one_form(tmp_path, capsys, kind, newli
 
 BAD_CELL_ON_LINE_3 = {  # line 1 is a comment and line 2 is blank
     "config": ([b"# run", b"", b"model.depth = two", b"train.max_epochs = 1"],
-               "model.depth: invalid literal for int() with base 10: ' two'"),
+               "model.depth: invalid literal for int() with base 10: 'two'"),
     "series": ([b"# sensors a,b,c,d", b"", b"9,1_0,11,12", b"13,14,15,16"],
                "column 2 is not a number: '1_0'"),
     "edges": ([b"# ring", b"", b"0,1,1_5", b"1,2"],

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,36 @@ def test_attention_rows_sum_to_one():
         assert np.abs(s.data.sum(axis=-1) - 1.0).max() < 1e-9
 
 
+@pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
+def test_return_scores_leaves_final_unchanged(taped):
+    rng = np.random.default_rng(18)
+    n = 6
+    params = _fusion(rng, n, heads=3, dh=2)
+    a_s = Tensor(rng.uniform(0, 1, (n, n)))
+    a_t = Tensor(rng.uniform(0, 1, (4, n, n)))  # a batch of temporal graphs, one per window
+    with Tape() if taped else contextlib.nullcontext():
+        plain = fuse_graphs(a_s, a_t, 3.0, params)
+        final, scores = fuse_graphs(a_s, a_t, 3.0, params, return_scores=True)
+    assert final.data.tobytes() == plain.data.tobytes()
+    assert [s.shape for s in scores] == [(4, n, n)] * 3
+    assert not any(s.requires_grad for s in scores)  # a report, not part of the graph
+
+
+def test_returned_scores_are_the_ones_the_heads_used():
+    # final rebuilt in numpy from the returned scores and the heads' values
+    rng = np.random.default_rng(19)
+    n, beta = 7, 3.0
+    params = _fusion(rng, n, heads=2, dh=3)
+    a_s = Tensor(rng.uniform(0, 1, (n, n)))
+    a_t = Tensor(rng.uniform(0, 1, (2, n, n)))
+    final, scores = fuse_graphs(a_s, a_t, beta, params, return_scores=True)
+    assert min(np.ptp(s.data) for s in scores) > 1e-2  # not uniform, so the bits say something
+    fused = T.saturated_top_k(T.matmul(a_s, a_t), beta, n).data
+    heads = [s.data @ (fused @ wv.data) for s, wv in zip(scores, params.value)]
+    rebuilt = np.maximum(np.concatenate(heads, axis=-1) @ params.output.data, 0.0)
+    assert rebuilt.tobytes() == final.data.tobytes()
+
+
 def _pattern(rng, n, nd, d_time, heads=2, dh=2, scale=0.6):
     u = lambda shape: Tensor(rng.uniform(-scale, scale, shape), requires_grad=True)
     return PatternGraphParams(
@@ -272,3 +304,41 @@ def test_full_fuse_pipeline_gradients_match_finite_differences():
     for name, p in params.items():
         fd = fd_gradient(lambda: scalar().item(), p.data)
         assert rel_err(p.grad, fd, floor=1e-4) < 1e-5, name
+
+
+def _held_bytes(records):
+    """Bytes of the distinct buffers the records' pulls capture, a view counting its base."""
+    held = {}
+    for _, pulls in records:
+        for _, pull in pulls:
+            for cell in pull.__closure__ or ():
+                a = cell.cell_contents
+                if isinstance(a, np.ndarray):
+                    while isinstance(a.base, np.ndarray):
+                        a = a.base
+                    held[id(a)] = a.nbytes
+    return sum(held.values())
+
+
+def test_graph_generation_keeps_few_window_graphs():
+    """One fused pattern's records and held bytes over a batch of windows, pinned.
+
+    saturated_top_k keeps only its output and each attention head only its
+    query, key and value, so at this shape the tape holds 7.5 [B, N, N]
+    arrays per window (much of it the heads' q, k and v at head_dim =
+    N / heads, as in the presets) in 45 records. Built from tensor's
+    elementwise ops, keeping tanh's and the ReLU's outputs, the float top-k
+    mask and every head's scores, it held 15.6 in 69 records, so a chain
+    that expands again fails here.
+    """
+    rng = np.random.default_rng(17)
+    n, batch, heads = 32, 16, 4
+    cfg = toy_graph_config(k_spatial=5, k_temporal=5, heads=heads, head_dim=n // heads)
+    pattern = _pattern(rng, n, 8, 8, heads=heads, dh=n // heads)
+    feats = tuple(Tensor(f.data, requires_grad=True) for f in _time_features(rng, n, 8, batch))
+    with Tape() as tape:
+        generate_pattern_graph(pattern, feats, cfg)
+        records = tape._records
+        assert len(records) == 12 + 12 + 2 + 4 * heads + 3  # spatial, temporal, fused
+        per_window = _held_bytes(records) / (batch * n * n * 8)
+        assert per_window < 8.0, per_window

@@ -165,44 +165,43 @@ def test_tanh_gradient_at_zero_is_one():
 
 
 def test_softmax_uniform():
-    out = T.softmax(Tensor([0.0, 0.0, 0.0]), axis=0)
-    assert np.allclose(out.data, 1.0 / 3.0, atol=1e-15)
+    out = T._softmax(np.array([0.0, 0.0, 0.0]))
+    assert np.allclose(out, 1.0 / 3.0, atol=1e-15)
 
 
 def test_softmax_large_inputs_do_not_overflow():
-    out = T.softmax(Tensor([1000.0, 1000.0]), axis=0)
-    assert np.allclose(out.data, 0.5, atol=1e-15)
+    out = T._softmax(np.array([1000.0, 1000.0]))
+    assert np.allclose(out, 0.5, atol=1e-15)
 
 
 def test_softmax_rows_sum_to_one_and_positive():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        x = Tensor(rng.standard_normal((5, 7)) * 10)
-        out = T.softmax(x, axis=-1)
-        assert np.all(out.data > 0)
-        assert np.abs(out.data.sum(axis=-1) - 1.0).max() < 1e-9
+        out = T._softmax(rng.standard_normal((5, 7)) * 10)
+        assert np.all(out > 0)
+        assert np.abs(out.sum(axis=-1) - 1.0).max() < 1e-9
 
 
 def test_softmax_gradient_matches_finite_differences():
+    # with k = v = identity, attention is the softmax of q * scale
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    eye = Tensor(np.eye(5))
     w = rng.standard_normal((4, 5))  # random downstream weighting
     with Tape() as tape:
-        out = (T.softmax(x, axis=-1) * w).sum()
+        out = (T.attention(x, eye, eye, 1.0) * w).sum()
         tape.backward(out)
-    fd = fd_gradient(lambda: (T.softmax(x, axis=-1) * w).sum().item(), x.data)
+    fd = fd_gradient(lambda: (T.attention(x, eye, eye, 1.0) * w).sum().item(), x.data)
     assert rel_err(x.grad, fd) < 1e-6
 
 
 def test_softmax_leaves_its_input_unchanged():
     rng = np.random.default_rng(3)
     data = rng.standard_normal((3, 4, 5)).astype(np.float32)
-    x = Tensor(data.copy(), requires_grad=True)
-    with Tape() as tape:
-        out = T.softmax(x, axis=-1)
-        tape.backward(out.sum())
-    assert x.data.tobytes() == data.tobytes()
-    assert not np.shares_memory(out.data, x.data)
+    x = data.copy()
+    out = T._softmax(x)
+    assert x.tobytes() == data.tobytes()
+    assert not np.shares_memory(out, x)
 
 
 def test_concat_axis1():
@@ -261,7 +260,6 @@ AXIS_OPS = {
     "concat": lambda x, axis: T.concat([x, x], axis=axis),
     "concat_single": lambda x, axis: T.concat([x], axis=axis),
     "narrow": lambda x, axis: T.narrow(x, axis, 0, 1),
-    "softmax": lambda x, axis: T.softmax(x, axis=axis),
     "swapaxes": lambda x, axis: T.swapaxes(x, axis, 0),
     "swapaxes_second": lambda x, axis: T.swapaxes(x, 0, axis),
 }
@@ -282,29 +280,31 @@ def test_out_of_range_axis_raises_instead_of_wrapping(op):
             AXIS_OPS[op](x, axis)
 
 
-def test_top_k_rows_example():
-    x = Tensor([[0.5, 0.2, 0.9, 0.1]])
-    out = T.top_k_rows(x, 2)
-    assert out.data.tolist() == [[0.5, 0.0, 0.9, 0.0]]
+def test_top_k_mask_example():
+    x = np.array([[0.5, 0.2, 0.9, 0.1]])
+    assert T._top_k_mask(x, 2).tolist() == [[True, False, True, False]]
 
 
-def test_top_k_rows_ties_prefer_lower_column():
-    x = Tensor([[0.3, 0.3, 0.3, 0.3]])
-    out = T.top_k_rows(x, 2)
-    assert out.data.tolist() == [[0.3, 0.3, 0.0, 0.0]]
+def test_top_k_mask_ties_prefer_lower_column():
+    x = np.array([[0.3, 0.3, 0.3, 0.3]])
+    assert T._top_k_mask(x, 2).tolist() == [[True, True, False, False]]
 
 
-def test_top_k_rows_gradient_only_through_survivors():
+def test_saturated_top_k_gradient_only_through_survivors():
     x = Tensor([[0.5, 0.2, 0.9, 0.1]], requires_grad=True)
     with Tape() as tape:
-        tape.backward(T.top_k_rows(x, 2).sum())
-    assert x.grad.tolist() == [[1.0, 0.0, 1.0, 0.0]]
+        out = T.saturated_top_k(x, 1.0, 2)
+        tape.backward(out.sum())
+    a = np.tanh(x.data)
+    assert out.data.tolist() == [[a[0, 0], 0.0, a[0, 2], 0.0]]
+    assert x.grad.tolist() == [[1.0 - a[0, 0] ** 2, 0.0, 1.0 - a[0, 2] ** 2, 0.0]]
 
 
 def test_top_k_exceeding_row_length():
     for k in (4, 0, -1):
-        with pytest.raises(ConfigError):
-            T.top_k_rows(Tensor(np.zeros((2, 3))), k)
+        with pytest.raises(ConfigError, match=rf"top-k: k={k} outside \[1, 3\]"):
+            T.saturated_top_k(Tensor(np.zeros((2, 3))), 1.0, k)
+    T.saturated_top_k(Tensor(np.zeros((2, 3))), 1.0, 3)  # the row length keeps every entry
 
 
 def _top_k_mask_by_stable_sort(x: np.ndarray, k: int) -> np.ndarray:
@@ -315,42 +315,112 @@ def _top_k_mask_by_stable_sort(x: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
+def _saturated_top_k_chain(x: Tensor, scale: float, k: int) -> Tensor:
+    """The reference: tensor's mul, tanh and relu, then the stable sort's mask as a mul."""
+    raw = T.relu(T.tanh(T.mul(x, scale)))
+    if k == x.shape[-1]:
+        return raw
+    return T.mul(raw, Tensor(_top_k_mask_by_stable_sort(raw.data, k)))
+
+
 def _top_k_case(rng, kind, shape):
+    """A pre-activation x and a scale whose relu(tanh(scale * x)) is of the named kind."""
     x = rng.standard_normal(shape)
+    if kind == "distinct":
+        return np.abs(x) + 0.1, 0.5  # every entry positive and distinct
     if kind == "saturated":
-        return np.tanh(9.0 * 3.0 * x)  # about half the entries are exactly +-1.0
+        return 3.0 * x, 9.0  # about half the entries are exactly +-1.0 after tanh
     if kind == "few_positive":
-        return np.maximum(np.tanh(9.0 * (x - 1.5)), 0.0)  # fewer than k positives: zero ties
-    if kind == "nan":
-        x = np.maximum(np.tanh(9.0 * 3.0 * x), 0.0)
-        x[..., 0, 3] = np.nan
-        x[..., 1, ::2] = np.nan  # half the row: fewer than k numbers once k > n/2
-        x[..., 2, :] = np.nan
-    return x
+        return x - 1.5, 9.0  # fewer than k positives: zero ties
+    x = 3.0 * x
+    x[..., 0, 3] = np.nan
+    x[..., 1, ::2] = np.nan  # half the row: fewer than k numbers once k > n/2
+    x[..., 2, :] = np.nan
+    return x, 9.0
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(9, 12), (3, 9, 12)], ids=["2d", "batched"])
 @pytest.mark.parametrize("kind", ["distinct", "saturated", "few_positive", "nan"])
-def test_top_k_rows_equals_stable_sort_selection(kind, shape, dtype):
-    # property test against the sort it replaces: masks, outputs and
-    # gradients bitwise equal, ties and NaN included
+def test_saturated_top_k_equals_stable_sort_selection(kind, shape, dtype):
+    # property test against the sort the selection replaces: the selection
+    # mask, and saturated_top_k's output and gradient against the reference
+    # chain, bitwise, ties and NaN included
     rng = np.random.default_rng(zlib.crc32(f"{kind}{shape}{dtype.__name__}".encode()))
     n = shape[-1]
     for trial in range(4):
-        data = _top_k_case(rng, kind, shape).astype(dtype)
-        seed = rng.standard_normal(shape).astype(dtype)
-        for k in (1, 2, n // 2, n - 1):
+        pre, scale = _top_k_case(rng, kind, shape)
+        pre = pre.astype(dtype)
+        seed = Tensor(rng.standard_normal(shape).astype(dtype))
+        data = np.maximum(np.tanh(pre * np.asarray(scale, dtype=dtype)), 0.0)
+        for k in (1, 2, n // 2, n - 1, n):
             mask = _top_k_mask_by_stable_sort(data, k)
-            x = Tensor(data.copy(), requires_grad=True)
+            if k < n:
+                assert np.array_equal(T._top_k_mask(data, k), mask == 1), (trial, k)
+            x, x_ref = (Tensor(pre.copy(), requires_grad=True) for _ in range(2))
             with Tape() as tape:
-                out = T.top_k_rows(x, k)
-                tape.backward((out * Tensor(seed)).sum())
+                out = T.saturated_top_k(x, scale, k)
+                assert len(tape) == 1
+                tape.backward((out * seed).sum())
+            with Tape() as tape:
+                ref = _saturated_top_k_chain(x_ref, scale, k)
+                tape.backward((ref * seed).sum())
             assert out.dtype == x.grad.dtype == dtype
-            assert out.data.tobytes() == (data * mask).tobytes(), (trial, k)
-            assert x.grad.tobytes() == (seed * mask).tobytes(), (trial, k)
-            assert np.array_equal(x.grad != 0, mask == 1)  # the seed has no zeros
+            assert out.data.tobytes() == ref.data.tobytes() == (data * mask).tobytes(), (trial, k)
+            assert x.grad.tobytes() == x_ref.grad.tobytes(), (trial, k)
+            # gradient flows through survivors only (a NaN entry's is NaN, as in the chain)
+            assert not x.grad[(mask == 0) & ~np.isnan(data)].any()
             assert np.array_equal(np.isnan(out.data), np.isnan(data))
+
+
+def _attention_chain(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """The reference: tensor's swapaxes, matmul and mul, a softmax record, then matmul."""
+    x = T.mul(T.matmul(q, T.swapaxes(k, -1, -2)), scale)
+    p = x.data - x.data.max(axis=-1, keepdims=True)  # the softmax op that attention replaced
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    scores = T._make(p, [(x, lambda g: p * (g - (g * p).sum(axis=-1, keepdims=True)))])
+    return T.matmul(scores, v)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [12, 170])
+@pytest.mark.parametrize("batch", [None, 3], ids=["2d", "shared_q"])
+def test_attention_equals_the_chain_of_tensor_ops(batch, n, dtype):
+    # a 2-D q shared across a batched k and v, as fuse_graphs runs it
+    rng = np.random.default_rng(zlib.crc32(f"{batch}{n}{dtype.__name__}".encode()))
+    dh = max(2, n // 4)
+    lead = () if batch is None else (batch,)
+    shapes = [(n, dh), lead + (n, dh), lead + (n, dh)]
+    data = [rng.uniform(-1.0, 1.0, s).astype(dtype) * 3.0 for s in shapes]
+    seed = Tensor(rng.standard_normal(lead + (n, dh)).astype(dtype))
+    scale = 1.0 / np.sqrt(dh)  # a float64 scalar, as fuse_graphs passes it
+    runs = []
+    for op in (T.attention, _attention_chain):
+        operands = [Tensor(d.copy(), requires_grad=True) for d in data]
+        with Tape() as tape:
+            out = op(*operands, scale)
+            tape.backward((out * seed).sum())
+        runs.append([out.data] + [t.grad for t in operands])
+    assert runs[0][0].dtype == dtype
+    for name, got, expected in zip(["out", "q", "k", "v"], *runs):
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
+
+
+def test_attention_records_one_op_that_keeps_no_scores():
+    rng = np.random.default_rng(4)
+    q, k, v = (Tensor(rng.standard_normal((2, 30, 3)), requires_grad=True) for _ in range(3))
+    with Tape() as tape:
+        out = T.attention(q, k, v, 0.5)
+        (_, pulls), = flat_records(tape)
+        captured = {id(c.cell_contents): c.cell_contents
+                    for _, pull in pulls for c in pull.__closure__ or ()}
+        held = [a for a in captured.values() if isinstance(a, np.ndarray)]
+        assert sorted(a.shape for a in held) == [(2, 30, 3)] * 3  # q, k and v, no [2, 30, 30]
+        tape.backward(out.sum())
+    with pytest.raises(ShapeError, match=r"attention: shapes \(2, 30, 3\), \(2, 30, 4\)"):
+        T.attention(q, Tensor(np.ones((2, 30, 4))), v, 0.5)
 
 
 def test_gather_scatter_adds_repeated_rows():
@@ -647,14 +717,16 @@ OPS = [
     ("sigmoid", lambda a: T.sigmoid(a), 1),
     ("relu", lambda a: T.relu(a + 0.05), 1),       # offset keeps inputs off the kink
     ("abs", lambda a: T.abs_(a + 0.05), 1),
-    ("softmax", lambda a: T.softmax(a, axis=-1), 1),
+    ("softmax", lambda a: T.attention(a, Tensor(np.eye(4)), Tensor(np.eye(4)), 1.0), 1),
+    ("attention", lambda q, k, v: T.attention(q, k, v, 0.7), "attention"),
     ("sum_axis", lambda a: a.sum(axis=0, keepdims=True), 1),
     ("mean", lambda a: a.mean(axis=1), 1),
     ("reshape", lambda a: T.reshape(a, (6, 4)), 1),
     ("swapaxes", lambda a: T.swapaxes(a, 0, 2), 1),
     ("narrow", lambda a: T.narrow(a, 1, 1, 2), 1),
     ("broadcast_to", lambda a: T.broadcast_to(a, (3, 2, 3, 4)), 1),
-    ("top_k", lambda a: T.top_k_rows(a, 2), 1),
+    ("top_k", lambda a: T.saturated_top_k(a, 0.7, 2), 1),
+    ("saturated_top_k", lambda a: T.saturated_top_k(a, 0.7, 4), 1),  # k = n keeps every entry
 ]
 
 
@@ -670,6 +742,9 @@ def test_op_gradients_match_finite_differences(name, op, arity):
             a = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
             b = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
             args = (a, b)
+        elif arity == "attention":  # a 2-D query shared across a batched key and value
+            args = tuple(Tensor(rng.standard_normal(shape), requires_grad=True)
+                         for shape in ((3, 4), (2, 5, 4), (2, 5, 6)))
         elif arity == 2:
             a = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
             b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)  # broadcast case
