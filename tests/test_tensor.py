@@ -280,17 +280,17 @@ def test_out_of_range_axis_raises_instead_of_wrapping(op):
             AXIS_OPS[op](x, axis)
 
 
-def test_top_k_mask_example():
+def test_top_k_rows_example():
     x = np.array([[0.5, 0.2, 0.9, 0.1]])
     assert T._top_k_mask(x, 2).tolist() == [[True, False, True, False]]
 
 
-def test_top_k_mask_ties_prefer_lower_column():
+def test_top_k_rows_ties_prefer_lower_column():
     x = np.array([[0.3, 0.3, 0.3, 0.3]])
     assert T._top_k_mask(x, 2).tolist() == [[True, True, False, False]]
 
 
-def test_saturated_top_k_gradient_only_through_survivors():
+def test_top_k_rows_gradient_only_through_survivors():
     x = Tensor([[0.5, 0.2, 0.9, 0.1]], requires_grad=True)
     with Tape() as tape:
         out = T.saturated_top_k(x, 1.0, 2)
@@ -342,7 +342,7 @@ def _top_k_case(rng, kind, shape):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(9, 12), (3, 9, 12)], ids=["2d", "batched"])
 @pytest.mark.parametrize("kind", ["distinct", "saturated", "few_positive", "nan"])
-def test_saturated_top_k_equals_stable_sort_selection(kind, shape, dtype):
+def test_top_k_rows_equals_stable_sort_selection(kind, shape, dtype):
     # property test against the sort the selection replaces: the selection
     # mask, and saturated_top_k's output and gradient against the reference
     # chain, bitwise, ties and NaN included
