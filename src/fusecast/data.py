@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -237,6 +238,9 @@ def make_synthetic(n_nodes: int, days: int, seed: int, coupling: float, *,
     additionally follows node i-1 (mod N) at a one-step lag with the given
     coupling strength, plus Gaussian noise.
 
+    steps, an integer when given, keeps the first 1 to days * steps_per_day
+    steps.
+
     Returns (series, params) where params records every generation constant
     so tests can build oracle baselines against the construction.
     """
@@ -251,8 +255,10 @@ def make_synthetic(n_nodes: int, days: int, seed: int, coupling: float, *,
         raise ConfigError(f"synthetic coupling must be in [0, 1], got {coupling}")
     if not 0.0 <= noise_std < np.inf:
         raise ConfigError(f"synthetic noise must be finite and >= 0, got {noise_std}")
-    rng = np.random.default_rng(seed)
     total = days * steps_per_day
+    if steps is not None and not (isinstance(steps, numbers.Integral) and 1 <= steps <= total):
+        raise ConfigError(f"requested {steps} steps; {days} days yield 1 to {total}")
+    rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n_nodes)
     amps = 50.0 * rng.uniform(0.8, 1.2, size=n_nodes)
     bases = 100.0 * rng.uniform(0.8, 1.2, size=n_nodes)
@@ -269,8 +275,6 @@ def make_synthetic(n_nodes: int, days: int, seed: int, coupling: float, *,
     for step in range(1, total):
         x[step] = (1.0 - coupling) * clean[step] + coupling * x[step - 1, lag_source] + noise[step]
     if steps is not None:
-        if steps > total:
-            raise ConfigError(f"requested {steps} steps but {days} days yield only {total}")
         x = x[:steps]
     series = TrafficSeries(values=x[:, :, None], steps_per_day=steps_per_day,
                            first_step_day_of_week=0, name=f"synthetic-{n_nodes}n")

@@ -12,6 +12,17 @@ and that pass adds every piece in the order a tape of those ops would. So
 predictions, and the gradients of one batch half, are the bits of the loop
 of tensor ops.
 
+The skip-connection regression head is one tape record as well
+(regression_head). Its forward runs the chain relu(concat(parts)), two
+affine maps and the horizon map with the tensor ops' expressions, doing the
+ReLUs and bias adds in place in the buffers it has just allocated, and
+keeps only h_skip, the first ReLU's output and the flattened per-node
+features. Its backward uses each op's own pull expression, drops each kept
+array once its last reader has run and masks its own gradient buffers in
+place. So the head's bits are the chain's, but it no longer holds a second
+copy of the skip features in forward, or two of their gradients beside
+h_skip in backward.
+
 Each window builds its temporal and fused graphs from its own time
 features, so the windows of a batch are independent until the loss; only
 the parameters are shared. forward_batch therefore splits every batch into
@@ -77,6 +88,16 @@ class GruParams:
     bz: Tensor
     br: Tensor
     bh: Tensor
+
+
+@dataclass
+class HeadParams:
+    w1: Tensor
+    b1: Tensor
+    w2: Tensor
+    b2: Tensor
+    out_weight: Tensor
+    out_bias: Tensor
 
 
 @contextmanager
@@ -171,16 +192,7 @@ def gru_forward(x_seq: Tensor, params: GruParams) -> Tensor:
     if not taped:
         return Tensor(out)
 
-    pieces = {}  # operand index -> gradient, filled by the first pull that runs
-
-    def pull(i):
-        def fn(g):
-            if not pieces:
-                pieces.update(enumerate(_gru_backward(g, x, weights, saved)))
-            return pieces.pop(i)
-        return fn
-
-    return T._make(out, [(t, pull(i)) for i, t in enumerate(operands)])
+    return T._one_record(out, operands, lambda g: _gru_backward(g, x, weights, saved))
 
 
 def _gru_backward(g, x, weights, saved):
@@ -233,6 +245,121 @@ def _gru_backward(g, x, weights, saved):
             gh += gr_h @ ur.T
             gh += gz_h @ uz.T
     return [gx] + sums
+
+
+def regression_head(parts, params: HeadParams, horizon: int) -> Tensor:
+    """The skip-connection head over [..., Th, N, d_i] parts, as one tape record.
+
+    It maps the parts to a [..., horizon, N, C] prediction as this chain of
+    tensor ops does, time folded into channels per node and mapped to the
+    whole horizon at once:
+
+        h_skip = relu(concat(parts, axis=-1))
+        hidden = relu(h_skip @ w1 + b1) @ w2 + b2
+        flat = reshape(swapaxes(hidden, -3, -2), [..., N, Th * hc])
+        out = swapaxes(reshape(flat @ out_weight + out_bias, [..., N, horizon, C]), -3, -2)
+
+    Each value is computed with its op's expression, in order and at its
+    shapes; the ReLUs and the bias adds run in place in the buffers the
+    concat and the products have just allocated, which gives the same bits.
+    Under a tape the record keeps h_skip, the first ReLU's output r1 and
+    flat, the arrays its pull reads (see _head_backward); without one,
+    each array is freed once the next is made. A mis-shaped operand raises
+    ShapeError before any compute.
+    """
+    tensors = [getattr(params, f.name) for f in fields(params)]
+    w1, b1, w2, b2, w_out, b_out = [t.data for t in tensors]
+    lead = parts[0].shape[:-1]
+    if len(lead) < 2 or any(p.shape[:-1] != lead for p in parts):
+        shapes = ", ".join(str(p.shape) for p in parts)
+        raise ShapeError(f"regression head: parts {shapes} do not join as [..., Th, N, d]")
+    th, hidden_dim, hc, out_dim = lead[-2], b1.size, b2.size, b_out.size
+    want = {"w1": (sum(p.shape[-1] for p in parts), hidden_dim), "b1": (hidden_dim,),
+            "w2": (hidden_dim, hc), "b2": (hc,), "out.weight": (th * hc, out_dim),
+            "out.bias": (out_dim,)}
+    for (name, shape), t in zip(want.items(), tensors):
+        if t.shape != shape:
+            raise ShapeError(f"regression head: {name} is {t.shape}, not {shape}")
+    if out_dim % horizon:
+        raise ShapeError(f"regression head: {out_dim} outputs do not split into {horizon} steps")
+    taped = T.active_tape() is not None and any(t.requires_grad for t in tensors + list(parts))
+
+    h_skip = np.concatenate([p.data for p in parts], axis=-1)
+    np.maximum(h_skip, 0.0, out=h_skip)
+    r1 = _affine(h_skip, w1, b1)
+    saved = [h_skip] if taped else []  # h_skip, r1 and flat, for _head_backward
+    del h_skip
+    np.maximum(r1, 0.0, out=r1)
+    hidden = _affine(r1, w2, b2)
+    if taped:
+        saved.append(r1)
+    del r1
+    per_node = np.swapaxes(hidden, -3, -2)
+    flat = per_node.reshape(per_node.shape[:-2] + (th * hc,))
+    del hidden, per_node
+    mapped = _affine(flat, w_out, b_out)
+    out = np.swapaxes(mapped.reshape(mapped.shape[:-1] + (horizon, out_dim // horizon)), -3, -2)
+    if not taped:
+        return Tensor(out)
+    saved.append(flat)
+    arrays, widths = (w1, w2, w_out), [p.shape[-1] for p in parts]
+    # out_bias, out_weight, b2, w2, b1, w1, then the parts: the chain's records
+    # add their pieces from its last op back
+    return T._one_record(out, tensors[::-1] + list(parts),
+                         lambda g: _head_backward(g, saved, arrays, widths))
+
+
+def _affine(a, w, b):
+    """a @ w + b, the sum made in place in the product's fresh buffer."""
+    out = a @ w
+    out += b
+    return out
+
+
+def _head_backward(g, saved, weights, widths):
+    """The gradients of regression_head's operands from its output's gradient g, emptying saved.
+
+    Every expression is the pull of the op it stands for in the chain of
+    regression_head's docstring, at that op's shapes: swapaxes and reshape
+    for the layout ops, _unbroadcast for the biases, _matmul_pull_a and
+    _matmul_pull_b for the products, g * (out > 0) for a ReLU and a slice
+    per part for the concat, so the gradients are the chain's bits. flat,
+    r1 and h_skip are each dropped once their last reader has run; a
+    ReLU's mask is taken before that and applied in place in the gradient
+    buffer the product has just allocated.
+    """
+    w1, w2, w_out = weights
+    flat = saved.pop()
+    g_mapped = np.swapaxes(g, -3, -2)
+    g_mapped = g_mapped.reshape(g_mapped.shape[:-2] + (w_out.shape[1],))
+    g_out_b = T._unbroadcast(g_mapped, (w_out.shape[1],))
+    g_out_w = T._matmul_pull_b(g_mapped, flat, w_out.shape)
+    flat_shape = flat.shape
+    del flat
+    g_flat = T._matmul_pull_a(g_mapped, w_out, flat_shape)
+
+    r1 = saved.pop()
+    th, n, hc = r1.shape[-3], r1.shape[-2], w2.shape[1]
+    g_hidden = np.swapaxes(g_flat.reshape(flat_shape[:-2] + (n, th, hc)), -3, -2)
+    g_b2 = T._unbroadcast(g_hidden, (hc,))
+    g_w2 = T._matmul_pull_b(g_hidden, r1, w2.shape)
+    mask, r1_shape = r1 > 0, r1.shape
+    del r1
+    g_r1 = T._matmul_pull_a(g_hidden, w2, r1_shape)
+    del g_flat, g_hidden
+    g_r1 *= mask
+
+    h_skip = saved.pop()
+    g_b1 = T._unbroadcast(g_r1, (w1.shape[1],))
+    g_w1 = T._matmul_pull_b(g_r1, h_skip, w1.shape)
+    mask, skip_shape = h_skip > 0, h_skip.shape
+    del h_skip
+    g_skip = T._matmul_pull_a(g_r1, w1, skip_shape)
+    del g_r1
+    g_skip *= mask
+    ends = np.cumsum(widths)
+    return ([g_out_b, g_out_w, g_b2, g_w2, g_b1, g_w1]
+            + [g_skip[..., end - width:end] for width, end in zip(widths, ends)])
 
 
 class Forecaster:
@@ -347,14 +474,16 @@ class Forecaster:
         )
 
         skip = d_h + d_in + cfg.channels + 2 * d_time
-        self.head_w1 = self._matrix("head.w1", (skip, cfg.head_hidden))
-        self.head_b1 = self._zeros("head.b1", (cfg.head_hidden,))
-        self.head_w2 = self._matrix("head.w2", (cfg.head_hidden, cfg.head_channels))
-        self.head_b2 = self._zeros("head.b2", (cfg.head_channels,))
         out_in = cfg.history_steps * cfg.head_channels
         out_dim = cfg.horizon_steps * cfg.channels
-        self.head_out_w = self._matrix("head.out.weight", (out_in, out_dim))
-        self.head_out_b = self._zeros("head.out.bias", (out_dim,))
+        self.head = HeadParams(
+            w1=self._matrix("head.w1", (skip, cfg.head_hidden)),
+            b1=self._zeros("head.b1", (cfg.head_hidden,)),
+            w2=self._matrix("head.w2", (cfg.head_hidden, cfg.head_channels)),
+            b2=self._zeros("head.b2", (cfg.head_channels,)),
+            out_weight=self._matrix("head.out.weight", (out_in, out_dim)),
+            out_bias=self._zeros("head.out.bias", (out_dim,)),
+        )
 
     # -- state handling ----------------------------------------------------
 
@@ -455,16 +584,5 @@ class Forecaster:
                 h_out = T.mul(h_out, keep)
 
         with _stage("regression-head"):
-            # relu's pull reads only its output and concat's reads nothing,
-            # so the pre-ReLU skip features are freed before the product
-            h_skip = T.relu(T.concat([h_out, x_out, xn, daily_l, weekly_l], axis=-1))
-            hidden = (T.relu(h_skip @ self.head_w1 + self.head_b1)
-                      @ self.head_w2 + self.head_b2)
-
-            # fold time into channels per node, map to the full horizon at once
-            per_node = T.swapaxes(hidden, -3, -2)
-            lead = per_node.shape[:-2]
-            flat = T.reshape(per_node, lead + (cfg.history_steps * cfg.head_channels,))
-            mapped = flat @ self.head_out_w + self.head_out_b
-            mapped = T.reshape(mapped, lead + (cfg.horizon_steps, cfg.channels))
-            return T.swapaxes(mapped, -3, -2)
+            return regression_head([h_out, x_out, xn, daily_l, weekly_l], self.head,
+                                   cfg.horizon_steps)

@@ -34,7 +34,10 @@ top-k, and softmax(q @ k^T * scale) @ v. Each keeps only what its pull
 reads, saturated_top_k its output and attention its three operands, whose
 [..., N, N] scores backward recomputes. Every value is computed with the
 expression of the op it stands for, in the same order and at the same
-shapes, so the outputs and gradients are bitwise the chain's.
+shapes, so the outputs and gradients are bitwise the chain's. attention,
+like network's GRU and regression head, makes its record with _one_record:
+the op passes one backward that makes every operand's gradient, and the
+first pull that runs calls it.
 
 Backward runs a group's lists concurrently, list g on the thread that runs
 task g. A slot that a list produced is read by that list only, so its
@@ -328,6 +331,27 @@ def _make(out_data: np.ndarray, pulls) -> Tensor:
     records = getattr(_LOCAL, "records", None)
     (tape._records if records is None else records).append((out._slot, live))
     return out
+
+
+def _one_record(out_data: np.ndarray, operands, backward) -> Tensor:
+    """Record out_data as one op whose backward(g) makes every operand's gradient at once.
+
+    backward maps the output's gradient to the operands' gradients, in
+    operand order. It runs once, in the first pull that runs, and each pull
+    then hands out its own operand's piece, so the operands are listed in
+    the order the chain of ops the record stands for would add their
+    pieces. Like any pull, backward closes over arrays and shapes only.
+    """
+    pieces = {}  # operand index -> gradient, filled by the first pull that runs
+
+    def pull(i):
+        def fn(g):
+            if not pieces:
+                pieces.update(enumerate(backward(g)))
+            return pieces.pop(i)
+        return fn
+
+    return _make(out_data, [(t, pull(i)) for i, t in enumerate(operands)])
 
 
 def _run_tasks(fn, count: int) -> list:
@@ -697,17 +721,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float):
     except ValueError:
         raise ShapeError(f"attention: shapes {q.shape}, {k.shape} and {v.shape} "
                          f"do not multiply") from None
-    pieces = {}  # operand index -> gradient, filled by the first pull that runs
-
-    def pull(i):
-        def fn(g):
-            if not pieces:
-                pieces.update(enumerate(_attention_backward(g, q_data, k_data, v_data, scale)))
-            return pieces.pop(i)
-        return fn
-
     # v first, then q and k: the order in which the chain's records add their pieces
-    return _make(out_data, [(t, pull(i)) for i, t in enumerate((v, q, k))])
+    return _one_record(out_data, (v, q, k),
+                       lambda g: _attention_backward(g, q_data, k_data, v_data, scale))
 
 
 def _attention_scores(q: np.ndarray, k: np.ndarray, scale) -> np.ndarray:

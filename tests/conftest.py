@@ -12,6 +12,7 @@ for _blas_threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREAD
 
 import dataclasses
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -48,6 +49,19 @@ def flat_records(tape):
         else:
             flat.append(entry)
     return flat
+
+
+def pull_captures(pull):
+    """What a pull closes over, cells and defaults, looking into the functions among them.
+
+    A one-record op's pull reaches its arrays through the backward function
+    it closes over.
+    """
+    for value in [c.cell_contents for c in pull.__closure__ or ()] + list(pull.__defaults__ or ()):
+        if isinstance(value, types.FunctionType):
+            yield from pull_captures(value)
+        else:
+            yield value
 
 
 def fd_gradient(f, x, h=1e-6):

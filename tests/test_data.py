@@ -330,6 +330,21 @@ def test_synthetic_validates_arguments():
             make_synthetic(4, 2, **{"seed": 0, "coupling": 0.5, **kwargs})
 
 
+@pytest.mark.parametrize("steps", [-5, 0, 21, 2.5])
+def test_synthetic_steps_outside_one_to_the_total_are_refused(steps):
+    # 2 days of 10 steps: a negative count used to cut from the end, 0 to
+    # give an empty series and 2.5 to fail in numpy's slicing
+    with pytest.raises(ConfigError, match=rf"requested {steps} steps; 2 days yield 1 to 20"):
+        make_synthetic(4, 2, seed=0, coupling=0.5, steps_per_day=10, steps=steps)
+
+
+@pytest.mark.parametrize("steps", [1, 20])
+def test_synthetic_steps_keep_the_first_steps(steps):
+    full, _ = make_synthetic(4, 2, seed=0, coupling=0.5, steps_per_day=10)
+    cut, _ = make_synthetic(4, 2, seed=0, coupling=0.5, steps_per_day=10, steps=steps)
+    assert cut.values.tobytes() == full.values[:steps].tobytes()
+
+
 def test_synthetic_returns_generation_parameters():
     _, params = make_synthetic(3, 2, seed=9, coupling=0.25, steps_per_day=12)
     assert params["coupling"] == 0.25

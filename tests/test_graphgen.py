@@ -3,7 +3,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, rel_err, toy_graph_config
+from conftest import fd_gradient, pull_captures, rel_err, toy_graph_config
 from fusecast import tensor as T
 from fusecast.errors import ConfigError
 from fusecast.graphgen import (AttentionFusionParams, PatternGraphParams, TimeEmbeddingPools,
@@ -311,8 +311,7 @@ def _held_bytes(records):
     held = {}
     for _, pulls in records:
         for _, pull in pulls:
-            for cell in pull.__closure__ or ():
-                a = cell.cell_contents
+            for a in pull_captures(pull):
                 if isinstance(a, np.ndarray):
                     while isinstance(a.base, np.ndarray):
                         a = a.base

@@ -10,7 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, flat_records, rel_err, tape_groups
+from conftest import fd_gradient, flat_records, pull_captures, rel_err, tape_groups
 from fusecast import tensor as T
 from fusecast.errors import ConfigError, ShapeError
 from fusecast.tensor import Tape, Tensor, active_tape
@@ -414,8 +414,7 @@ def test_attention_records_one_op_that_keeps_no_scores():
     with Tape() as tape:
         out = T.attention(q, k, v, 0.5)
         (_, pulls), = flat_records(tape)
-        captured = {id(c.cell_contents): c.cell_contents
-                    for _, pull in pulls for c in pull.__closure__ or ()}
+        captured = {id(c): c for _, pull in pulls for c in pull_captures(pull)}
         held = [a for a in captured.values() if isinstance(a, np.ndarray)]
         assert sorted(a.shape for a in held) == [(2, 30, 3)] * 3  # q, k and v, no [2, 30, 30]
         tape.backward(out.sum())
@@ -910,9 +909,7 @@ def test_tape_pulls_capture_no_tensor(toy_setup):
         for slot, pulls in flat_records(tape):
             assert not isinstance(slot, Tensor)
             for _, pull in pulls:
-                captured = [cell.cell_contents for cell in pull.__closure__ or ()]
-                captured += list(pull.__defaults__ or ())
-                held = list(_tensors_in(captured))
+                held = list(_tensors_in(list(pull_captures(pull))))
                 assert not held, f"{pull.__qualname__} holds {held}"
 
 
