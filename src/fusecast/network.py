@@ -4,6 +4,13 @@ skip-connection regression head.
 
 A pattern's M graph-convolution blocks differ only in their mixing weights,
 so they share one propagation pass mixed by the M weights side by side.
+That residual graph convolution is one tape record (rgc_forward): it makes
+(A + I) / degree in place and writes each propagation level straight into
+one [..., N, Th, depth*d] stack, the operand of the mixing product, with
+the float expressions of the tensor ops it stands for. It keeps only the
+operator, its degree and the stack, where those ops kept the node-major
+input and every level a second time, in buffers of their own. The dropout
+on the GRU's output is one record as well, holding a bool mask.
 
 The GRU is one tape record, not 21 per step: gru_forward runs the
 recurrence in numpy with the float expressions of the tensor ops it stands
@@ -113,42 +120,148 @@ def _stage(name: str):
         raise
 
 
-def normalized_propagation(adjacency: Tensor) -> Tensor:
-    """Self-looped, degree-normalized operator: rows sum to one exactly.
+def normalized_propagation(adjacency: np.ndarray):
+    """The self-looped, degree-normalized operator of an [..., N, N] adjacency, and its degree.
 
-    The added identity guarantees every row degree is at least 1, so the
-    division is always well defined on non-negative adjacencies.
+    Returns ((A + I) / degree, degree), degree being the [..., N, 1] row
+    sums of A + I; the division runs in place in the A + I buffer, so the
+    operator's rows sum to one up to rounding. The added identity makes
+    every degree at least 1 on a non-negative adjacency, so the division is
+    always well defined.
     """
-    n = adjacency.shape[-1]
-    a_tilde = T.add(adjacency, Tensor(np.eye(n, dtype=adjacency.dtype)))
-    degree = a_tilde.sum(axis=-1, keepdims=True)
-    return T.div(a_tilde, degree)
+    prop = adjacency + np.eye(adjacency.shape[-1], dtype=adjacency.dtype)
+    degree = prop.sum(axis=(prop.ndim - 1,), keepdims=True)
+    prop /= degree
+    return prop, degree
 
 
 def rgc_forward(h_in: Tensor, adjacency: Tensor, weight: Tensor, gamma: float) -> Tensor:
-    """Residual graph convolution over [..., Th, N, d] node features.
+    """Residual graph convolution over [..., Th, N, d] node features, as one tape record.
 
-    Adds self-loops, row-normalizes by degree, then alternates between
-    retaining gamma of the input and propagating the rest, concatenating
-    every depth level before the mixing weights [depth*d, d_out]. The
-    depth is weight.shape[0] // d; a weight whose row count is not a
-    multiple of d fails in the mixing product with ShapeError.
+    With P the normalized_propagation operator of the adjacency and depth
+    = weight.shape[0] // d, it maps h_in as this chain of tensor ops does:
 
-    Runs node-major: features are transposed once to [..., N, Th*d], so
-    the [..., N, N] (or [N, N]) operator propagates all Th steps in one
-    product and its gradient never materializes [..., Th, N, N]. Levels
-    are mixed as [..., N, Th, depth*d], then transposed back.
+        x = reshape(swapaxes(h_in, -3, -2), [..., N, Th * d])
+        h_0 = x,  h_i = x * gamma + (P @ h_{i-1}) * (1 - gamma)  for 0 < i < depth
+        out = swapaxes(concat([h_i as [..., N, Th, d]], axis=-1) @ weight, -3, -2)
+
+    Node-major, the [..., N, N] (or [N, N]) operator propagates all Th
+    steps in one product and its gradient never materializes
+    [..., Th, N, N]. Each level is computed with its ops' expressions and
+    written straight into one [..., N, Th, depth*d] stack, the operand of
+    the mixing product, so the output is the chain's bits. Under a tape the
+    record keeps only the stack, P and its degree (at depth 1 the stack is
+    h_in's node-major view and there is no P), and its backward is
+    _rgc_backward. Without a tape P is freed before the mixing product.
+
+    A weight whose row count is not a positive multiple of d, an adjacency
+    whose last two axes are not [N, N], or one whose leading axes do not
+    broadcast to h_in's raises ShapeError before any compute.
     """
-    prop = normalized_propagation(adjacency)
-    lead, (th, n, d) = h_in.shape[:-3], h_in.shape[-3:]
-    node_major = T.swapaxes(h_in, -3, -2)
-    x = T.reshape(node_major, lead + (n, th * d))
-    levels = [node_major]
-    h = x
-    for _ in range(weight.shape[0] // d - 1):
-        h = T.add(T.mul(x, gamma), T.mul(T.matmul(prop, h), 1.0 - gamma))
-        levels.append(T.reshape(h, lead + (n, th, d)))
-    return T.swapaxes(T.matmul(T.concat(levels, axis=-1), weight), -3, -2)
+    x_data, a, w = h_in.data, adjacency.data, weight.data
+    if x_data.ndim < 3:
+        raise ShapeError(f"graph convolution: input {x_data.shape} is not [..., Th, N, d]")
+    lead, (th, n, d) = x_data.shape[:-3], x_data.shape[-3:]
+    if w.ndim != 2 or not d or not w.shape[0] or w.shape[0] % d:
+        raise ShapeError(f"graph convolution: weight {w.shape}'s rows are not a positive "
+                         f"multiple of d={d}")
+    if a.shape[-2:] != (n, n):
+        raise ShapeError(f"graph convolution: adjacency {a.shape} is not [..., {n}, {n}] "
+                         f"for input {x_data.shape}")
+    try:
+        joined = np.broadcast_shapes(a.shape[:-2], lead)
+    except ValueError:
+        joined = None
+    if joined != lead:
+        raise ShapeError(f"graph convolution: adjacency {a.shape}'s leading axes do not "
+                         f"broadcast to input {x_data.shape}'s")
+    depth = w.shape[0] // d
+    operands = [weight, h_in] + ([adjacency] if depth > 1 else [])
+    taped = T.active_tape() is not None and any(t.requires_grad for t in operands)
+
+    node_major = np.swapaxes(x_data, -3, -2)
+    stack, kept, scales = node_major, [], None  # kept: P and its degree, under a tape
+    if depth > 1:
+        prop, degree = normalized_propagation(a)
+        x = node_major.reshape(lead + (n, th * d))
+        stack = np.empty(lead + (n, th, depth * d), dtype=np.result_type(x, prop))
+        stack[..., :d] = node_major
+        # gamma and 1 - gamma in the dtypes of the products they scale
+        scales = x.dtype.type(gamma), stack.dtype.type(1.0 - gamma)
+        x_part = x * scales[0]
+        h = x
+        for i in range(1, depth):
+            h = prop @ h
+            h *= scales[1]
+            h += x_part  # x * gamma + (P @ h) * (1 - gamma): an add commutes bitwise
+            stack[..., i * d:(i + 1) * d] = h.reshape(lead + (n, th, d))
+        if taped:
+            kept = [prop, degree]
+        del x, x_part, h, prop, degree
+    out = np.swapaxes(stack @ w, -3, -2)
+    if not taped:
+        return Tensor(out)
+    saved, need_a = [stack] + kept, adjacency.requires_grad
+    return T._one_record(out, operands, lambda g: _rgc_backward(g, saved, w, d, scales, need_a))
+
+
+def _rgc_backward(g, saved, weight, d, scales, need_a):
+    """The gradients of rgc_forward's weight, h_in and adjacency from its output's gradient g.
+
+    Every expression is the pull of the op it stands for in the chain of
+    rgc_forward's docstring, at that op's shapes: _matmul_pull_a and
+    _matmul_pull_b for the products, g * scale for the gamma and 1 - gamma
+    products, slices and reshapes for the concat and the layout ops, and
+    the div, sum and add pulls for (A + I) / degree (the unbroadcasts that
+    return g itself are left out). Each gradient adds its pieces in the
+    order the chain's tape does: h_{i-1} takes P @ h_{i-1}'s piece before
+    its level's, x takes the x * gamma pieces from the deepest level back,
+    with P @ x's just before the first level's, and P takes one piece per
+    product from the deepest back. So the gradients are the chain's bits.
+    Each h_{i-1} that P's pull reads is copied out of the stack into the
+    chain's contiguous [..., N, Th*d] layout. Without need_a, an adjacency
+    with no slot (a predefined graph), P's gradient is not made.
+    """
+    stack, *operator = saved
+    saved.clear()
+    g_mixed = np.swapaxes(g, -3, -2)
+    g_w = T._matmul_pull_b(g_mixed, stack, weight.shape)
+    g_cat = T._matmul_pull_a(g_mixed, weight, stack.shape)
+    if not operator:  # depth 1: the stack is h_in's node-major view
+        return [g_w, np.swapaxes(g_cat, -3, -2)]
+    prop, degree = operator
+    lead, (n, th) = stack.shape[:-3], stack.shape[-3:-1]
+    h_shape = lead + (n, th * d)
+    g_x = g_prop = g_below = None  # g_below: h_{i-1}'s piece from P @ h_{i-1}
+    for i in range(stack.shape[-1] // d - 1, 0, -1):
+        g_h = _sum_into(g_below, g_cat[..., i * d:(i + 1) * d].reshape(h_shape))
+        g_ph = g_h * scales[1]
+        if need_a:
+            h_prev = np.ascontiguousarray(stack[..., (i - 1) * d:i * d]).reshape(h_shape)
+            g_prop = _sum_into(g_prop, T._matmul_pull_a(g_ph, h_prev, prop.shape))
+            del h_prev
+        g_below = T._matmul_pull_b(g_ph, prop, h_shape)
+        del g_ph
+        if i == 1:
+            g_x = _sum_into(g_x, g_below)
+        g_x = _sum_into(g_x, g_h * scales[0])
+    del stack, g_h, g_below
+    g_h_in = np.swapaxes(g_cat[..., :d] + g_x.reshape(lead + (n, th, d)), -3, -2)
+    del g_cat, g_x
+    if not need_a:
+        return [g_w, g_h_in, None]
+    g_degree = T._unbroadcast(-g_prop * prop / degree, degree.shape)
+    g_adj = g_prop / degree
+    g_adj += g_degree  # A + I's pieces: the division's, then the degree sum's broadcast
+    return [g_w, g_h_in, g_adj]
+
+
+def _sum_into(total, piece):
+    """total + piece, summed in place in total, a buffer made in backward; piece if total is None."""
+    if total is None:
+        return piece
+    total += piece
+    return total
 
 
 def gru_forward(x_seq: Tensor, params: GruParams) -> Tensor:
@@ -245,6 +358,21 @@ def _gru_backward(g, x, weights, saved):
             gh += gr_h @ ur.T
             gh += gz_h @ uz.T
     return [gx] + sums
+
+
+def dropout(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:
+    """Inverted dropout: x times keep.astype(x.dtype) / (1 - rate), for a bool mask keep.
+
+    One tape record that holds the bool mask, one byte per element: the
+    float mask is made from it in the forward and again in the pull, so the
+    output and the gradient are the bits of tensor's mul by that float mask.
+    """
+    dtype = x.dtype
+
+    def scaled():
+        return keep.astype(dtype) / (1.0 - rate)
+
+    return T._make(x.data * scaled(), [(x, lambda g: g * scaled())])
 
 
 def regression_head(parts, params: HeadParams, horizon: int) -> Tensor:
@@ -516,10 +644,12 @@ class Forecaster:
         """Predict [B, Tf, N, C] raw-unit flow from raw histories [B, Th, N, C].
 
         tod/dow are integer index arrays [B, Th]. In training with
-        model.dropout > 0, the inverted-dropout mask of the whole batch,
-        0 or 1/(1-rate) per GRU output, comes from one rng.random call on
-        the calling thread, so it does not depend on the split; without an
-        rng that raises ConfigError before any compute. The normalization
+        model.dropout > 0, the inverted-dropout mask of the whole batch
+        comes from one rng.random call on the calling thread, so it does not
+        depend on the split; without an rng that raises ConfigError before
+        any compute. The mask is kept as bool, rng.random(...) >= rate, and
+        each half's dropout record scales its slice to 0 or 1/(1-rate) per
+        GRU output itself (see dropout). The normalization
         is undone once, on the joined prediction. A forward that raises
         before its halves end records nothing, as its checks come before
         the first record and ordered_map joins no group when a task fails.
@@ -538,8 +668,7 @@ class Forecaster:
         if training and cfg.dropout > 0.0:
             if rng is None:
                 raise ConfigError("training with dropout needs an explicit rng")
-            shape = x_raw.shape[:-1] + (cfg.rgc_iterations * cfg.hidden,)
-            keep = (rng.random(shape) >= cfg.dropout).astype(self.dtype) / (1.0 - cfg.dropout)
+            keep = rng.random(x_raw.shape[:-1] + (cfg.rgc_iterations * cfg.hidden,)) >= cfg.dropout
 
         batch = len(x_raw)
         cuts = [0, (batch + 1) // 2, batch] if batch > 1 else [0, batch]
@@ -555,7 +684,7 @@ class Forecaster:
     def _forward_windows(self, xn: Tensor, tod, dow, keep) -> Tensor:
         """The normalized prediction of normalized windows xn [B, Th, N, C].
 
-        keep is the windows' dropout mask [B, Th, N, M*d], or None for none.
+        keep is the windows' bool dropout mask [B, Th, N, M*d], or None for none.
         """
         cfg = self.cfg
         with _stage("time-lookups"):
@@ -581,7 +710,7 @@ class Forecaster:
         with _stage("temporal-sequence"):
             h_out = gru_forward(x_out, self.gru)
             if keep is not None:
-                h_out = T.mul(h_out, keep)
+                h_out = dropout(h_out, keep, cfg.dropout)
 
         with _stage("regression-head"):
             return regression_head([h_out, x_out, xn, daily_l, weekly_l], self.head,

@@ -52,16 +52,37 @@ def flat_records(tape):
 
 
 def pull_captures(pull):
-    """What a pull closes over, cells and defaults, looking into the functions among them.
+    """What a pull closes over, cells and defaults, opening the functions, lists and tuples among them.
 
     A one-record op's pull reaches its arrays through the backward function
-    it closes over.
+    it closes over, and that function may hold them in a list of saved
+    arrays (the GRU's steps, the head's and the graph convolution's kept
+    arrays).
     """
-    for value in [c.cell_contents for c in pull.__closure__ or ()] + list(pull.__defaults__ or ()):
+    def walk(value):
         if isinstance(value, types.FunctionType):
             yield from pull_captures(value)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                yield from walk(item)
         else:
             yield value
+
+    for value in [c.cell_contents for c in pull.__closure__ or ()] + list(pull.__defaults__ or ()):
+        yield from walk(value)
+
+
+def held_bytes(records):
+    """Bytes of the distinct buffers the records' pulls capture, a view counting its base."""
+    held = {}
+    for _, pulls in records:
+        for _, pull in pulls:
+            for a in pull_captures(pull):
+                if isinstance(a, np.ndarray):
+                    while isinstance(a.base, np.ndarray):
+                        a = a.base
+                    held[id(a)] = a.nbytes
+    return sum(held.values())
 
 
 def fd_gradient(f, x, h=1e-6):

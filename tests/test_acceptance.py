@@ -145,8 +145,8 @@ def test_rgc_identity_properties():
 
     rows_ok = True
     for _ in range(25):
-        prop = normalized_propagation(Tensor(rng.uniform(0, 3, (6, 6))))
-        rows_ok &= bool(np.abs(prop.data.sum(axis=-1) - 1.0).max() <= 1e-12)
+        prop, _ = normalized_propagation(rng.uniform(0, 3, (6, 6)))
+        rows_ok &= bool(np.abs(prop.sum(axis=-1) - 1.0).max() <= 1e-12)
 
     _report("rgc-identities", gamma_ok and identity_ok and rows_ok,
             f"(gamma=1 exact: {gamma_ok}, A=0 identity: {identity_ok}, rows: {rows_ok})")

@@ -3,7 +3,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, pull_captures, rel_err, toy_graph_config
+from conftest import fd_gradient, held_bytes, rel_err, toy_graph_config
 from fusecast import tensor as T
 from fusecast.errors import ConfigError
 from fusecast.graphgen import (AttentionFusionParams, PatternGraphParams, TimeEmbeddingPools,
@@ -306,19 +306,6 @@ def test_full_fuse_pipeline_gradients_match_finite_differences():
         assert rel_err(p.grad, fd, floor=1e-4) < 1e-5, name
 
 
-def _held_bytes(records):
-    """Bytes of the distinct buffers the records' pulls capture, a view counting its base."""
-    held = {}
-    for _, pulls in records:
-        for _, pull in pulls:
-            for a in pull_captures(pull):
-                if isinstance(a, np.ndarray):
-                    while isinstance(a.base, np.ndarray):
-                        a = a.base
-                    held[id(a)] = a.nbytes
-    return sum(held.values())
-
-
 def test_graph_generation_keeps_few_window_graphs():
     """One fused pattern's records and held bytes over a batch of windows, pinned.
 
@@ -339,5 +326,5 @@ def test_graph_generation_keeps_few_window_graphs():
         generate_pattern_graph(pattern, feats, cfg)
         records = tape._records
         assert len(records) == 12 + 12 + 2 + 4 * heads + 3  # spatial, temporal, fused
-        per_window = _held_bytes(records) / (batch * n * n * 8)
+        per_window = held_bytes(records) / (batch * n * n * 8)
         assert per_window < 8.0, per_window

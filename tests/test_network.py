@@ -6,13 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (fd_gradient, flat_records, graphs_and_flows, rel_err, tape_groups,
-                      toy_graph_config, toy_model_config)
+from conftest import (fd_gradient, flat_records, graphs_and_flows, held_bytes, rel_err,
+                      tape_groups, toy_graph_config, toy_model_config)
 from fusecast import network
 from fusecast import tensor as T
 from fusecast.data import Normalizer
 from fusecast.errors import ConfigError, ShapeError
-from fusecast.network import (Forecaster, GruParams, HeadParams, _stage, gru_forward,
+from fusecast.network import (Forecaster, GruParams, HeadParams, _stage, dropout, gru_forward,
                               normalized_propagation, regression_head, rgc_forward)
 from fusecast.optim import randomize_parameters
 from fusecast.tensor import Tape, Tensor
@@ -24,9 +24,10 @@ RAW = Normalizer(0.0, 1.0)  # (x - 0.0) / 1.0 is bitwise x: the model computes i
 def test_propagation_rows_sum_to_one_exactly():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        a = Tensor(rng.uniform(0, 2, (6, 6)))
-        prop = normalized_propagation(a)
-        assert np.abs(prop.data.sum(axis=-1) - 1.0).max() <= 1e-12
+        a = rng.uniform(0, 2, (6, 6))
+        prop, degree = normalized_propagation(a)
+        assert np.abs(prop.sum(axis=-1) - 1.0).max() <= 1e-12
+        assert np.array_equal(degree, (a + np.eye(6)).sum(axis=-1, keepdims=True))
 
 
 def test_rgc_gamma_one_replicates_input():
@@ -80,9 +81,141 @@ def test_rgc_weight_rows_not_a_multiple_of_d_fail():
             rgc_forward(h, a, w, 0.5)
 
 
+def _propagation_chain(adjacency):
+    """normalized_propagation's (A + I) / degree as a chain of tensor ops."""
+    a_tilde = T.add(adjacency, Tensor(np.eye(adjacency.shape[-1], dtype=adjacency.dtype)))
+    return T.div(a_tilde, a_tilde.sum(axis=-1, keepdims=True))
+
+
+def _rgc_chain(h_in, adjacency, weight, gamma):
+    """rgc_forward as the chain of tensor ops it stands for, one record per op."""
+    prop = _propagation_chain(adjacency)
+    lead, (th, n, d) = h_in.shape[:-3], h_in.shape[-3:]
+    node_major = T.swapaxes(h_in, -3, -2)
+    x = T.reshape(node_major, lead + (n, th * d))
+    levels = [node_major]
+    h = x
+    for _ in range(weight.shape[0] // d - 1):
+        h = T.add(T.mul(x, gamma), T.mul(T.matmul(prop, h), 1.0 - gamma))
+        levels.append(T.reshape(h, lead + (n, th, d)))
+    return T.swapaxes(T.matmul(T.concat(levels, axis=-1), weight), -3, -2)
+
+
+# (lead, batched adjacency, Th, N, d, depth, gamma, h_in has a slot)
+RGC_CHAIN_CASES = [
+    ((3,), True, 4, 6, 4, 2, 0.1, True),
+    ((3,), False, 4, 6, 4, 2, 0.1, True),
+    ((), False, 4, 6, 4, 3, 0.1, True),
+    ((3,), True, 4, 6, 4, 1, 0.1, True),
+    ((3,), True, 4, 6, 4, 3, 0.0, True),
+    ((3,), True, 4, 6, 4, 3, 1.0, True),
+    ((3,), True, 4, 6, 4, 3, 0.3, False),
+    ((2,), True, 12, 50, 8, 4, 0.1, True),
+    ((2,), False, 12, 170, 32, 3, 0.1, True),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", RGC_CHAIN_CASES,
+                         ids=["batched-adj", "shared-adj", "unbatched", "depth-1", "gamma-0",
+                              "gamma-1", "h-without-slot", "depth-4", "pems08-shared-adj"])
+def test_rgc_forward_equals_the_chain_of_tensor_ops(case, dtype):
+    """One record, with the bits of the chain's output and of its three gradients."""
+    lead, batched, th, n, d, depth, gamma, h_slot = case
+    rng = np.random.default_rng(n * depth + len(lead))
+    h = Tensor(rng.standard_normal(lead + (th, n, d)).astype(dtype), requires_grad=h_slot)
+    a = Tensor(np.maximum(rng.standard_normal((lead if batched else ()) + (n, n)), 0.0)
+               .astype(dtype), requires_grad=True)
+    w = Tensor(rng.standard_normal((depth * d, 2 * d)).astype(dtype), requires_grad=True)
+    seed = Tensor(rng.standard_normal(lead + (th, n, 2 * d)).astype(dtype))
+    results = []
+    for rgc in (rgc_forward, _rgc_chain):
+        with Tape() as tape:
+            out = rgc(h, a, w, gamma)
+            records = len(tape)
+            tape.backward((out * seed).sum())
+        results.append((np.ascontiguousarray(out.data).tobytes(), out.dtype,
+                        [None if t.grad is None else t.grad.tobytes() for t in (h, a, w)]))
+        assert (records == 1) == (rgc is rgc_forward)
+        for t in (h, a, w):
+            t.grad = None
+    assert results[0] == results[1]
+    grads = results[0][2]
+    assert (grads[0] is None) != h_slot and (grads[1] is None) == (depth == 1)
+    # and without a tape, where nothing is kept
+    assert rgc_forward(h, a, w, gamma).data.tobytes() == results[1][0]
+
+
+def test_rgc_record_keeps_the_operator_degree_and_stack():
+    """One call's record holds P [B, N, N], its degree [B, N, 1] and the level stack, pinned.
+
+    Built from tensor ops, the chain kept also the node-major x and every
+    level but the last in their own buffers beside the concatenated stack
+    (5 levels' bytes at depth 3 against 3 here), so a record that keeps
+    them again fails here.
+    """
+    rng = np.random.default_rng(8)
+    batch, th, n, d, depth = 4, 12, 20, 8, 3
+    h = Tensor(rng.standard_normal((batch, th, n, d)).astype(np.float32), requires_grad=True)
+    a = Tensor(rng.uniform(0.0, 1.0, (batch, n, n)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((depth * d, d)).astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        out = rgc_forward(h, a, w, 0.1)
+        records = flat_records(tape)
+        assert len(records) == 1
+        kept = 4 * batch * (n * n + n + n * th * depth * d) + w.data.nbytes
+        assert held_bytes(records) == kept
+        tape.backward(out.sum())
+
+
+@pytest.mark.parametrize("adjacency, rows, message", [
+    ((6, 6), 5, r"weight \(5, 4\)'s rows are not a positive multiple of d=2"),
+    ((6, 6), 0, r"weight \(0, 4\)'s rows are not a positive multiple of d=2"),
+    ((6, 5), 4, r"adjacency \(6, 5\) is not \[\.\.\., 6, 6\] for input \(3, 4, 6, 2\)"),
+    ((6,), 4, r"adjacency \(6,\) is not \[\.\.\., 6, 6\]"),
+    ((2, 6, 6), 4, r"adjacency \(2, 6, 6\)'s leading axes do not broadcast to input "
+                   r"\(3, 4, 6, 2\)'s"),
+    ((3, 1, 6, 6), 4, r"adjacency \(3, 1, 6, 6\)'s leading axes do not broadcast"),
+], ids=["weight-rows", "weight-empty", "adjacency-not-n-by-n", "adjacency-1d",
+        "adjacency-batch", "adjacency-extra-axis"])
+def test_rgc_names_a_mis_shaped_operand_before_any_compute(monkeypatch, adjacency, rows, message):
+    def computed(*args):
+        raise AssertionError("the operator was computed")
+
+    monkeypatch.setattr(network, "normalized_propagation", computed)
+    h = Tensor(np.ones((3, 4, 6, 2)), requires_grad=True)
+    a = Tensor(np.ones(adjacency), requires_grad=True)
+    w = Tensor(np.ones((rows, 4)), requires_grad=True)
+    with Tape() as tape:
+        with pytest.raises(ShapeError, match=rf"^graph convolution: {message}"):
+            rgc_forward(h, a, w, 0.5)
+        assert len(tape) == 0
+
+
+@pytest.mark.parametrize("case, message", [
+    ("weight", r"weight \(9, 8\)'s rows are not a positive multiple of d=4"),
+    ("adjacency", r"adjacency \(5, 5\) is not \[\.\.\., 4, 4\]"),
+    ("batch", r"adjacency \(7, 4, 4\)'s leading axes do not broadcast"),
+], ids=["weight", "adjacency", "batch"])
+def test_a_mis_shaped_rgc_operand_fails_in_its_stage(toy_setup, monkeypatch, case, message):
+    _, train_ws, _, _, _, model = toy_setup
+    if case == "weight":
+        for w in model.rgc_weights[0]:
+            w.data = np.ones((w.shape[0] + 1, w.shape[1]))
+    else:
+        graph = Tensor(np.ones((5, 5) if case == "adjacency" else (7, 4, 4)))
+        monkeypatch.setattr(network, "generate_pattern_graph", lambda *args: graph)
+    hist, _, tod, dow = train_ws.batch([0, 1, 2])
+    for training in (False, True):
+        with Tape():
+            with pytest.raises(ShapeError, match=rf"^\[graph-convolution\] graph convolution: "
+                                                 rf"{message}"):
+                model.forward_batch(hist, tod, dow, training=training)
+
+
 def _broadcast_rgc(h_in, adjacency, weight, gamma):
     """Reference RGC: the operator broadcast over the Th axis of [..., Th, N, d]."""
-    prop = normalized_propagation(adjacency)
+    prop = _propagation_chain(adjacency)
     if prop.ndim == 3:
         prop = T.reshape(prop, prop.shape[:-2] + (1,) + prop.shape[-2:])
     depth = weight.shape[0] // h_in.shape[-1]
@@ -714,7 +847,7 @@ def test_toy_training_step_tape_record_count(toy_setup):
         pred = model.forward_batch(hist, tod, dow, training=True, rng=np.random.default_rng(0))
         forward = len(tape)
         loss = masked_mae_loss(pred, targ)
-        assert (forward, len(tape)) == (249, 254)
+        assert (forward, len(tape)) == (201, 206)
         tape.backward(loss)
 
 
@@ -795,10 +928,13 @@ def test_halves_predict_the_bits_of_the_whole_batch(toy_setup, batch):
     hist, _, tod, dow = train_ws.batch([w % len(train_ws) for w in range(batch)])
     split = model.forward_batch(hist, tod, dow, training=True, rng=np.random.default_rng(0))
     uniforms = np.random.default_rng(0).random(hist.shape[:-1] + (cfg.rgc_iterations * cfg.hidden,))
-    keep = (uniforms >= cfg.dropout).astype(np.float32) / (1.0 - cfg.dropout)
+    keep = uniforms >= cfg.dropout
     whole = norm.invert(model._forward_windows(Tensor(norm.apply(hist.astype(np.float32))),
                                                tod, dow, keep))
     assert split.data.tobytes() == whole.data.tobytes()
+    # the bool mask scales to the inverted float mask 0 or 1/(1-rate), one value per GRU output
+    applied = dropout(Tensor(np.ones(keep.shape, dtype=np.float32)), keep, cfg.dropout).data
+    assert applied.tobytes() == (keep.astype(np.float32) / np.float32(1.0 - cfg.dropout)).tobytes()
 
 
 def test_training_forward_without_dropout_is_the_eval_forward(toy_setup):
@@ -825,12 +961,38 @@ def test_dropout_mask_is_inverted_and_keeps_the_expectation(toy_setup, monkeypat
     monkeypatch.setattr(model, "_forward_windows", forward_windows)
     model.forward_batch(hist, tod, dow, training=True, rng=np.random.default_rng(0))
     assert sorted(len(m) for m in masks) == [15, 16]  # each half gets its windows' slice
-    mask = np.concatenate(masks)
-    assert mask.shape == hist.shape[:-1] + (model.cfg.rgc_iterations * model.cfg.hidden,)
+    keep = np.concatenate(masks)
+    assert keep.shape == hist.shape[:-1] + (model.cfg.rgc_iterations * model.cfg.hidden,)
+    assert keep.dtype == bool  # one byte per GRU output; the dropout record scales it
+    mask = dropout(Tensor(np.ones(keep.shape, dtype=np.float32)), keep, rate).data
     assert mask.dtype == np.float32
     assert set(np.unique(mask)) == {0.0, np.float32(1.0 / (1.0 - rate))}
     # the sample mean's std is sqrt(rate / (1 - rate) / n); allow 5 of them
     assert abs(mask.mean() - 1.0) < 5 * np.sqrt(rate / (1.0 - rate) / mask.size)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_record_holds_one_byte_per_mask_element(dtype):
+    """One record that keeps the bool mask only, with the bits of mul by the float mask."""
+    rng = np.random.default_rng(9)
+    rate = 0.3
+    keep = rng.random((3, 4, 5, 6)) >= rate
+    x = Tensor(rng.standard_normal(keep.shape).astype(dtype), requires_grad=True)
+    seed = Tensor(rng.standard_normal(keep.shape).astype(dtype))
+    results, held = [], []
+    for apply in (lambda: dropout(x, keep, rate),
+                  lambda: T.mul(x, Tensor(keep.astype(dtype) / (1.0 - rate)))):
+        with Tape() as tape:
+            out = apply()
+            records = flat_records(tape)
+            assert len(records) == 1
+            held.append(held_bytes(records))
+            tape.backward((out * seed).sum())
+        results.append((out.data.tobytes(), x.grad.tobytes()))
+        x.grad = None
+    assert results[0] == results[1]
+    # mul by the float mask held 4 or 8 bytes per element
+    assert held == [keep.size, keep.size * np.dtype(dtype).itemsize]
 
 
 def test_dropout_without_an_rng_raises_before_any_compute(toy_setup, monkeypatch):

@@ -888,14 +888,6 @@ def test_float32_gradients_stay_float32():
     assert np.array_equal(x.grad, np.full((2, 4), 8 + 2.0 ** -40))
 
 
-def _tensors_in(value):
-    if isinstance(value, Tensor):
-        yield value
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _tensors_in(item)
-
-
 def test_tape_pulls_capture_no_tensor(toy_setup):
     # A pull that mentions a Tensor, even only for `x.shape`, keeps x and its
     # data alive until backward, and a captured view keeps its whole base
@@ -909,7 +901,7 @@ def test_tape_pulls_capture_no_tensor(toy_setup):
         for slot, pulls in flat_records(tape):
             assert not isinstance(slot, Tensor)
             for _, pull in pulls:
-                held = list(_tensors_in(list(pull_captures(pull))))
+                held = [c for c in pull_captures(pull) if isinstance(c, Tensor)]
                 assert not held, f"{pull.__qualname__} holds {held}"
 
 
