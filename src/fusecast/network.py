@@ -2,33 +2,12 @@
 graphs, residual graph convolution stacks, a GRU over time, and a
 skip-connection regression head.
 
-A pattern's M graph-convolution blocks differ only in their mixing weights,
-so they share one propagation pass mixed by the M weights side by side.
-That residual graph convolution is one tape record (rgc_forward): it makes
-(A + I) / degree in place and writes each propagation level straight into
-one [..., N, Th, depth*d] stack, the operand of the mixing product, with
-the float expressions of the tensor ops it stands for. It keeps only the
-operator, its degree and the stack, where those ops kept the node-major
-input and every level a second time, in buffers of their own. The dropout
-on the GRU's output is one record as well, holding a bool mask.
-
-The GRU is one tape record, not 21 per step: gru_forward runs the
-recurrence in numpy with the float expressions of the tensor ops it stands
-for, keeps only what its hand-written backward-through-time pass reads,
-and that pass adds every piece in the order a tape of those ops would. So
-predictions, and the gradients of one batch half, are the bits of the loop
-of tensor ops.
-
-The skip-connection regression head is one tape record as well
-(regression_head). Its forward runs the chain relu(concat(parts)), two
-affine maps and the horizon map with the tensor ops' expressions, doing the
-ReLUs and bias adds in place in the buffers it has just allocated, and
-keeps only h_skip, the first ReLU's output and the flattened per-node
-features. Its backward uses each op's own pull expression, drops each kept
-array once its last reader has run and masks its own gradient buffers in
-place. So the head's bits are the chain's, but it no longer holds a second
-copy of the skip features in forward, or two of their gradients beside
-h_skip in backward.
+The residual graph convolution (rgc_forward), the GRU (gru_forward), the
+dropout on its output (dropout) and the regression head (regression_head)
+are each one tape record that keeps only what its hand-written backward
+reads, with the bits of the chain of tensor ops it stands for. A pattern's
+M graph-convolution blocks differ only in their mixing weights, so one
+rgc_forward call propagates once and mixes by the M weights side by side.
 
 Each window builds its temporal and fused graphs from its own time
 features, so the windows of a batch are independent until the loss; only
@@ -177,7 +156,7 @@ def rgc_forward(h_in: Tensor, adjacency: Tensor, weight: Tensor, gamma: float) -
                          f"broadcast to input {x_data.shape}'s")
     depth = w.shape[0] // d
     operands = [weight, h_in] + ([adjacency] if depth > 1 else [])
-    taped = T.active_tape() is not None and any(t.requires_grad for t in operands)
+    taped = T._taped(operands)
 
     node_major = np.swapaxes(x_data, -3, -2)
     stack, kept, scales = node_major, [], None  # kept: P and its degree, under a tape
@@ -288,7 +267,7 @@ def gru_forward(x_seq: Tensor, params: GruParams) -> Tensor:
     wz, wr, wh, uz, ur, uh, bz, br, bh = weights
     if x.ndim < 3 or x.shape[-3] == 0 or x.shape[-1] != wz.shape[0]:
         raise ShapeError(f"gru: input {x.shape} is not [..., Th>0, N, d_in={wz.shape[0]}]")
-    taped = T.active_tape() is not None and any(t.requires_grad for t in operands)
+    taped = T._taped(operands)
     th, n = x.shape[-3], x.shape[-2]
     out = np.empty(x.shape[:-1] + (uz.shape[0],), dtype=np.result_type(x, *weights))
     h = np.zeros((1, n, uz.shape[0]), dtype=x.dtype)
@@ -347,11 +326,7 @@ def _gru_backward(g, x, weights, saved):
         step += [h_rows.T @ ga.reshape(len(h_rows), d_h) for ga in (gz_h, gr_h)]
         step.append(rh.reshape(len(x_rows), d_h).T @ ga_h.reshape(len(x_rows), d_h))
         step += [T._unbroadcast(ga, b.shape) for ga, b in ((ga_z, bz), (ga_r, br), (ga_h, bh))]
-        for i, piece in enumerate(step):
-            if sums[i] is None:
-                sums[i] = piece
-            else:
-                sums[i] += piece
+        sums = [_sum_into(total, piece) for total, piece in zip(sums, step)]
         if t:
             gh = g[..., t - 1:t, :, :] + gh * (1.0 - z)
             gh += grh * r
@@ -410,7 +385,7 @@ def regression_head(parts, params: HeadParams, horizon: int) -> Tensor:
             raise ShapeError(f"regression head: {name} is {t.shape}, not {shape}")
     if out_dim % horizon:
         raise ShapeError(f"regression head: {out_dim} outputs do not split into {horizon} steps")
-    taped = T.active_tape() is not None and any(t.requires_grad for t in tensors + list(parts))
+    taped = T._taped(tensors + list(parts))
 
     h_skip = np.concatenate([p.data for p in parts], axis=-1)
     np.maximum(h_skip, 0.0, out=h_skip)

@@ -28,17 +28,6 @@ a plain loop's.
 Backward adds each pull's piece to its slot's gradient as a new sum
 (_accumulate), and never writes a gradient array in place.
 
-saturated_top_k and attention are each one record for a chain of ops that
-graph generation runs per window: relu(tanh(scale * x)) with a per-row
-top-k, and softmax(q @ k^T * scale) @ v. Each keeps only what its pull
-reads, saturated_top_k its output and attention its three operands, whose
-[..., N, N] scores backward recomputes. Every value is computed with the
-expression of the op it stands for, in the same order and at the same
-shapes, so the outputs and gradients are bitwise the chain's. attention,
-like network's GRU and regression head, makes its record with _one_record:
-the op passes one backward that makes every operand's gradient, and the
-first pull that runs calls it.
-
 Backward runs a group's lists concurrently, list g on the thread that runs
 task g. A slot that a list produced is read by that list only, so its
 gradient accumulates there. A slot that a list writes but did not
@@ -59,13 +48,11 @@ are carved from the heap (M_MMAP_THRESHOLD), and a 1 GiB trim threshold so
 that freed memory stays mapped for the next op and step (M_TRIM_THRESHOLD).
 All three go together: setting either threshold turns off glibc's dynamic
 mmap threshold, so one alone leaves it at 128 KiB and maps every larger
-array for itself (a PEMS07 B=8 eval forward then takes about 320k minor
-faults, against 17k under the defaults and a handful under the policy).
-mallopt takes a C int, so every value stays below 2**31: 1 << 32 wraps to
-0, which trims everything. The cost is that the process keeps its
-high-water memory mapped until it exits; peak RSS is that mark anyway.
-Nothing is set off glibc (no CS_GNU_LIBC_VERSION, or no mallopt), or when
-the environment already sets a malloc tunable (MALLOC_ARENA_MAX,
+array for itself. mallopt takes a C int, so every value stays below 2**31:
+1 << 32 wraps to 0, which trims everything. The cost is that the process
+keeps its high-water memory mapped until it exits; peak RSS is that mark
+anyway. Nothing is set off glibc (no CS_GNU_LIBC_VERSION, or no mallopt),
+or when the environment already sets a malloc tunable (MALLOC_ARENA_MAX,
 MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_, or glibc.malloc.* in
 GLIBC_TUNABLES): an explicit setting wins. No array op depends on the
 policy, so results keep their bits either way.
@@ -110,20 +97,13 @@ _TAPES = []  # active tapes, innermost last; ops record into the innermost
 _LOCAL = threading.local()  # .records: the list of the ordered_map task this thread runs
 
 
-def _coerce(data) -> np.ndarray:
-    arr = np.asarray(data)
-    if arr.dtype in (np.float32, np.float64):
-        return arr
-    return arr.astype(np.float64)
-
-
 class Tensor:
     """An n-dimensional float array; one that needs a gradient owns a slot for it."""
 
     __slots__ = ("data", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _coerce(data)
+        self.data = np.asarray(data)
         self._slot = _GradSlot(self.data.shape) if requires_grad else None
 
     @property
@@ -159,29 +139,15 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}{flag})"
-
     # arithmetic sugar
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -311,8 +277,13 @@ def active_tape():
     return _TAPES[-1] if _TAPES else None
 
 
+def _taped(operands) -> bool:
+    """Whether an op on these tensors is recorded: a tape is active and one of them has a slot."""
+    return active_tape() is not None and any(t.requires_grad for t in operands)
+
+
 def _make(out_data: np.ndarray, pulls) -> Tensor:
-    """Wrap an op result, recording it when a tape is active and a pull exists.
+    """Wrap an op result, recording it when _taped holds for its operands.
 
     pulls pair each operand with the function that maps the output's
     gradient to that operand's. The pulls of operands with no gradient slot
@@ -321,15 +292,12 @@ def _make(out_data: np.ndarray, pulls) -> Tensor:
     pull must close over arrays and shapes only: one that mentions a Tensor
     (even just for `x.shape`) keeps that tensor's data alive until backward.
     """
-    tape = active_tape()
-    if tape is None:
-        return Tensor(out_data)
-    live = [(t._slot, fn) for t, fn in pulls if t._slot is not None]
-    if not live:
+    if not _taped(t for t, _ in pulls):
         return Tensor(out_data)
     out = Tensor(out_data, requires_grad=True)
     records = getattr(_LOCAL, "records", None)
-    (tape._records if records is None else records).append((out._slot, live))
+    (active_tape()._records if records is None else records).append(
+        (out._slot, [(t._slot, fn) for t, fn in pulls if t._slot is not None]))
     return out
 
 
@@ -474,16 +442,6 @@ def mul(a, b):
     ])
 
 
-def div(a, b):
-    a, b, out_data = _binary(a, b, operator.truediv, "div")
-    b_data = b.data
-    a_shape, b_shape = a.shape, b.shape
-    return _make(out_data, [
-        (a, lambda g: _unbroadcast(g / b_data, a_shape)),
-        (b, lambda g: _unbroadcast(-g * out_data / b_data, b_shape)),
-    ])
-
-
 def matmul(a: Tensor, b: Tensor):
     """Batched matrix product over the last two axes, gradients included.
 
@@ -573,11 +531,6 @@ def broadcast_to(x: Tensor, shape):
     """Read-only broadcast view; backward sums the gradient back down."""
     x_shape = x.shape
     return _make(np.broadcast_to(x.data, shape), [(x, lambda g: _unbroadcast(g, x_shape))])
-
-
-def reshape(x: Tensor, shape):
-    x_shape = x.shape
-    return _make(x.data.reshape(shape), [(x, lambda g: g.reshape(x_shape))])
 
 
 def swapaxes(x: Tensor, axis1: int, axis2: int):

@@ -6,18 +6,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (fd_gradient, flat_records, graphs_and_flows, held_bytes, rel_err,
-                      tape_groups, toy_graph_config, toy_model_config)
+from conftest import flat_records, graphs_and_flows, tape_groups, toy_graph_config, toy_model_config
 from fusecast import network
 from fusecast import tensor as T
 from fusecast.data import Normalizer
 from fusecast.errors import ConfigError, ShapeError
-from fusecast.network import (Forecaster, GruParams, HeadParams, _stage, dropout, gru_forward,
-                              normalized_propagation, regression_head, rgc_forward)
+from fusecast.network import (Forecaster, GruParams, _stage, dropout, gru_forward,
+                              normalized_propagation, rgc_forward)
 from fusecast.optim import randomize_parameters
 from fusecast.tensor import Tape, Tensor
 from fusecast.training import masked_mae_loss
+from test_one_record_ops import (ONE_RECORD_OPS, Trial, _broadcast_rgc,
+                                 assert_gradients_match_finite_differences, assert_matches_chain,
+                                 assert_mis_shaped_raises, dropout_trial, gru_trial, head_trial,
+                                 record_held, replaced, rgc_trial)
 
+GRU, RGC, HEAD, DROPOUT = (ONE_RECORD_OPS[name] for name in
+                           ("gru_forward", "rgc_forward", "regression_head", "dropout"))
 RAW = Normalizer(0.0, 1.0)  # (x - 0.0) / 1.0 is bitwise x: the model computes in raw units
 
 
@@ -53,19 +58,9 @@ def test_rgc_zero_adjacency_propagates_identity():
 
 def test_rgc_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
-    h = Tensor(rng.standard_normal((2, 4, 3)))
-    a = Tensor(rng.uniform(0.1, 1, (4, 4)), requires_grad=True)
-    w = Tensor(rng.standard_normal((6, 2)), requires_grad=True)
-    mix = rng.standard_normal((2, 4, 2))
-
-    def scalar():
-        return (rgc_forward(h, a, w, 0.2) * mix).sum()
-
-    with Tape() as tape:
-        tape.backward(scalar())
-    for t in (a, w):
-        fd = fd_gradient(lambda: scalar().item(), t.data)
-        assert rel_err(t.grad, fd, floor=1e-6) < 1e-5
+    trial = rgc_trial(rng, np.float64, lead=(), th=2, n=4, d=3, depth=2, gamma=0.2)
+    trial.operands[1].data = rng.uniform(0.1, 1, (4, 4))
+    assert_gradients_match_finite_differences(RGC, trial, rng)
 
 
 def test_rgc_weight_rows_not_a_multiple_of_d_fail():
@@ -79,26 +74,6 @@ def test_rgc_weight_rows_not_a_multiple_of_d_fail():
         w = Tensor(rng.standard_normal((rows, 2)))
         with pytest.raises(ShapeError, match=rf"\({rows}, 2\)"):
             rgc_forward(h, a, w, 0.5)
-
-
-def _propagation_chain(adjacency):
-    """normalized_propagation's (A + I) / degree as a chain of tensor ops."""
-    a_tilde = T.add(adjacency, Tensor(np.eye(adjacency.shape[-1], dtype=adjacency.dtype)))
-    return T.div(a_tilde, a_tilde.sum(axis=-1, keepdims=True))
-
-
-def _rgc_chain(h_in, adjacency, weight, gamma):
-    """rgc_forward as the chain of tensor ops it stands for, one record per op."""
-    prop = _propagation_chain(adjacency)
-    lead, (th, n, d) = h_in.shape[:-3], h_in.shape[-3:]
-    node_major = T.swapaxes(h_in, -3, -2)
-    x = T.reshape(node_major, lead + (n, th * d))
-    levels = [node_major]
-    h = x
-    for _ in range(weight.shape[0] // d - 1):
-        h = T.add(T.mul(x, gamma), T.mul(T.matmul(prop, h), 1.0 - gamma))
-        levels.append(T.reshape(h, lead + (n, th, d)))
-    return T.swapaxes(T.matmul(T.concat(levels, axis=-1), weight), -3, -2)
 
 
 # (lead, batched adjacency, Th, N, d, depth, gamma, h_in has a slot)
@@ -120,30 +95,11 @@ RGC_CHAIN_CASES = [
                          ids=["batched-adj", "shared-adj", "unbatched", "depth-1", "gamma-0",
                               "gamma-1", "h-without-slot", "depth-4", "pems08-shared-adj"])
 def test_rgc_forward_equals_the_chain_of_tensor_ops(case, dtype):
-    """One record, with the bits of the chain's output and of its three gradients."""
     lead, batched, th, n, d, depth, gamma, h_slot = case
     rng = np.random.default_rng(n * depth + len(lead))
-    h = Tensor(rng.standard_normal(lead + (th, n, d)).astype(dtype), requires_grad=h_slot)
-    a = Tensor(np.maximum(rng.standard_normal((lead if batched else ()) + (n, n)), 0.0)
-               .astype(dtype), requires_grad=True)
-    w = Tensor(rng.standard_normal((depth * d, 2 * d)).astype(dtype), requires_grad=True)
-    seed = Tensor(rng.standard_normal(lead + (th, n, 2 * d)).astype(dtype))
-    results = []
-    for rgc in (rgc_forward, _rgc_chain):
-        with Tape() as tape:
-            out = rgc(h, a, w, gamma)
-            records = len(tape)
-            tape.backward((out * seed).sum())
-        results.append((np.ascontiguousarray(out.data).tobytes(), out.dtype,
-                        [None if t.grad is None else t.grad.tobytes() for t in (h, a, w)]))
-        assert (records == 1) == (rgc is rgc_forward)
-        for t in (h, a, w):
-            t.grad = None
-    assert results[0] == results[1]
-    grads = results[0][2]
+    trial = rgc_trial(rng, dtype, lead, batched, th, n, d, depth, gamma, h_slot, shared=())
+    _, grads = assert_matches_chain(RGC, trial, rng)
     assert (grads[0] is None) != h_slot and (grads[1] is None) == (depth == 1)
-    # and without a tape, where nothing is kept
-    assert rgc_forward(h, a, w, gamma).data.tobytes() == results[1][0]
 
 
 def test_rgc_record_keeps_the_operator_degree_and_stack():
@@ -154,18 +110,10 @@ def test_rgc_record_keeps_the_operator_degree_and_stack():
     (5 levels' bytes at depth 3 against 3 here), so a record that keeps
     them again fails here.
     """
-    rng = np.random.default_rng(8)
     batch, th, n, d, depth = 4, 12, 20, 8, 3
-    h = Tensor(rng.standard_normal((batch, th, n, d)).astype(np.float32), requires_grad=True)
-    a = Tensor(rng.uniform(0.0, 1.0, (batch, n, n)).astype(np.float32), requires_grad=True)
-    w = Tensor(rng.standard_normal((depth * d, d)).astype(np.float32), requires_grad=True)
-    with Tape() as tape:
-        out = rgc_forward(h, a, w, 0.1)
-        records = flat_records(tape)
-        assert len(records) == 1
-        kept = 4 * batch * (n * n + n + n * th * depth * d) + w.data.nbytes
-        assert held_bytes(records) == kept
-        tape.backward(out.sum())
+    trial = rgc_trial(np.random.default_rng(8), np.float32, (batch,), True, th, n, d, depth)
+    kept = 4 * batch * (n * n + n + n * th * depth * d) + trial.operands[2].data.nbytes
+    assert record_held(RGC.op, trial) == RGC.held(trial) == kept
 
 
 @pytest.mark.parametrize("adjacency, rows, message", [
@@ -179,17 +127,10 @@ def test_rgc_record_keeps_the_operator_degree_and_stack():
 ], ids=["weight-rows", "weight-empty", "adjacency-not-n-by-n", "adjacency-1d",
         "adjacency-batch", "adjacency-extra-axis"])
 def test_rgc_names_a_mis_shaped_operand_before_any_compute(monkeypatch, adjacency, rows, message):
-    def computed(*args):
-        raise AssertionError("the operator was computed")
-
-    monkeypatch.setattr(network, "normalized_propagation", computed)
-    h = Tensor(np.ones((3, 4, 6, 2)), requires_grad=True)
-    a = Tensor(np.ones(adjacency), requires_grad=True)
-    w = Tensor(np.ones((rows, 4)), requires_grad=True)
-    with Tape() as tape:
-        with pytest.raises(ShapeError, match=rf"^graph convolution: {message}"):
-            rgc_forward(h, a, w, 0.5)
-        assert len(tape) == 0
+    trial = Trial([Tensor(np.ones((3, 4, 6, 2)), requires_grad=True),
+                   Tensor(np.ones(adjacency), requires_grad=True),
+                   Tensor(np.ones((rows, 4)), requires_grad=True)], (0.5,))
+    assert_mis_shaped_raises(monkeypatch, RGC, trial, rf"^graph convolution: {message}")
 
 
 @pytest.mark.parametrize("case, message", [
@@ -211,21 +152,6 @@ def test_a_mis_shaped_rgc_operand_fails_in_its_stage(toy_setup, monkeypatch, cas
             with pytest.raises(ShapeError, match=rf"^\[graph-convolution\] graph convolution: "
                                                  rf"{message}"):
                 model.forward_batch(hist, tod, dow, training=training)
-
-
-def _broadcast_rgc(h_in, adjacency, weight, gamma):
-    """Reference RGC: the operator broadcast over the Th axis of [..., Th, N, d]."""
-    prop = _propagation_chain(adjacency)
-    if prop.ndim == 3:
-        prop = T.reshape(prop, prop.shape[:-2] + (1,) + prop.shape[-2:])
-    depth = weight.shape[0] // h_in.shape[-1]
-    levels = [h_in]
-    h = h_in
-    for _ in range(depth - 1):
-        h = T.add(T.mul(h_in, gamma), T.mul(T.matmul(prop, h), 1.0 - gamma))
-        levels.append(h)
-    stacked = levels[0] if depth == 1 else T.concat(levels, axis=-1)
-    return T.matmul(stacked, weight)
 
 
 # (lead, batched adjacency, Th, N, d, depth, d_out): the toy preset's and
@@ -309,51 +235,6 @@ def test_gru_hidden_stays_inside_unit_ball():
     assert np.abs(out.data).max() < 1.0
 
 
-def _taped_gru(x_seq, params):
-    """Reference GRU: the loop of tensor ops that gru_forward's one record replaces."""
-    th = x_seq.shape[-3]
-    n = x_seq.shape[-2]
-    d_h = params.uz.shape[0]
-    h = Tensor(np.zeros((1, n, d_h), dtype=x_seq.dtype))
-    outputs = []
-    for t in range(th):
-        x_t = T.narrow(x_seq, -3, t, 1)
-        z = T.sigmoid(x_t @ params.wz + h @ params.uz + params.bz)
-        r = T.sigmoid(x_t @ params.wr + h @ params.ur + params.br)
-        cand = T.tanh(x_t @ params.wh + (r * h) @ params.uh + params.bh)
-        h = (1.0 - z) * h + z * cand
-        outputs.append(h)
-    return T.concat(outputs, axis=-3)
-
-
-def _random_gru(rng, d_in, d_h, dtype, scale=0.5):
-    u = lambda shape: Tensor((scale * rng.standard_normal(shape)).astype(dtype),
-                             requires_grad=True)
-    return GruParams(wz=u((d_in, d_h)), wr=u((d_in, d_h)), wh=u((d_in, d_h)),
-                     uz=u((d_h, d_h)), ur=u((d_h, d_h)), uh=u((d_h, d_h)),
-                     bz=u((d_h,)), br=u((d_h,)), bh=u((d_h,)))
-
-
-GRU_FIELDS = [f.name for f in dataclasses.fields(GruParams)]
-
-
-def _gru_step(gru, x_seq, params, weight, skip):
-    """gru's output and the gradients of x_seq and the nine weights, one tape.
-
-    x_seq feeds a second consumer after the GRU, as the regression head reads
-    the GRU's input, so its slot takes the GRU's pieces on top of another.
-    """
-    with Tape() as tape:
-        out = gru(x_seq, params)
-        loss = (out * Tensor(weight)).sum() + (x_seq * Tensor(skip)).sum()
-        tape.backward(loss)
-    tensors = [x_seq] + [getattr(params, name) for name in GRU_FIELDS]
-    grads = [t.grad for t in tensors]
-    for t in tensors:
-        t.grad = None
-    return out.data, grads
-
-
 # (lead, Th, N, d_in, d_h): an unbatched input, a batched one whose zero state
 # broadcasts over the windows, and the toy preset's GRU shape
 GRU_SHAPES = [((), 5, 3, 4, 2), ((2,), 6, 5, 3, 4), ((4,), 4, 4, 16, 8)]
@@ -362,70 +243,43 @@ GRU_SHAPES = [((), 5, 3, 4, 2), ((2,), 6, 5, 3, 4), ((4,), 4, 4, 16, 8)]
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", GRU_SHAPES, ids=["unbatched", "batched", "toy"])
 def test_gru_kernel_is_bitwise_the_taped_loop(shape, dtype):
-    """Output and every gradient of one tape are the bits of the loop of tensor ops."""
+    """Output and every gradient of one tape are the bits of the loop of tensor ops.
+
+    x_seq feeds consumers before and after the GRU, as the regression head
+    reads the GRU's input, so its slot takes the GRU's pieces on top of others.
+    """
     lead, th, n, d_in, d_h = shape
     rng = np.random.default_rng(th * n + d_in)
-    x_seq = Tensor(rng.standard_normal(lead + (th, n, d_in)).astype(dtype), requires_grad=True)
-    params = _random_gru(rng, d_in, d_h, dtype)
-    weight = rng.standard_normal(lead + (th, n, d_h)).astype(dtype)
-    skip = rng.standard_normal(x_seq.shape).astype(dtype)
-    out, grads = _gru_step(gru_forward, x_seq, params, weight, skip)
-    ref, ref_grads = _gru_step(_taped_gru, x_seq, params, weight, skip)
-    assert out.dtype == ref.dtype == dtype
-    assert out.tobytes() == ref.tobytes()
-    for name, got, want in zip(["x_seq"] + GRU_FIELDS, grads, ref_grads):
-        assert got.dtype == want.dtype == dtype, name
-        assert got.tobytes() == want.tobytes(), name
+    assert_matches_chain(GRU, gru_trial(rng, dtype, lead, th, n, d_in, d_h, scale=0.5), rng)
 
 
 def test_gru_kernel_multiplies_the_zero_state_as_the_loop_does():
     # 0 * inf is NaN: an infinite uz entry poisons the first step through the
     # zero state's product h @ uz, which the kernel must compute as the loop does
     rng = np.random.default_rng(11)
-    x_seq = Tensor(rng.standard_normal((2, 3, 4, 3)), requires_grad=True)
-    params = _random_gru(rng, 3, 2, np.float64)
-    params.uz.data[1, 0] = np.inf
-    weight = rng.standard_normal((2, 3, 4, 2))
-    skip = rng.standard_normal(x_seq.shape)
+    trial = gru_trial(rng, np.float64, (2,), 3, 4, 3, 2, scale=0.5)
+    trial.operands[4].data[1, 0] = np.inf  # uz
     with np.errstate(invalid="ignore"):
-        out, grads = _gru_step(gru_forward, x_seq, params, weight, skip)
-        ref, ref_grads = _gru_step(_taped_gru, x_seq, params, weight, skip)
-    assert np.isnan(ref[:, 0, :, 0]).all()
-    assert np.array_equal(out, ref, equal_nan=True)
-    for name, got, want in zip(["x_seq"] + GRU_FIELDS, grads, ref_grads):
-        assert np.array_equal(got, want, equal_nan=True), name
+        out, _ = assert_matches_chain(GRU, trial, rng, equal_nan=True)
+    assert np.isnan(out[:, 0, :, 0]).all()
 
 
 def test_gru_kernel_gradients_match_finite_differences():
     rng = np.random.default_rng(12)
-    x_seq = Tensor(rng.standard_normal((2, 4, 3, 5)), requires_grad=True)
-    params = _random_gru(rng, 5, 3, np.float64, scale=0.8)
-    weight = rng.standard_normal((2, 4, 3, 3))
-
-    def scalar():
-        return (gru_forward(x_seq, params) * Tensor(weight)).sum()
-
-    with Tape() as tape:
-        tape.backward(scalar())
-    for name in ["x_seq"] + GRU_FIELDS:
-        t = x_seq if name == "x_seq" else getattr(params, name)
-        fd = fd_gradient(lambda: scalar().item(), t.data)
-        assert rel_err(t.grad, fd, floor=1e-6) < 1e-6, name
+    assert_gradients_match_finite_differences(GRU, gru_trial(rng, np.float64), rng)
 
 
 def test_gru_kernel_is_one_record_and_keeps_nothing_without_a_tape():
-    rng = np.random.default_rng(13)
-    x_seq = Tensor(rng.standard_normal((4, 12, 50, 16)), requires_grad=True)
-    params = _random_gru(rng, 16, 32, np.float64)
+    trial = gru_trial(np.random.default_rng(13), np.float64, (4,), 12, 50, 16, 32, scale=0.5)
     with Tape() as tape:
-        out = gru_forward(x_seq, params)
+        out = GRU.op(trial.operands)
         assert len(tape) == 1
     # without a tape no step's z, r or candidate outlives it: each is 1/Th of
     # the output, so keeping all three of every step would add 3x its bytes
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        untaped = gru_forward(x_seq, params)
+        untaped = GRU.op(trial.operands)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -433,69 +287,12 @@ def test_gru_kernel_is_one_record_and_keeps_nothing_without_a_tape():
     assert peak < 2 * untaped.data.nbytes, f"peaked at {peak / untaped.data.nbytes:.1f}x the output"
 
 
-def _head_chain(parts, params, horizon):
-    """Reference head: the chain of tensor ops that regression_head's one record replaces."""
-    h_skip = T.relu(T.concat(parts, axis=-1))
-    hidden = T.relu(h_skip @ params.w1 + params.b1) @ params.w2 + params.b2
-    per_node = T.swapaxes(hidden, -3, -2)
-    lead = per_node.shape[:-2]
-    flat = T.reshape(per_node, lead + (per_node.shape[-2] * per_node.shape[-1],))
-    mapped = flat @ params.out_weight + params.out_bias
-    mapped = T.reshape(mapped, lead + (horizon, mapped.shape[-1] // horizon))
-    return T.swapaxes(mapped, -3, -2)
-
-
-HEAD_FIELDS = [f.name for f in dataclasses.fields(HeadParams)]
-PART_NAMES = ["h_out", "x_out", "xn", "daily", "weekly"]
-
-
-def _random_head(rng, lead, th, n, widths, hidden, hc, horizon, channels, dtype):
-    """Parts [*lead, Th, N, d] of the given widths and HeadParams; xn has no gradient slot."""
-    def u(shape, grad=True):
-        return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=grad)
-
-    parts = [u(lead + (th, n, d), name != "xn") for name, d in zip(PART_NAMES, widths)]
-    params = HeadParams(w1=u((sum(widths), hidden)), b1=u((hidden,)), w2=u((hidden, hc)),
-                        b2=u((hc,)), out_weight=u((th * hc, horizon * channels)),
-                        out_bias=u((horizon * channels,)))
-    return parts, params
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batch3"])
 def test_regression_head_matches_the_chain(lead, dtype):
-    """The prediction and every gradient of one tape are the bytes of the chain of tensor ops.
-
-    x_out and the daily lookup feed a consumer recorded before the head, as
-    in the model, so their slots take the head's piece on top of another.
-    """
+    """The prediction and every gradient of one tape are the bytes of the chain of tensor ops."""
     rng = np.random.default_rng(len(lead) + np.dtype(dtype).itemsize)
-    horizon, channels = 2, 3
-    parts, params = _random_head(rng, lead, 4, 5, (4, 8, channels, 3, 3), 6, 5,
-                                 horizon, channels, dtype)
-    seed = Tensor(rng.standard_normal(lead + (horizon, 5, channels)).astype(dtype))
-    other = [Tensor(rng.standard_normal(parts[i].shape).astype(dtype)) for i in (1, 3)]
-    tensors = [getattr(params, name) for name in HEAD_FIELDS] + parts
-    runs = []
-    for head in (regression_head, _head_chain):
-        untaped = head(parts, params, horizon).data
-        with Tape() as tape:
-            earlier = (parts[1] * other[0]).sum() + (parts[3] * other[1]).sum()
-            records = len(tape)
-            out = head(parts, params, horizon)
-            if head is regression_head:
-                assert len(tape) == records + 1
-            tape.backward((out * seed).sum() + earlier)
-        runs.append([untaped, out.data] + [t.grad for t in tensors])
-        for t in tensors:
-            t.grad = None
-    names = ["untaped", "out"] + HEAD_FIELDS + PART_NAMES
-    for name, got, want in zip(names, *runs):
-        if want is None:
-            assert got is None, name
-            continue
-        assert got.dtype == want.dtype == dtype and got.shape == want.shape, name
-        assert got.tobytes() == want.tobytes(), name
+    assert_matches_chain(HEAD, head_trial(rng, dtype, lead), rng)
 
 
 def test_regression_head_backward_peak_stays_near_its_skip_features():
@@ -511,36 +308,31 @@ def test_regression_head_backward_peak_stays_near_its_skip_features():
     """
     rng = np.random.default_rng(21)
     batch, th, n, horizon = 4, 12, 20, 12
-    parts, params = _random_head(rng, (batch,), th, n, (64, 128, 1, 10, 10), 64, 64,
-                                 horizon, 1, np.float32)
+    trial = head_trial(rng, np.float32, (batch,), th, n, (64, 128, 1, 10, 10), 64, 64, horizon, 1)
     seed = Tensor(rng.standard_normal((batch, horizon, n, 1)).astype(np.float32))
     skip_bytes = batch * th * n * 213 * 4
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         with Tape() as tape:
-            tape.backward(regression_head(parts, params, horizon) * seed)
+            tape.backward(HEAD.op(trial.operands, horizon) * seed)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert peak < 2.25 * skip_bytes, f"peaked at {peak / skip_bytes:.2f} h_skip"
 
 
-def test_regression_head_names_a_mis_shaped_operand():
-    rng = np.random.default_rng(22)
-    parts, params = _random_head(rng, (2,), 4, 5, (4, 8, 3, 3, 3), 6, 5, 2, 3, np.float64)
-    for name, shape, message in [("w1", (25, 6), r"w1 is \(25, 6\), not \(21, 6\)"),
-                                 ("w2", (6, 4), r"w2 is \(6, 4\), not \(6, 5\)"),
-                                 ("b2", (1, 5), r"b2 is \(1, 5\), not \(5,\)"),
-                                 ("out_weight", (16, 6),
-                                  r"out.weight is \(16, 6\), not \(20, 6\)")]:
-        wrong = dataclasses.replace(params, **{name: Tensor(np.ones(shape), requires_grad=True)})
-        with pytest.raises(ShapeError, match=r"^regression head: " + message):
-            regression_head(parts, wrong, 2)
-    with pytest.raises(ShapeError, match=r"outputs do not split into 4 steps"):
-        regression_head(parts, params, 4)
-    with pytest.raises(ShapeError, match=r"parts .* do not join"):
-        regression_head(parts[:-1] + [Tensor(np.ones((2, 4, 6, 3)))], params, 2)
+def test_regression_head_names_a_mis_shaped_operand(monkeypatch):
+    trial = head_trial(np.random.default_rng(22), np.float64, (2,))
+    for index, shape, message in [(5, (25, 6), r"w1 is \(25, 6\), not \(21, 6\)"),
+                                  (7, (6, 4), r"w2 is \(6, 4\), not \(6, 5\)"),
+                                  (8, (1, 5), r"b2 is \(1, 5\), not \(5,\)"),
+                                  (9, (16, 6), r"out.weight is \(16, 6\), not \(20, 6\)"),
+                                  (4, (2, 4, 6, 3), r"parts .* do not join")]:
+        assert_mis_shaped_raises(monkeypatch, HEAD, replaced(index, shape)(trial),
+                                 r"^regression head: " + message)
+    assert_mis_shaped_raises(monkeypatch, HEAD, dataclasses.replace(trial, args=(4,)),
+                             r"^regression head: 6 outputs do not split into 4 steps$")
 
 
 @pytest.mark.parametrize("widen, blamed", [(("head.w2",), "w2"),
@@ -975,24 +767,12 @@ def test_dropout_mask_is_inverted_and_keeps_the_expectation(toy_setup, monkeypat
 def test_dropout_record_holds_one_byte_per_mask_element(dtype):
     """One record that keeps the bool mask only, with the bits of mul by the float mask."""
     rng = np.random.default_rng(9)
-    rate = 0.3
-    keep = rng.random((3, 4, 5, 6)) >= rate
-    x = Tensor(rng.standard_normal(keep.shape).astype(dtype), requires_grad=True)
-    seed = Tensor(rng.standard_normal(keep.shape).astype(dtype))
-    results, held = [], []
-    for apply in (lambda: dropout(x, keep, rate),
-                  lambda: T.mul(x, Tensor(keep.astype(dtype) / (1.0 - rate)))):
-        with Tape() as tape:
-            out = apply()
-            records = flat_records(tape)
-            assert len(records) == 1
-            held.append(held_bytes(records))
-            tape.backward((out * seed).sum())
-        results.append((out.data.tobytes(), x.grad.tobytes()))
-        x.grad = None
-    assert results[0] == results[1]
+    trial = dropout_trial(rng, dtype)
+    assert_matches_chain(DROPOUT, trial, rng)
     # mul by the float mask held 4 or 8 bytes per element
-    assert held == [keep.size, keep.size * np.dtype(dtype).itemsize]
+    keep = trial.args[0]
+    assert [record_held(fn, trial) for fn in (DROPOUT.op, DROPOUT.chain)] == [
+        keep.size, keep.size * np.dtype(dtype).itemsize]
 
 
 def test_dropout_without_an_rng_raises_before_any_compute(toy_setup, monkeypatch):

@@ -14,6 +14,8 @@ from conftest import fd_gradient, flat_records, pull_captures, rel_err, tape_gro
 from fusecast import tensor as T
 from fusecast.errors import ConfigError, ShapeError
 from fusecast.tensor import Tape, Tensor, active_tape
+from test_one_record_ops import (ONE_RECORD_OPS, Trial, _top_k_mask_by_stable_sort,
+                                 assert_matches_chain, attention_trial, div, reshape)
 
 SRC = os.path.dirname(os.path.dirname(T.__file__))
 
@@ -228,7 +230,7 @@ def test_concat_gradient_routes_ones():
     assert np.array_equal(b.grad, np.ones((2, 2)))
 
 
-@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, div])
 def test_elementwise_shape_error_names_both_shapes(op):
     message = rf"^{op.__name__}: shapes \(2, 3\) and \(4, 3\) are not broadcastable$"
     with pytest.raises(ShapeError, match=message):
@@ -307,22 +309,6 @@ def test_top_k_exceeding_row_length():
     T.saturated_top_k(Tensor(np.zeros((2, 3))), 1.0, 3)  # the row length keeps every entry
 
 
-def _top_k_mask_by_stable_sort(x: np.ndarray, k: int) -> np.ndarray:
-    """Reference selection: the first k columns of a stable descending sort."""
-    order = np.argsort(-x, axis=-1, kind="stable")
-    mask = np.zeros(x.shape, dtype=x.dtype)
-    np.put_along_axis(mask, order[..., :k], 1.0, axis=-1)
-    return mask
-
-
-def _saturated_top_k_chain(x: Tensor, scale: float, k: int) -> Tensor:
-    """The reference: tensor's mul, tanh and relu, then the stable sort's mask as a mul."""
-    raw = T.relu(T.tanh(T.mul(x, scale)))
-    if k == x.shape[-1]:
-        return raw
-    return T.mul(raw, Tensor(_top_k_mask_by_stable_sort(raw.data, k)))
-
-
 def _top_k_case(rng, kind, shape):
     """A pre-activation x and a scale whose relu(tanh(scale * x)) is of the named kind."""
     x = rng.standard_normal(shape)
@@ -351,36 +337,18 @@ def test_top_k_rows_equals_stable_sort_selection(kind, shape, dtype):
     for trial in range(4):
         pre, scale = _top_k_case(rng, kind, shape)
         pre = pre.astype(dtype)
-        seed = Tensor(rng.standard_normal(shape).astype(dtype))
         data = np.maximum(np.tanh(pre * np.asarray(scale, dtype=dtype)), 0.0)
         for k in (1, 2, n // 2, n - 1, n):
             mask = _top_k_mask_by_stable_sort(data, k)
             if k < n:
                 assert np.array_equal(T._top_k_mask(data, k), mask == 1), (trial, k)
-            x, x_ref = (Tensor(pre.copy(), requires_grad=True) for _ in range(2))
-            with Tape() as tape:
-                out = T.saturated_top_k(x, scale, k)
-                assert len(tape) == 1
-                tape.backward((out * seed).sum())
-            with Tape() as tape:
-                ref = _saturated_top_k_chain(x_ref, scale, k)
-                tape.backward((ref * seed).sum())
-            assert out.dtype == x.grad.dtype == dtype
-            assert out.data.tobytes() == ref.data.tobytes() == (data * mask).tobytes(), (trial, k)
-            assert x.grad.tobytes() == x_ref.grad.tobytes(), (trial, k)
+            x = Tensor(pre.copy(), requires_grad=True)
+            out, (grad,) = assert_matches_chain(ONE_RECORD_OPS["saturated_top_k"],
+                                                Trial([x], (scale, k)), rng)
+            assert out.tobytes() == (data * mask).tobytes(), (trial, k)
             # gradient flows through survivors only (a NaN entry's is NaN, as in the chain)
-            assert not x.grad[(mask == 0) & ~np.isnan(data)].any()
-            assert np.array_equal(np.isnan(out.data), np.isnan(data))
-
-
-def _attention_chain(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
-    """The reference: tensor's swapaxes, matmul and mul, a softmax record, then matmul."""
-    x = T.mul(T.matmul(q, T.swapaxes(k, -1, -2)), scale)
-    p = x.data - x.data.max(axis=-1, keepdims=True)  # the softmax op that attention replaced
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    scores = T._make(p, [(x, lambda g: p * (g - (g * p).sum(axis=-1, keepdims=True)))])
-    return T.matmul(scores, v)
+            assert not grad[(mask == 0) & ~np.isnan(data)].any()
+            assert np.array_equal(np.isnan(out), np.isnan(data))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -389,23 +357,8 @@ def _attention_chain(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
 def test_attention_equals_the_chain_of_tensor_ops(batch, n, dtype):
     # a 2-D q shared across a batched k and v, as fuse_graphs runs it
     rng = np.random.default_rng(zlib.crc32(f"{batch}{n}{dtype.__name__}".encode()))
-    dh = max(2, n // 4)
-    lead = () if batch is None else (batch,)
-    shapes = [(n, dh), lead + (n, dh), lead + (n, dh)]
-    data = [rng.uniform(-1.0, 1.0, s).astype(dtype) * 3.0 for s in shapes]
-    seed = Tensor(rng.standard_normal(lead + (n, dh)).astype(dtype))
-    scale = 1.0 / np.sqrt(dh)  # a float64 scalar, as fuse_graphs passes it
-    runs = []
-    for op in (T.attention, _attention_chain):
-        operands = [Tensor(d.copy(), requires_grad=True) for d in data]
-        with Tape() as tape:
-            out = op(*operands, scale)
-            tape.backward((out * seed).sum())
-        runs.append([out.data] + [t.grad for t in operands])
-    assert runs[0][0].dtype == dtype
-    for name, got, expected in zip(["out", "q", "k", "v"], *runs):
-        assert got.dtype == expected.dtype and got.shape == expected.shape, name
-        assert got.tobytes() == expected.tobytes(), name
+    trial = attention_trial(rng, dtype, n, () if batch is None else (batch,))
+    assert_matches_chain(ONE_RECORD_OPS["attention"], trial, rng)
 
 
 def test_attention_records_one_op_that_keeps_no_scores():
@@ -710,7 +663,7 @@ OPS = [
     ("add", lambda a, b: a + b, 2),
     ("sub", lambda a, b: a - b, 2),
     ("mul", lambda a, b: a * b, 2),
-    ("div", lambda a, b: a / (b + 3.0), 2),
+    ("div", lambda a, b: div(a, b + 3.0), 2),  # div and reshape: the reference chains' own
     ("matmul", lambda a, b: a @ b, "matmul"),
     ("tanh", lambda a: T.tanh(a), 1),
     ("sigmoid", lambda a: T.sigmoid(a), 1),
@@ -720,7 +673,7 @@ OPS = [
     ("attention", lambda q, k, v: T.attention(q, k, v, 0.7), "attention"),
     ("sum_axis", lambda a: a.sum(axis=0, keepdims=True), 1),
     ("mean", lambda a: a.mean(axis=1), 1),
-    ("reshape", lambda a: T.reshape(a, (6, 4)), 1),
+    ("reshape", lambda a: reshape(a, (6, 4)), 1),
     ("swapaxes", lambda a: T.swapaxes(a, 0, 2), 1),
     ("narrow", lambda a: T.narrow(a, 1, 1, 2), 1),
     ("broadcast_to", lambda a: T.broadcast_to(a, (3, 2, 3, 4)), 1),
