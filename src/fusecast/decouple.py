@@ -17,14 +17,6 @@ from .tensor import Tensor
 
 
 @dataclass
-class GateParams:
-    """One gating MLP: [2D+Nd, hidden] then [hidden, 1], no biases."""
-
-    w1: Tensor
-    w2: Tensor
-
-
-@dataclass
 class PatternFlows:
     """The G decoupled streams plus the G-1 gate ratio tensors."""
 
@@ -37,8 +29,9 @@ def decouple(x: Tensor, daily_lookup: Tensor, weekly_lookup: Tensor,
     """Split flow x [..., Th, N, C] into len(gates)+1 pattern streams.
 
     daily_lookup/weekly_lookup are the per-step pool slices [..., Th, N, D];
-    node_embed [N, Nd] is repeated across the window's time steps. With no
-    gates the single stream is x itself.
+    node_embed [N, Nd] is repeated across the window's time steps. Each
+    gate is a (w1 [2D+Nd, hidden], w2 [hidden, 1]) pair of weights with no
+    biases. With no gates the single stream is x itself.
     """
     if not gates:
         return PatternFlows(flows=[x], ratios=[])
@@ -48,8 +41,8 @@ def decouple(x: Tensor, daily_lookup: Tensor, weekly_lookup: Tensor,
 
     flows, ratios = [], []
     gated_total = None
-    for gate in gates:
-        ratio = T.sigmoid(T.matmul(T.matmul(features, gate.w1), gate.w2))
+    for w1, w2 in gates:
+        ratio = T.sigmoid(T.matmul(T.matmul(features, w1), w2))
         stream = T.mul(x, ratio)
         flows.append(stream)
         ratios.append(ratio)

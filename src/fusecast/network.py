@@ -43,47 +43,26 @@ checkpoint contract:
     decouple.{g}.{w1|w2}
     gru.{wz|wr|wh|uz|ur|uh|bz|br|bh}
     head.{w1|b1|w2|b2}, head.out.{weight|bias}
+
+This order is also the seeded draw order. The groups one function reads
+whole are plain sequences in it, passed as they are: gates, a (w1, w2)
+pair per gate for decouple; gru, the nine gru.*; head, the six head.*.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
 from .config import GraphConfig, ModelConfig
 from .data import DAYS_PER_WEEK, Normalizer
-from .decouple import GateParams, decouple
+from .decouple import decouple
 from .errors import ConfigError, ShapeError
 from .graphgen import (AttentionFusionParams, PatternGraphParams, TimeEmbeddingPools,
                        generate_pattern_graph, temporal_feature_matrix)
 from .tensor import Tensor, ordered_map
-
-
-@dataclass
-class GruParams:
-    wz: Tensor
-    wr: Tensor
-    wh: Tensor
-    uz: Tensor
-    ur: Tensor
-    uh: Tensor
-    bz: Tensor
-    br: Tensor
-    bh: Tensor
-
-
-@dataclass
-class HeadParams:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    out_weight: Tensor
-    out_bias: Tensor
 
 
 @contextmanager
@@ -178,8 +157,6 @@ def rgc_forward(h_in: Tensor, adjacency: Tensor, weight: Tensor, gamma: float) -
             kept = [prop, degree]
         del x, x_part, h, prop, degree
     out = np.swapaxes(stack @ w, -3, -2)
-    if not taped:
-        return Tensor(out)
     saved, need_a = [stack] + kept, adjacency.requires_grad
     return T._one_record(out, operands, lambda g: _rgc_backward(g, saved, w, d, scales, need_a))
 
@@ -243,12 +220,14 @@ def _sum_into(total, piece):
     return total
 
 
-def gru_forward(x_seq: Tensor, params: GruParams) -> Tensor:
+def gru_forward(x_seq: Tensor, weights) -> Tensor:
     """Shared-weight GRU over the time axis of [..., Th, N, d_in], as one tape record.
 
-    Nodes ride along as batch elements; the hidden state starts at a zero
-    [1, N, d_h] that every window shares, and the hidden states of every
-    step are stacked to [..., Th, N, d_h]. Each step computes
+    weights are the nine tensors wz, wr, wh [d_in, d_h], uz, ur, uh
+    [d_h, d_h] and bz, br, bh [d_h]. Nodes ride along as batch elements;
+    the hidden state starts at a zero [1, N, d_h] that every window shares,
+    and the hidden states of every step are stacked to [..., Th, N, d_h].
+    Each step computes
 
         z = sigmoid(x_t @ wz + h @ uz + bz)
         r = sigmoid(x_t @ wr + h @ ur + br)
@@ -262,76 +241,71 @@ def gru_forward(x_seq: Tensor, params: GruParams) -> Tensor:
     share one backward-through-time pass (see _gru_backward). Without a tape
     nothing outlives its step.
     """
-    operands = [x_seq] + [getattr(params, f.name) for f in fields(params)]
-    x, *weights = [t.data for t in operands]
-    wz, wr, wh, uz, ur, uh, bz, br, bh = weights
+    operands = [x_seq, *weights]
+    x, *arrays = [t.data for t in operands]
+    wz, wr, wh, uz, ur, uh, bz, br, bh = arrays
     if x.ndim < 3 or x.shape[-3] == 0 or x.shape[-1] != wz.shape[0]:
         raise ShapeError(f"gru: input {x.shape} is not [..., Th>0, N, d_in={wz.shape[0]}]")
     taped = T._taped(operands)
     th, n = x.shape[-3], x.shape[-2]
-    out = np.empty(x.shape[:-1] + (uz.shape[0],), dtype=np.result_type(x, *weights))
+    out = np.empty(x.shape[:-1] + (uz.shape[0],), dtype=np.result_type(x, *arrays))
     h = np.zeros((1, n, uz.shape[0]), dtype=x.dtype)
     saved = []  # (h_{t-1}, z, r, cand) of each step, under a tape
     for t in range(th):
         x_t = x[..., t:t + 1, :, :]
-        z = 0.5 * (np.tanh(0.5 * (x_t @ wz + h @ uz + bz)) + 1.0)
-        r = 0.5 * (np.tanh(0.5 * (x_t @ wr + h @ ur + br)) + 1.0)
+        z = T._sigmoid(x_t @ wz + h @ uz + bz)
+        r = T._sigmoid(x_t @ wr + h @ ur + br)
         cand = np.tanh(x_t @ wh + (r * h) @ uh + bh)
         if taped:
             saved.append((h, z, r, cand))
         h = (1.0 - z) * h + z * cand
         out[..., t:t + 1, :, :] = h
-    if not taped:
-        return Tensor(out)
-
-    return T._one_record(out, operands, lambda g: _gru_backward(g, x, weights, saved))
+    return T._one_record(out, operands, lambda g: _gru_backward(g, x, arrays, saved))
 
 
 def _gru_backward(g, x, weights, saved):
     """The gradients of x and of wz ... bh from the output's gradient g, emptying saved.
 
     Every expression is the pull of the op that the taped loop in
-    gru_forward's docstring records, at that op's shapes: a sigmoid's
-    g * out * (1 - out), a tanh's g * (1 - out * out), _unbroadcast for the
-    biases and for the zero state, which every window shares, and one
-    a.reshape(rows, K).T @ g.reshape(rows, n) per weight. A tape adds a
-    tensor's pieces in reverse record order, so h_{t-1} takes its output
-    slice first, then the 1 - z, r * h, ur and uz paths, and each weight
-    its pieces from the last step to the first. The gradients are therefore
-    bitwise the loop's for one list of records; across the two batch
-    halves, each weight's gradient adds one sum per half instead of one
-    piece per step, which reassociates.
+    gru_forward's docstring records, at that op's shapes: tensor's own
+    _sigmoid_pull, _tanh_pull, _matmul_pull_a and _matmul_pull_b, the mul
+    and sub pulls, and _unbroadcast for the biases and the zero state that
+    every window shares. A tape adds a tensor's pieces in reverse record
+    order, so h_{t-1} takes its output slice first, then the 1 - z, r * h,
+    ur and uz paths, and each weight its pieces from the last step to the
+    first. The gradients are therefore bitwise the loop's for one list of
+    records; across the two batch halves, each weight's gradient adds one
+    sum per half instead of one piece per step, which reassociates.
     """
     wz, wr, wh, uz, ur, uh, bz, br, bh = weights
-    th, d_in, d_h = x.shape[-3], x.shape[-1], uz.shape[0]
     gx = np.empty(x.shape, dtype=g.dtype)
     sums = [None] * len(weights)
-    gh = g[..., th - 1:th, :, :]
-    for t in reversed(range(th)):
+    gh = g[..., -1:, :, :]
+    for t in reversed(range(x.shape[-3])):
         h, z, r, cand = saved.pop()
-        x_t = x[..., t:t + 1, :, :]
+        x_t = np.ascontiguousarray(x[..., t:t + 1, :, :])  # one copy for three weight pulls
         gz = gh * cand + -(gh * h)  # z * cand's pull, then 1 - z's
-        ga_h = gh * z * (1.0 - cand * cand)  # z * cand's, then tanh's
+        ga_h = T._tanh_pull(gh * z, cand)  # z * cand's, then tanh's
         rh = r * h
-        grh = ga_h @ uh.T
-        ga_r = grh * h * r * (1.0 - r)  # r * h's, then sigmoid's
-        ga_z = gz * z * (1.0 - z)
-        gx[..., t:t + 1, :, :] = ga_h @ wh.T + ga_r @ wr.T + ga_z @ wz.T
+        grh = T._matmul_pull_a(ga_h, uh, rh.shape)
+        ga_r = T._sigmoid_pull(grh * h, r)  # r * h's, then sigmoid's
+        ga_z = T._sigmoid_pull(gz, z)
+        gx[..., t:t + 1, :, :] = (T._matmul_pull_a(ga_h, wh, x_t.shape)
+                                  + T._matmul_pull_a(ga_r, wr, x_t.shape)
+                                  + T._matmul_pull_a(ga_z, wz, x_t.shape))
         # h @ ur's and h @ uz's output; at t = 0 it is summed over the windows
         gr_h, gz_h = T._unbroadcast(ga_r, h.shape), T._unbroadcast(ga_z, h.shape)
-        x_rows = x_t.reshape(math.prod(x_t.shape[:-1]), d_in)
-        h_rows = h.reshape(math.prod(h.shape[:-1]), d_h)
         # this step's pieces of wz, wr, wh, uz, ur, uh, bz, br, bh
-        step = [x_rows.T @ ga.reshape(len(x_rows), d_h) for ga in (ga_z, ga_r, ga_h)]
-        step += [h_rows.T @ ga.reshape(len(h_rows), d_h) for ga in (gz_h, gr_h)]
-        step.append(rh.reshape(len(x_rows), d_h).T @ ga_h.reshape(len(x_rows), d_h))
+        step = [T._matmul_pull_b(ga, x_t, wz.shape) for ga in (ga_z, ga_r, ga_h)]
+        step += [T._matmul_pull_b(ga, h, uz.shape) for ga in (gz_h, gr_h)]
+        step.append(T._matmul_pull_b(ga_h, rh, uh.shape))
         step += [T._unbroadcast(ga, b.shape) for ga, b in ((ga_z, bz), (ga_r, br), (ga_h, bh))]
         sums = [_sum_into(total, piece) for total, piece in zip(sums, step)]
         if t:
             gh = g[..., t - 1:t, :, :] + gh * (1.0 - z)
             gh += grh * r
-            gh += gr_h @ ur.T
-            gh += gz_h @ uz.T
+            gh += T._matmul_pull_a(gr_h, ur, h.shape)
+            gh += T._matmul_pull_a(gz_h, uz, h.shape)
     return [gx] + sums
 
 
@@ -350,9 +324,10 @@ def dropout(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:
     return T._make(x.data * scaled(), [(x, lambda g: g * scaled())])
 
 
-def regression_head(parts, params: HeadParams, horizon: int) -> Tensor:
+def regression_head(parts, weights, horizon: int) -> Tensor:
     """The skip-connection head over [..., Th, N, d_i] parts, as one tape record.
 
+    weights are the six tensors w1, b1, w2, b2, out_weight and out_bias.
     It maps the parts to a [..., horizon, N, C] prediction as this chain of
     tensor ops does, time folded into channels per node and mapped to the
     whole horizon at once:
@@ -370,8 +345,7 @@ def regression_head(parts, params: HeadParams, horizon: int) -> Tensor:
     each array is freed once the next is made. A mis-shaped operand raises
     ShapeError before any compute.
     """
-    tensors = [getattr(params, f.name) for f in fields(params)]
-    w1, b1, w2, b2, w_out, b_out = [t.data for t in tensors]
+    w1, b1, w2, b2, w_out, b_out = [t.data for t in weights]
     lead = parts[0].shape[:-1]
     if len(lead) < 2 or any(p.shape[:-1] != lead for p in parts):
         shapes = ", ".join(str(p.shape) for p in parts)
@@ -380,12 +354,15 @@ def regression_head(parts, params: HeadParams, horizon: int) -> Tensor:
     want = {"w1": (sum(p.shape[-1] for p in parts), hidden_dim), "b1": (hidden_dim,),
             "w2": (hidden_dim, hc), "b2": (hc,), "out.weight": (th * hc, out_dim),
             "out.bias": (out_dim,)}
-    for (name, shape), t in zip(want.items(), tensors):
+    for (name, shape), t in zip(want.items(), weights):
         if t.shape != shape:
             raise ShapeError(f"regression head: {name} is {t.shape}, not {shape}")
     if out_dim % horizon:
         raise ShapeError(f"regression head: {out_dim} outputs do not split into {horizon} steps")
-    taped = T._taped(tensors + list(parts))
+    # out.bias, out.weight, b2, w2, b1, w1, then the parts: the chain's
+    # records add their pieces from its last op back
+    operands = [*weights[::-1], *parts]
+    taped = T._taped(operands)
 
     h_skip = np.concatenate([p.data for p in parts], axis=-1)
     np.maximum(h_skip, 0.0, out=h_skip)
@@ -402,14 +379,9 @@ def regression_head(parts, params: HeadParams, horizon: int) -> Tensor:
     del hidden, per_node
     mapped = _affine(flat, w_out, b_out)
     out = np.swapaxes(mapped.reshape(mapped.shape[:-1] + (horizon, out_dim // horizon)), -3, -2)
-    if not taped:
-        return Tensor(out)
     saved.append(flat)
     arrays, widths = (w1, w2, w_out), [p.shape[-1] for p in parts]
-    # out_bias, out_weight, b2, w2, b1, w1, then the parts: the chain's records
-    # add their pieces from its last op back
-    return T._one_record(out, tensors[::-1] + list(parts),
-                         lambda g: _head_backward(g, saved, arrays, widths))
+    return T._one_record(out, operands, lambda g: _head_backward(g, saved, arrays, widths))
 
 
 def _affine(a, w, b):
@@ -554,39 +526,25 @@ class Forecaster:
                 self._matrix(f"{p}.rgc{m}.weight", (k * d, d)) for m in range(m_iter)
             ])
 
-        self.gates = [
-            GateParams(
-                w1=self._matrix(f"decouple.{g}.w1", (2 * d_time + nd, cfg.gate_hidden)),
-                w2=self._matrix(f"decouple.{g}.w2", (cfg.gate_hidden, 1)),
-            )
-            for g in range(g_pat - 1)
-        ]
+        self.gates = [(self._matrix(f"decouple.{g}.w1", (2 * d_time + nd, cfg.gate_hidden)),
+                       self._matrix(f"decouple.{g}.w2", (cfg.gate_hidden, 1)))
+                      for g in range(g_pat - 1)]
 
         d_in = g_pat * m_iter * d
         d_h = m_iter * d
-        self.gru = GruParams(
-            wz=self._matrix("gru.wz", (d_in, d_h)),
-            wr=self._matrix("gru.wr", (d_in, d_h)),
-            wh=self._matrix("gru.wh", (d_in, d_h)),
-            uz=self._matrix("gru.uz", (d_h, d_h)),
-            ur=self._matrix("gru.ur", (d_h, d_h)),
-            uh=self._matrix("gru.uh", (d_h, d_h)),
-            bz=self._zeros("gru.bz", (d_h,)),
-            br=self._zeros("gru.br", (d_h,)),
-            bh=self._zeros("gru.bh", (d_h,)),
-        )
+        self.gru = ([self._matrix(f"gru.{w}", (d_in, d_h)) for w in ("wz", "wr", "wh")]
+                    + [self._matrix(f"gru.{u}", (d_h, d_h)) for u in ("uz", "ur", "uh")]
+                    + [self._zeros(f"gru.{b}", (d_h,)) for b in ("bz", "br", "bh")])
 
         skip = d_h + d_in + cfg.channels + 2 * d_time
         out_in = cfg.history_steps * cfg.head_channels
         out_dim = cfg.horizon_steps * cfg.channels
-        self.head = HeadParams(
-            w1=self._matrix("head.w1", (skip, cfg.head_hidden)),
-            b1=self._zeros("head.b1", (cfg.head_hidden,)),
-            w2=self._matrix("head.w2", (cfg.head_hidden, cfg.head_channels)),
-            b2=self._zeros("head.b2", (cfg.head_channels,)),
-            out_weight=self._matrix("head.out.weight", (out_in, out_dim)),
-            out_bias=self._zeros("head.out.bias", (out_dim,)),
-        )
+        self.head = [self._matrix("head.w1", (skip, cfg.head_hidden)),
+                     self._zeros("head.b1", (cfg.head_hidden,)),
+                     self._matrix("head.w2", (cfg.head_hidden, cfg.head_channels)),
+                     self._zeros("head.b2", (cfg.head_channels,)),
+                     self._matrix("head.out.weight", (out_in, out_dim)),
+                     self._zeros("head.out.bias", (out_dim,))]
 
     # -- state handling ----------------------------------------------------
 

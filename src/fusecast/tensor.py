@@ -302,13 +302,14 @@ def _make(out_data: np.ndarray, pulls) -> Tensor:
 
 
 def _one_record(out_data: np.ndarray, operands, backward) -> Tensor:
-    """Record out_data as one op whose backward(g) makes every operand's gradient at once.
+    """_make for one op whose backward(g) makes every operand's gradient at once.
 
     backward maps the output's gradient to the operands' gradients, in
     operand order. It runs once, in the first pull that runs, and each pull
     then hands out its own operand's piece, so the operands are listed in
     the order the chain of ops the record stands for would add their
     pieces. Like any pull, backward closes over arrays and shapes only.
+    Without a tape, as in _make, out_data comes back as an unrecorded tensor.
     """
     pieces = {}  # operand index -> gradient, filled by the first pull that runs
 
@@ -485,20 +486,37 @@ def _matmul_pull_b(g, a, b_shape):
 
 def tanh(x: Tensor):
     out_data = np.tanh(x.data)
-    return _make(out_data, [(x, lambda g: g * (1.0 - out_data * out_data))])
+    return _make(out_data, [(x, lambda g: _tanh_pull(g, out_data))])
 
 
 def sigmoid(x: Tensor):
-    # tanh form cannot overflow on either tail
-    out_data = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
-    return _make(out_data, [(x, lambda g: g * out_data * (1.0 - out_data))])
+    out_data = _sigmoid(x.data)
+    return _make(out_data, [(x, lambda g: _sigmoid_pull(g, out_data))])
 
 
 def relu(x: Tensor):
     # the output is positive exactly where x is (NaN and -0.0 included), so
     # the pull reads the mask from it and x's buffer can be freed
     out_data = np.maximum(x.data, 0.0)
-    return _make(out_data, [(x, lambda g: g * (out_data > 0))])
+    return _make(out_data, [(x, lambda g: _relu_pull(g, out_data))])
+
+
+def _sigmoid(x):
+    """sigmoid in its tanh form, which cannot overflow on either tail."""
+    return 0.5 * (np.tanh(0.5 * x) + 1.0)
+
+
+# The pulls of tanh, sigmoid and relu: the input's gradient from g and the output
+def _tanh_pull(g, out):
+    return g * (1.0 - out * out)
+
+
+def _sigmoid_pull(g, out):
+    return g * out * (1.0 - out)
+
+
+def _relu_pull(g, out):
+    return g * (out > 0)
 
 
 def abs_(x: Tensor):
@@ -604,11 +622,11 @@ def saturated_top_k(x: Tensor, scale: float, k: int):
     the ReLU run in place in the one fresh buffer scale * x, and the
     selection (_top_k_mask) multiplies it by its mask, so the output holds
     the bits of tensor's mul, tanh, relu and the selection applied in turn.
-    The record keeps only that output a: its pull is
-    g * (a > 0) * (1 - a * a) * scale, the relu's and tanh's pulls read
-    from a. Where the selection zeroed an entry, or the ReLU did, a > 0 is
-    False and the gradient is the same signed zero (or NaN) the chain's
-    mask gives, so the gradient's bits are the chain's too.
+    The record keeps only that output a: its pull is relu's pull and then
+    tanh's, both read from a, times scale. Where the selection zeroed an
+    entry, or the ReLU did, a > 0 is False and the gradient is the same
+    signed zero (or NaN) the chain's mask gives, so the gradient's bits are
+    the chain's too.
     """
     n = x.shape[-1]
     if not 1 <= k <= n:
@@ -620,10 +638,7 @@ def saturated_top_k(x: Tensor, scale: float, k: int):
     if k < n:
         out_data *= _top_k_mask(out_data, k)  # x * 1.0 or x * 0.0, as a float mask gives
 
-    def pull(g):
-        return g * (out_data > 0) * (1.0 - out_data * out_data) * scale
-
-    return _make(out_data, [(x, pull)])
+    return _make(out_data, [(x, lambda g: _tanh_pull(_relu_pull(g, out_data), out_data) * scale)])
 
 
 def _top_k_mask(x: np.ndarray, k: int) -> np.ndarray:

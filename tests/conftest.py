@@ -1,14 +1,11 @@
 """Shared fixtures and helpers.
 
-The tests run BLAS on one thread, as the CLI and perfbench do: the batch
-halves already keep two CPUs busy, and an explicit setting in the
-environment still wins.
+The tests run BLAS on one thread, as the CLI and perfbench do: importing
+fusecast.cli first sets the CLI's defaults before numpy loads, and an
+explicit setting in the environment still wins.
 """
 
-import os
-
-for _blas_threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_blas_threads, "1")  # read once, when numpy loads below
+import fusecast.cli  # noqa: F401  (before numpy: it sets the BLAS thread defaults)
 
 import dataclasses
 import threading

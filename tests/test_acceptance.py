@@ -13,7 +13,7 @@ import pytest
 from conftest import toy_graph_config, toy_model_config
 from fusecast.config import GraphConfig, ModelConfig, RunConfig, TrainConfig, load_config, preset_path
 from fusecast.data import fit_normalizer, make_synthetic, save_series, split_and_window
-from fusecast.decouple import GateParams, decouple
+from fusecast.decouple import decouple
 from fusecast.graphgen import AttentionFusionParams, build_directed_graph, fuse_graphs
 from fusecast.network import Forecaster, normalized_propagation, rgc_forward
 from fusecast.optim import grad_check, randomize_parameters
@@ -44,8 +44,8 @@ def test_conservation_over_random_draws():
         daily = Tensor(rng.standard_normal((th, n, d_time)))
         weekly = Tensor(rng.standard_normal((th, n, d_time)))
         embed = Tensor(rng.standard_normal((n, nd)))
-        gates = [GateParams(w1=Tensor(rng.standard_normal((2 * d_time + nd, hidden))),
-                            w2=Tensor(rng.standard_normal((hidden, 1))))
+        gates = [(Tensor(rng.standard_normal((2 * d_time + nd, hidden))),
+                  Tensor(rng.standard_normal((hidden, 1))))
                  for _ in range(g - 1)]
         flows = decouple(x, daily, weekly, embed, gates)
         total = sum(f.data for f in flows.flows)

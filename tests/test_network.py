@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 import threading
 import tracemalloc
@@ -11,8 +12,8 @@ from fusecast import network
 from fusecast import tensor as T
 from fusecast.data import Normalizer
 from fusecast.errors import ConfigError, ShapeError
-from fusecast.network import (Forecaster, GruParams, _stage, dropout, gru_forward,
-                              normalized_propagation, rgc_forward)
+from fusecast.network import (Forecaster, _stage, dropout, gru_forward, normalized_propagation,
+                              rgc_forward)
 from fusecast.optim import randomize_parameters
 from fusecast.tensor import Tape, Tensor
 from fusecast.training import masked_mae_loss
@@ -203,22 +204,20 @@ def test_channel_lift_matches_linear_map():
     assert np.array_equal((x @ Tensor(np.zeros((1, 2)))).data, np.zeros((1, 1, 2)))
 
 
-def _zero_gru(d_in, d_h):
-    z = lambda shape: Tensor(np.zeros(shape))
-    return GruParams(wz=z((d_in, d_h)), wr=z((d_in, d_h)), wh=z((d_in, d_h)),
-                     uz=z((d_h, d_h)), ur=z((d_h, d_h)), uh=z((d_h, d_h)),
-                     bz=z((d_h,)), br=z((d_h,)), bh=z((d_h,)))
+def _gru_weights(d_in, d_h, fill):
+    """wz ... bh, each fill(shape) as a tensor, in gru_forward's order."""
+    shapes = [(d_in, d_h)] * 3 + [(d_h, d_h)] * 3 + [(d_h,)] * 3
+    return [Tensor(fill(shape)) for shape in shapes]
 
 
 def test_gru_zero_weights_zero_input_stays_zero():
-    out = gru_forward(Tensor(np.zeros((4, 3, 2))), _zero_gru(2, 2))
+    out = gru_forward(Tensor(np.zeros((4, 3, 2))), _gru_weights(2, 2, np.zeros))
     assert np.array_equal(out.data, np.zeros((4, 3, 2)))
 
 
 def test_gru_single_step_shape():
     rng = np.random.default_rng(4)
-    params = _zero_gru(3, 2)
-    out = gru_forward(Tensor(rng.standard_normal((1, 5, 3))), params)
+    out = gru_forward(Tensor(rng.standard_normal((1, 5, 3))), _gru_weights(3, 2, np.zeros))
     assert out.shape == (1, 5, 2)
 
 
@@ -226,12 +225,9 @@ def test_gru_hidden_stays_inside_unit_ball():
     # h_t is a convex mix of h_{t-1} and tanh output, so |h| < 1 from h_0 = 0
     rng = np.random.default_rng(5)
     d_in, d_h = 3, 4
-    u = lambda shape: Tensor(rng.standard_normal(shape) * 2.0)
-    params = GruParams(wz=u((d_in, d_h)), wr=u((d_in, d_h)), wh=u((d_in, d_h)),
-                       uz=u((d_h, d_h)), ur=u((d_h, d_h)), uh=u((d_h, d_h)),
-                       bz=u((d_h,)), br=u((d_h,)), bh=u((d_h,)))
+    weights = _gru_weights(d_in, d_h, lambda shape: rng.standard_normal(shape) * 2.0)
     x = Tensor(rng.standard_normal((2, 20, 5, d_in)) * 3.0)
-    out = gru_forward(x, params)
+    out = gru_forward(x, weights)
     assert np.abs(out.data).max() < 1.0
 
 
@@ -546,6 +542,41 @@ def test_state_roundtrip_preserves_predictions(toy_setup):
                        normalizer=model.normalizer, dtype=np.float64, seed=999)
     fresh.load_state(state)
     assert np.array_equal(fresh.forward_batch(hist, tod, dow).data, before)
+
+
+def test_parameter_order_and_seeded_values_are_the_checkpoint_contract():
+    """The toy model's ordered (name, shape) list and the sha256 of its seeded float32 state().
+
+    Registration order is the checkpoint's record order and the order in
+    which the seeded initialization draws, so a rebuilt _build must keep
+    both. The names follow the scheme in network's module docstring, at
+    the toy preset's sizes for N=4 nodes and 8 steps per day.
+    """
+    n, nd, d_time, d, gru_in, gru_h = 4, 3, 3, 4, 16, 8
+    want = [("time_pool.daily", (8, n, d_time)), ("time_pool.weekly", (7, n, d_time))]
+    for g in range(2):
+        p = f"pattern{g}"
+        want += [(f"{p}.spatial_emb.{e}", (n, nd)) for e in ("e1", "e2")]
+        want += [(f"{p}.fusion.{graph}.{w}", (nd, nd) if graph == "spatial" else (d_time, d_time))
+                 for graph in ("spatial", "temporal") for w in ("w1", "w2")]
+        want += [(f"{p}.fusion.attn.head{h}.{w}", (n, 2))
+                 for h in range(2) for w in ("wq", "wk", "wv")]
+        want += [(f"{p}.fusion.attn.wo", (4, n)), (f"{p}.project.weight", (1, d)),
+                 (f"{p}.project.bias", (d,))]
+        want += [(f"{p}.rgc{m}.weight", (2 * d, d)) for m in range(2)]
+    want += [("decouple.0.w1", (2 * d_time + nd, 6)), ("decouple.0.w2", (6, 1))]
+    want += [(f"gru.{w}", (gru_in, gru_h)) for w in ("wz", "wr", "wh")]
+    want += [(f"gru.{u}", (gru_h, gru_h)) for u in ("uz", "ur", "uh")]
+    want += [(f"gru.{b}", (gru_h,)) for b in ("bz", "br", "bh")]
+    want += [("head.w1", (gru_h + gru_in + 1 + 2 * d_time, 6)), ("head.b1", (6,)),
+             ("head.w2", (6, 6)), ("head.b2", (6,)), ("head.out.weight", (4 * 6, 2)),
+             ("head.out.bias", (2,))]
+    state = Forecaster(n, 8, toy_model_config(), toy_graph_config(), RAW,
+                       dtype=np.float32, seed=0).state()
+    assert [(name, a.shape) for name, a in state.items()] == want
+    assert all(a.dtype == np.float32 for a in state.values())
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in state.values())).hexdigest()
+    assert digest == "155a6d0eb3f225df23e5bc57d7d7a600797cbf1635a1cd3242581bd95dccbbda"
 
 
 def test_head_dim_invariant_enforced():

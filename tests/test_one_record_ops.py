@@ -30,8 +30,7 @@ from conftest import fd_gradient, flat_records, held_bytes, rel_err
 from fusecast import network
 from fusecast import tensor as T
 from fusecast.errors import ShapeError
-from fusecast.network import (GruParams, HeadParams, dropout, gru_forward, regression_head,
-                              rgc_forward)
+from fusecast.network import dropout, gru_forward, regression_head, rgc_forward
 from fusecast.tensor import Tape, Tensor
 
 # -- the chains --------------------------------------------------------------
@@ -80,18 +79,18 @@ def _attention_chain(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     return T.matmul(scores, v)
 
 
-def _taped_gru(x_seq, params):
+def _taped_gru(x_seq, weights):
     """The loop of tensor ops that gru_forward's one record replaces."""
+    wz, wr, wh, uz, ur, uh, bz, br, bh = weights
     th = x_seq.shape[-3]
     n = x_seq.shape[-2]
-    d_h = params.uz.shape[0]
-    h = Tensor(np.zeros((1, n, d_h), dtype=x_seq.dtype))
+    h = Tensor(np.zeros((1, n, uz.shape[0]), dtype=x_seq.dtype))
     outputs = []
     for t in range(th):
         x_t = T.narrow(x_seq, -3, t, 1)
-        z = T.sigmoid(x_t @ params.wz + h @ params.uz + params.bz)
-        r = T.sigmoid(x_t @ params.wr + h @ params.ur + params.br)
-        cand = T.tanh(x_t @ params.wh + (r * h) @ params.uh + params.bh)
+        z = T.sigmoid(x_t @ wz + h @ uz + bz)
+        r = T.sigmoid(x_t @ wr + h @ ur + br)
+        cand = T.tanh(x_t @ wh + (r * h) @ uh + bh)
         h = T.sub(1.0, z) * h + z * cand
         outputs.append(h)
     return T.concat(outputs, axis=-3)
@@ -132,14 +131,15 @@ def _broadcast_rgc(h_in, adjacency, weight, gamma):
     return T.matmul(stacked, weight)
 
 
-def _head_chain(parts, params, horizon):
+def _head_chain(parts, weights, horizon):
     """The chain of tensor ops that regression_head's one record replaces."""
+    w1, b1, w2, b2, out_weight, out_bias = weights
     h_skip = T.relu(T.concat(parts, axis=-1))
-    hidden = T.relu(h_skip @ params.w1 + params.b1) @ params.w2 + params.b2
+    hidden = T.relu(h_skip @ w1 + b1) @ w2 + b2
     per_node = T.swapaxes(hidden, -3, -2)
     lead = per_node.shape[:-2]
     flat = reshape(per_node, lead + (per_node.shape[-2] * per_node.shape[-1],))
-    mapped = flat @ params.out_weight + params.out_bias
+    mapped = flat @ out_weight + out_bias
     mapped = reshape(mapped, lead + (horizon, mapped.shape[-1] // horizon))
     return T.swapaxes(mapped, -3, -2)
 
@@ -288,11 +288,11 @@ def _flat(fn):
 
 
 def _gru(fn):
-    return lambda operands: fn(operands[0], GruParams(*operands[1:]))
+    return lambda operands: fn(operands[0], operands[1:])
 
 
 def _head(fn):
-    return lambda operands, horizon: fn(operands[:5], HeadParams(*operands[5:]), horizon)
+    return lambda operands, horizon: fn(operands[:5], operands[5:], horizon)
 
 
 ONE_RECORD_OPS = {
