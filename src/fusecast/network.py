@@ -5,7 +5,8 @@ skip-connection regression head.
 The residual graph convolution (rgc_forward), the GRU (gru_forward), the
 dropout on its output (dropout) and the regression head (regression_head)
 are each one tape record that keeps only what its hand-written backward
-reads, with the bits of the chain of tensor ops it stands for. A pattern's
+reads, with the bits of the chain of tensor ops it stands for; the
+convolution's backward rebuilds its level stack from its input. A pattern's
 M graph-convolution blocks differ only in their mixing weights, so one
 rgc_forward call propagates once and mixes by the M weights side by side.
 
@@ -105,12 +106,12 @@ def rgc_forward(h_in: Tensor, adjacency: Tensor, weight: Tensor, gamma: float) -
 
     Node-major, the [..., N, N] (or [N, N]) operator propagates all Th
     steps in one product and its gradient never materializes
-    [..., Th, N, N]. Each level is computed with its ops' expressions and
-    written straight into one [..., N, Th, depth*d] stack, the operand of
-    the mixing product, so the output is the chain's bits. Under a tape the
-    record keeps only the stack, P and its degree (at depth 1 the stack is
-    h_in's node-major view and there is no P), and its backward is
-    _rgc_backward. Without a tape P is freed before the mixing product.
+    [..., Th, N, N]. _rgc_stack writes each level, computed with its ops'
+    expressions, straight into one [..., N, Th, depth*d] stack, the operand
+    of the mixing product, so the output is the chain's bits. Under a tape
+    the record keeps h_in, P and its degree (at depth 1 there is no P), not
+    the stack, which _rgc_backward rebuilds. Without a tape P is freed
+    before the mixing product.
 
     A weight whose row count is not a positive multiple of d, an adjacency
     whose last two axes are not [N, N], or one whose leading axes do not
@@ -135,30 +136,40 @@ def rgc_forward(h_in: Tensor, adjacency: Tensor, weight: Tensor, gamma: float) -
                          f"broadcast to input {x_data.shape}'s")
     depth = w.shape[0] // d
     operands = [weight, h_in] + ([adjacency] if depth > 1 else [])
-    taped = T._taped(operands)
-
-    node_major = np.swapaxes(x_data, -3, -2)
-    stack, kept, scales = node_major, [], None  # kept: P and its degree, under a tape
+    saved = [np.swapaxes(x_data, -3, -2)]  # h_in node-major, then P and its degree
+    scales, need_a, stack = None, adjacency.requires_grad, saved[0]
     if depth > 1:
         prop, degree = normalized_propagation(a)
-        x = node_major.reshape(lead + (n, th * d))
-        stack = np.empty(lead + (n, th, depth * d), dtype=np.result_type(x, prop))
-        stack[..., :d] = node_major
         # gamma and 1 - gamma in the dtypes of the products they scale
-        scales = x.dtype.type(gamma), stack.dtype.type(1.0 - gamma)
-        x_part = x * scales[0]
-        h = x
-        for i in range(1, depth):
-            h = prop @ h
-            h *= scales[1]
-            h += x_part  # x * gamma + (P @ h) * (1 - gamma): an add commutes bitwise
-            stack[..., i * d:(i + 1) * d] = h.reshape(lead + (n, th, d))
-        if taped:
-            kept = [prop, degree]
-        del x, x_part, h, prop, degree
+        scales = x_data.dtype.type(gamma), np.result_type(x_data, prop).type(1.0 - gamma)
+        stack = _rgc_stack(saved[0], prop, scales, depth)
+        if T._taped(operands):
+            saved += [prop, degree]
+        del prop, degree
     out = np.swapaxes(stack @ w, -3, -2)
-    saved, need_a = [stack] + kept, adjacency.requires_grad
     return T._one_record(out, operands, lambda g: _rgc_backward(g, saved, w, d, scales, need_a))
+
+
+def _rgc_stack(node_major, prop, scales, depth, levels=None):
+    """rgc_forward's [..., N, Th, depth*d] level stack of h_in's node-major view.
+
+    Each level is computed with its ops' expressions, in the chain's order.
+    A levels list takes h_0 ... h_{depth-2} in the chain's [..., N, Th*d] layout.
+    """
+    lead, (n, th, d) = node_major.shape[:-3], node_major.shape[-3:]
+    x = node_major.reshape(lead + (n, th * d))
+    stack = np.empty(lead + (n, th, depth * d), dtype=np.result_type(x, prop))
+    stack[..., :d] = node_major
+    x_part = x * scales[0]
+    h = x
+    for i in range(1, depth):
+        if levels is not None:
+            levels.append(h)
+        h = prop @ h
+        h *= scales[1]
+        h += x_part  # x * gamma + (P @ h) * (1 - gamma): an add commutes bitwise
+        stack[..., i * d:(i + 1) * d] = h.reshape(lead + (n, th, d))
+    return stack
 
 
 def _rgc_backward(g, saved, weight, d, scales, need_a):
@@ -174,34 +185,38 @@ def _rgc_backward(g, saved, weight, d, scales, need_a):
     its level's, x takes the x * gamma pieces from the deepest level back,
     with P @ x's just before the first level's, and P takes one piece per
     product from the deepest back. So the gradients are the chain's bits.
-    Each h_{i-1} that P's pull reads is copied out of the stack into the
-    chain's contiguous [..., N, Th*d] layout. Without need_a, an adjacency
-    with no slot (a predefined graph), P's gradient is not made.
+    _rgc_stack rebuilds the stack that the mixing product's pulls read,
+    and the h_0 ... h_{depth-2} that P's pull reads. Without need_a, an
+    adjacency with no slot (a predefined graph), P's gradient is not made
+    and no level is kept.
     """
-    stack, *operator = saved
+    node_major, *operator = saved
     saved.clear()
     g_mixed = np.swapaxes(g, -3, -2)
+    if not operator:  # depth 1: the stack is h_in's node-major view
+        return [T._matmul_pull_b(g_mixed, node_major, weight.shape),
+                np.swapaxes(T._matmul_pull_a(g_mixed, weight, node_major.shape), -3, -2)]
+    prop, degree = operator
+    depth, levels = weight.shape[0] // d, [] if need_a else None
+    stack = _rgc_stack(node_major, prop, scales, depth, levels)
+    lead, (n, th) = node_major.shape[:-3], node_major.shape[-3:-1]
+    del node_major
     g_w = T._matmul_pull_b(g_mixed, stack, weight.shape)
     g_cat = T._matmul_pull_a(g_mixed, weight, stack.shape)
-    if not operator:  # depth 1: the stack is h_in's node-major view
-        return [g_w, np.swapaxes(g_cat, -3, -2)]
-    prop, degree = operator
-    lead, (n, th) = stack.shape[:-3], stack.shape[-3:-1]
+    del stack
     h_shape = lead + (n, th * d)
     g_x = g_prop = g_below = None  # g_below: h_{i-1}'s piece from P @ h_{i-1}
-    for i in range(stack.shape[-1] // d - 1, 0, -1):
+    for i in range(depth - 1, 0, -1):
         g_h = _sum_into(g_below, g_cat[..., i * d:(i + 1) * d].reshape(h_shape))
         g_ph = g_h * scales[1]
         if need_a:
-            h_prev = np.ascontiguousarray(stack[..., (i - 1) * d:i * d]).reshape(h_shape)
-            g_prop = _sum_into(g_prop, T._matmul_pull_a(g_ph, h_prev, prop.shape))
-            del h_prev
+            g_prop = _sum_into(g_prop, T._matmul_pull_a(g_ph, levels.pop(), prop.shape))
         g_below = T._matmul_pull_b(g_ph, prop, h_shape)
         del g_ph
         if i == 1:
             g_x = _sum_into(g_x, g_below)
         g_x = _sum_into(g_x, g_h * scales[0])
-    del stack, g_h, g_below
+    del g_h, g_below
     g_h_in = np.swapaxes(g_cat[..., :d] + g_x.reshape(lead + (n, th, d)), -3, -2)
     del g_cat, g_x
     if not need_a:

@@ -77,43 +77,45 @@ def test_rgc_weight_rows_not_a_multiple_of_d_fail():
             rgc_forward(h, a, w, 0.5)
 
 
-# (lead, batched adjacency, Th, N, d, depth, gamma, h_in has a slot)
+# (lead, batched adjacency, Th, N, d, depth, gamma, h_in has a slot, adjacency has a slot)
 RGC_CHAIN_CASES = [
-    ((3,), True, 4, 6, 4, 2, 0.1, True),
-    ((3,), False, 4, 6, 4, 2, 0.1, True),
-    ((), False, 4, 6, 4, 3, 0.1, True),
-    ((3,), True, 4, 6, 4, 1, 0.1, True),
-    ((3,), True, 4, 6, 4, 3, 0.0, True),
-    ((3,), True, 4, 6, 4, 3, 1.0, True),
-    ((3,), True, 4, 6, 4, 3, 0.3, False),
-    ((2,), True, 12, 50, 8, 4, 0.1, True),
-    ((2,), False, 12, 170, 32, 3, 0.1, True),
+    ((3,), True, 4, 6, 4, 2, 0.1, True, True),
+    ((3,), False, 4, 6, 4, 2, 0.1, True, True),
+    ((), False, 4, 6, 4, 3, 0.1, True, True),
+    ((3,), True, 4, 6, 4, 1, 0.1, True, True),
+    ((3,), True, 4, 6, 4, 3, 0.0, True, True),
+    ((3,), True, 4, 6, 4, 3, 1.0, True, True),
+    ((3,), True, 4, 6, 4, 3, 0.3, False, True),
+    ((2,), True, 12, 50, 8, 4, 0.1, True, True),
+    ((2,), False, 12, 170, 32, 3, 0.1, True, True),
+    ((3,), False, 4, 6, 4, 3, 0.3, True, False),
 ]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("case", RGC_CHAIN_CASES,
                          ids=["batched-adj", "shared-adj", "unbatched", "depth-1", "gamma-0",
-                              "gamma-1", "h-without-slot", "depth-4", "pems08-shared-adj"])
+                              "gamma-1", "h-without-slot", "depth-4", "pems08-shared-adj",
+                              "predefined-adj-without-slot"])
 def test_rgc_forward_equals_the_chain_of_tensor_ops(case, dtype):
-    lead, batched, th, n, d, depth, gamma, h_slot = case
+    lead, batched, th, n, d, depth, gamma, h_slot, a_slot = case
     rng = np.random.default_rng(n * depth + len(lead))
-    trial = rgc_trial(rng, dtype, lead, batched, th, n, d, depth, gamma, h_slot, shared=())
+    trial = rgc_trial(rng, dtype, lead, batched, th, n, d, depth, gamma, h_slot, a_slot, ())
     _, grads = assert_matches_chain(RGC, trial, rng)
-    assert (grads[0] is None) != h_slot and (grads[1] is None) == (depth == 1)
+    assert (grads[0] is None) != h_slot and (grads[1] is None) == (depth == 1 or not a_slot)
 
 
-def test_rgc_record_keeps_the_operator_degree_and_stack():
-    """One call's record holds P [B, N, N], its degree [B, N, 1] and the level stack, pinned.
+def test_rgc_record_keeps_its_input_the_operator_and_degree():
+    """One call's record holds h_in, P [B, N, N], its degree [B, N, 1] and the weight, pinned.
 
-    Built from tensor ops, the chain kept also the node-major x and every
-    level but the last in their own buffers beside the concatenated stack
-    (5 levels' bytes at depth 3 against 3 here), so a record that keeps
-    them again fails here.
+    Built from tensor ops, the chain kept also the node-major x, every level
+    but the last and the concatenated [B, N, Th, depth*d] stack (5 levels'
+    bytes at depth 3); the record keeps h_in alone and rebuilds the levels
+    in backward, so a record that keeps any of them again fails here.
     """
     batch, th, n, d, depth = 4, 12, 20, 8, 3
     trial = rgc_trial(np.random.default_rng(8), np.float32, (batch,), True, th, n, d, depth)
-    kept = 4 * batch * (n * n + n + n * th * depth * d) + trial.operands[2].data.nbytes
+    kept = 4 * batch * (n * n + n + th * n * d) + trial.operands[2].data.nbytes
     assert record_held(RGC.op, trial) == RGC.held(trial) == kept
 
 

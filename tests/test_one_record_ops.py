@@ -192,10 +192,10 @@ def gru_trial(rng, dtype, lead=(2,), th=4, n=3, d_in=5, d_h=3, scale=0.8):
 
 
 def rgc_trial(rng, dtype, lead=(3,), batched=True, th=4, n=6, d=4, depth=3, gamma=0.3,
-              h_slot=True, shared=(0, 1, 2)):
+              h_slot=True, a_slot=True, shared=(0, 1, 2)):
     h = Tensor(rng.standard_normal(lead + (th, n, d)).astype(dtype), requires_grad=h_slot)
     a = Tensor(np.maximum(rng.standard_normal((lead if batched else ()) + (n, n)), 0.0)
-               .astype(dtype), requires_grad=True)
+               .astype(dtype), requires_grad=a_slot)
     w = Tensor(rng.standard_normal((depth * d, 2 * d)).astype(dtype), requires_grad=True)
     return Trial([h, a, w], (gamma,), shared)
 
@@ -242,14 +242,11 @@ def _gru_held(trial):
 
 
 def _rgc_held(trial):
-    """The operator, its degree, the level stack and the weight; at depth 1 h_in and the weight."""
+    """h_in, the operator and its degree (no operator at depth 1), and the weight."""
     h, a, w = trial.operands
-    lead, (th, n, d) = h.shape[:-3], h.shape[-3:]
-    depth = w.shape[0] // d
-    if depth == 1:
+    if w.shape[0] == h.shape[-1]:
         return _nbytes([h, w])
-    stack = math.prod(lead) * n * th * depth * d
-    return (a.size + a.size // n + stack) * h.dtype.itemsize + w.data.nbytes
+    return _nbytes([h, a, w]) + a.data.nbytes // a.shape[-1]
 
 
 def _head_held(trial):
