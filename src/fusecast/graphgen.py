@@ -1,9 +1,10 @@
 """Adaptive adjacency construction: spatial, temporal, and attention-fused.
 
 Each traffic pattern owns an independent set of node embeddings, score
-projections, and fusion weights. The temporal side is driven by learnable
-time pools indexed by time-of-day and day-of-week, averaged over the
-history window, so the graphs are per-window but constant across the
+projections, and fusion weights, held as one plain sequence in checkpoint
+order (see generate_pattern_graph). The temporal side is driven by
+learnable time pools indexed by time-of-day and day-of-week, averaged over
+the history window, so the graphs are per-window but constant across the
 window's time steps.
 
 All functions accept an optional leading batch dimension on the
@@ -37,29 +38,6 @@ class TimeEmbeddingPools:
         return T.gather(self.daily, tod_index), T.gather(self.weekly, dow_index)
 
 
-@dataclass
-class AttentionFusionParams:
-    """Per-head projections [N, d_h] and the output projection [s*d_h, N]."""
-
-    query: list
-    key: list
-    value: list
-    output: Tensor
-
-
-@dataclass
-class PatternGraphParams:
-    """Everything one traffic pattern needs to build its adjacency."""
-
-    e1: Tensor  # [N, Nd], the two node embeddings behind the spatial score
-    e2: Tensor
-    spatial_w1: Tensor  # [Nd, Nd]
-    spatial_w2: Tensor
-    temporal_w1: Tensor  # [D, D]
-    temporal_w2: Tensor
-    fusion: AttentionFusionParams
-
-
 def build_directed_graph(f1: Tensor, f2: Tensor, w1: Tensor, w2: Tensor,
                          alpha: float, k: int) -> Tensor:
     """Directed adjacency from two feature matrices [..., N, F].
@@ -81,12 +59,14 @@ def temporal_feature_matrix(daily_lookup: Tensor, weekly_lookup: Tensor):
     return daily_lookup.mean(axis=-3), weekly_lookup.mean(axis=-3)
 
 
-def fuse_graphs(a_spatial: Tensor, a_temporal: Tensor, beta: float,
-                params: AttentionFusionParams, return_scores: bool = False):
+def fuse_graphs(a_spatial: Tensor, a_temporal: Tensor, beta: float, heads, output: Tensor,
+                return_scores: bool = False):
     """Blend spatial and temporal adjacencies through multi-head attention.
 
-    The saturated product of the two graphs, relu(tanh(beta * a_s @ a_t))
-    as one tensor.saturated_top_k record that keeps every entry, is the
+    heads holds one (wq, wk, wv) triple of [N, d_h] projections per head,
+    and output is the [heads*d_h, N] projection of the joined heads. The
+    saturated product of the two graphs, relu(tanh(beta * a_s @ a_t)) as
+    one tensor.saturated_top_k record that keeps every entry, is the
     attention's value input. Each head is one tensor.attention record,
     which keeps its query, key and value but not its [..., N, N] scores.
     Returns `final`, the attention output after the terminal ReLU that
@@ -98,7 +78,7 @@ def fuse_graphs(a_spatial: Tensor, a_temporal: Tensor, beta: float,
     fused = T.saturated_top_k(T.matmul(a_spatial, a_temporal), beta, a_temporal.shape[-1])
     head_outputs = []
     head_scores = []
-    for wq, wk, wv in zip(params.query, params.key, params.value):
+    for wq, wk, wv in heads:
         q = T.matmul(a_spatial, wq)
         k = T.matmul(a_temporal, wk)
         v = T.matmul(fused, wv)
@@ -106,18 +86,21 @@ def fuse_graphs(a_spatial: Tensor, a_temporal: Tensor, beta: float,
         if return_scores:  # [..., N, N] each, so made only when asked for
             head_scores.append(Tensor(T._attention_scores(q.data, k.data, scale)))
         head_outputs.append(T.attention(q, k, v, scale))
-    final = T.relu(T.matmul(T.concat(head_outputs, axis=-1), params.output))
+    final = T.relu(T.matmul(T.concat(head_outputs, axis=-1), output))
     if return_scores:
         return final, head_scores
     return final
 
 
-def generate_pattern_graph(params: PatternGraphParams, time_features, cfg: GraphConfig,
+def generate_pattern_graph(weights, time_features, cfg: GraphConfig,
                            predefined: np.ndarray | None = None) -> Tensor:
     """The adjacency one pattern convolves with, in the graph mode `cfg.mode`.
 
     That is the predefined road graph, the spatial or the temporal graph of
     build_directed_graph, or, in "fused" mode, fuse_graphs of the two.
+    weights are the pattern's graph weights in checkpoint order: the node
+    embeddings e1, e2 [N, Nd], the spatial w1, w2 [Nd, Nd], the temporal
+    w1, w2 [D, D], one (wq, wk, wv) triple per attention head, and wo.
     `time_features` is the (daily, weekly) averaged feature pair from
     temporal_feature_matrix; it may carry a leading batch dimension.
     """
@@ -126,14 +109,14 @@ def generate_pattern_graph(params: PatternGraphParams, time_features, cfg: Graph
         if predefined is None:
             raise ConfigError("graph mode 'predefined' needs a loaded road-network adjacency")
         return Tensor(predefined)
+    e1, e2, spatial_w1, spatial_w2, temporal_w1, temporal_w2, *heads, wo = weights
 
     def spatial():
-        return build_directed_graph(params.e1, params.e2, params.spatial_w1, params.spatial_w2,
-                                    cfg.alpha, cfg.k_spatial)
+        return build_directed_graph(e1, e2, spatial_w1, spatial_w2, cfg.alpha, cfg.k_spatial)
 
     def temporal():
         td_bar, tw_bar = time_features
-        return build_directed_graph(td_bar, tw_bar, params.temporal_w1, params.temporal_w2,
+        return build_directed_graph(td_bar, tw_bar, temporal_w1, temporal_w2,
                                     cfg.alpha, cfg.k_temporal)
 
     if mode == "spatial_only":
@@ -141,5 +124,5 @@ def generate_pattern_graph(params: PatternGraphParams, time_features, cfg: Graph
     if mode == "temporal_only":
         return temporal()
     if mode == "fused":
-        return fuse_graphs(spatial(), temporal(), cfg.beta, params.fusion)
+        return fuse_graphs(spatial(), temporal(), cfg.beta, heads, wo)
     raise ConfigError(f"unknown graph mode {mode!r}")

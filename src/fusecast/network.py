@@ -46,8 +46,10 @@ checkpoint contract:
     head.{w1|b1|w2|b2}, head.out.{weight|bias}
 
 This order is also the seeded draw order. The groups one function reads
-whole are plain sequences in it, passed as they are: gates, a (w1, w2)
-pair per gate for decouple; gru, the nine gru.*; head, the six head.*.
+whole are plain sequences in it, passed as they are: graph_weights, one
+list per pattern for generate_pattern_graph (e1, e2, the four fusion
+w1/w2, a (wq, wk, wv) tuple per head, then wo); gates, a (w1, w2) pair per
+gate for decouple; gru, the nine gru.*; head, the six head.*.
 """
 
 from __future__ import annotations
@@ -61,8 +63,7 @@ from .config import GraphConfig, ModelConfig
 from .data import DAYS_PER_WEEK, Normalizer
 from .decouple import decouple
 from .errors import ConfigError, ShapeError
-from .graphgen import (AttentionFusionParams, PatternGraphParams, TimeEmbeddingPools,
-                       generate_pattern_graph, temporal_feature_matrix)
+from .graphgen import TimeEmbeddingPools, generate_pattern_graph, temporal_feature_matrix
 from .tensor import Tensor, ordered_map
 
 
@@ -508,30 +509,20 @@ class Forecaster:
             weekly=self._embedding("time_pool.weekly", (DAYS_PER_WEEK, n, d_time)),
         )
 
-        self.patterns = []
+        self.graph_weights = []  # per pattern, generate_pattern_graph's weights
         self.projections = []
         self.rgc_weights = []
         for g in range(g_pat):
             p = f"pattern{g}"
-            e1 = self._embedding(f"{p}.spatial_emb.e1", (n, nd))
-            e2 = self._embedding(f"{p}.spatial_emb.e2", (n, nd))
-            spatial_w1 = self._matrix(f"{p}.fusion.spatial.w1", (nd, nd))
-            spatial_w2 = self._matrix(f"{p}.fusion.spatial.w2", (nd, nd))
-            temporal_w1 = self._matrix(f"{p}.fusion.temporal.w1", (d_time, d_time))
-            temporal_w2 = self._matrix(f"{p}.fusion.temporal.w2", (d_time, d_time))
-            query, key, value = [], [], []
-            for h in range(heads):
-                query.append(self._matrix(f"{p}.fusion.attn.head{h}.wq", (n, head_dim)))
-                key.append(self._matrix(f"{p}.fusion.attn.head{h}.wk", (n, head_dim)))
-                value.append(self._matrix(f"{p}.fusion.attn.head{h}.wv", (n, head_dim)))
-            fusion = AttentionFusionParams(
-                query=query, key=key, value=value,
-                output=self._matrix(f"{p}.fusion.attn.wo", (heads * head_dim, n)),
-            )
-            self.patterns.append(PatternGraphParams(
-                e1=e1, e2=e2, spatial_w1=spatial_w1, spatial_w2=spatial_w2,
-                temporal_w1=temporal_w1, temporal_w2=temporal_w2, fusion=fusion,
-            ))
+            weights = [self._embedding(f"{p}.spatial_emb.{e}", (n, nd)) for e in ("e1", "e2")]
+            weights += [self._matrix(f"{p}.fusion.{graph}.{w}", (size, size))
+                        for graph, size in (("spatial", nd), ("temporal", d_time))
+                        for w in ("w1", "w2")]
+            weights += [tuple(self._matrix(f"{p}.fusion.attn.head{h}.{w}", (n, head_dim))
+                              for w in ("wq", "wk", "wv"))
+                        for h in range(heads)]
+            weights.append(self._matrix(f"{p}.fusion.attn.wo", (heads * head_dim, n)))
+            self.graph_weights.append(weights)
 
             self.projections.append((
                 self._matrix(f"{p}.project.weight", (cfg.channels, d)),
@@ -639,12 +630,13 @@ class Forecaster:
             daily_l, weekly_l = self.pools.lookup(tod, dow)
             time_features = temporal_feature_matrix(daily_l, weekly_l)
         with _stage("graph-generation"):
-            graphs = [generate_pattern_graph(params, time_features, self.graph_cfg,
+            graphs = [generate_pattern_graph(weights, time_features, self.graph_cfg,
                                              self.predefined_graph)
-                      for params in self.patterns]
+                      for weights in self.graph_weights]
 
         with _stage("decouple"):
-            flows = decouple(xn, daily_l, weekly_l, self.patterns[0].e1, self.gates)
+            node_embedding = self.graph_weights[0][0]  # pattern 0's e1
+            flows = decouple(xn, daily_l, weekly_l, node_embedding, self.gates)
 
         def convolve(g):
             w, b = self.projections[g]

@@ -404,9 +404,7 @@ def _axis(axis: int, ndim: int, op: str) -> int:
 
 
 def _binary(a, b, fn, op: str):
-    """a, b as Tensors (a number takes the other's dtype) and fn(a.data, b.data), or ShapeError."""
-    if not isinstance(a, Tensor):
-        a = Tensor(np.asarray(a, dtype=b.dtype))
+    """a, b as Tensors (a number b takes a's dtype) and fn(a.data, b.data), or ShapeError."""
     if not isinstance(b, Tensor):
         b = Tensor(np.asarray(b, dtype=a.dtype))
     try:

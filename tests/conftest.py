@@ -111,10 +111,11 @@ def graphs_and_flows(model, history, tod, dow):
     """
     daily, weekly = model.pools.lookup(tod, dow)
     features = temporal_feature_matrix(daily, weekly)
-    graphs = [generate_pattern_graph(params, features, model.graph_cfg, model.predefined_graph)
-              for params in model.patterns]
+    graphs = [generate_pattern_graph(weights, features, model.graph_cfg, model.predefined_graph)
+              for weights in model.graph_weights]
     xn = model.normalizer.apply(np.asarray(history, dtype=model.dtype))
-    return graphs, decouple(Tensor(xn), daily, weekly, model.patterns[0].e1, model.gates)
+    e1 = model.graph_weights[0][0]
+    return graphs, decouple(Tensor(xn), daily, weekly, e1, model.gates)
 
 
 def toy_model_config():

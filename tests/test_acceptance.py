@@ -14,7 +14,7 @@ from conftest import toy_graph_config, toy_model_config
 from fusecast.config import GraphConfig, ModelConfig, RunConfig, TrainConfig, load_config, preset_path
 from fusecast.data import fit_normalizer, make_synthetic, save_series, split_and_window
 from fusecast.decouple import decouple
-from fusecast.graphgen import AttentionFusionParams, build_directed_graph, fuse_graphs
+from fusecast.graphgen import build_directed_graph, fuse_graphs
 from fusecast.network import Forecaster, normalized_propagation, rgc_forward
 from fusecast.optim import grad_check, randomize_parameters
 from fusecast.tensor import Tensor
@@ -77,14 +77,12 @@ def test_graph_contracts():
             ok, _ = False, notes.append(f"negative entry at trial {trial}")
 
         heads, dh = 2, max(1, n // 2 // 2)
-        params = AttentionFusionParams(
-            query=[u((n, dh)) for _ in range(heads)],
-            key=[u((n, dh)) for _ in range(heads)],
-            value=[u((n, dh)) for _ in range(heads)],
-            output=u((heads * dh, n)))
+        query, key, value = ([u((n, dh)) for _ in range(heads)] for _ in range(3))
+        output = u((heads * dh, n))
         a_s = Tensor(rng.uniform(0, 1, (n, n)))
         a_t = Tensor(rng.uniform(0, 1, (n, n)))
-        final, scores = fuse_graphs(a_s, a_t, 3.0, params, return_scores=True)
+        final, scores = fuse_graphs(a_s, a_t, 3.0, list(zip(query, key, value)), output,
+                                    return_scores=True)
         for s in scores:
             if np.abs(s.data.sum(axis=-1) - 1.0).max() > 1e-9:
                 ok, _ = False, notes.append(f"attention rows off at trial {trial}")

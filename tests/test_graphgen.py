@@ -6,9 +6,8 @@ import pytest
 from conftest import fd_gradient, held_bytes, rel_err, toy_graph_config
 from fusecast import tensor as T
 from fusecast.errors import ConfigError
-from fusecast.graphgen import (AttentionFusionParams, PatternGraphParams, TimeEmbeddingPools,
-                               build_directed_graph, fuse_graphs, generate_pattern_graph,
-                               temporal_feature_matrix)
+from fusecast.graphgen import (TimeEmbeddingPools, build_directed_graph, fuse_graphs,
+                               generate_pattern_graph, temporal_feature_matrix)
 from fusecast.tensor import Tape, Tensor
 
 
@@ -97,30 +96,31 @@ def test_pool_entry_visited_twice_gets_double_share():
 
 
 def _fusion(rng, n, heads, dh, zero_qk=False):
+    """fuse_graphs' weights: a (wq, wk, wv) triple per head, and the output projection."""
     def mk(shape):
         data = np.zeros(shape) if zero_qk else rng.uniform(-0.5, 0.5, shape)
         return Tensor(data, requires_grad=True)
 
-    return AttentionFusionParams(
-        query=[mk((n, dh)) for _ in range(heads)],
-        key=[mk((n, dh)) for _ in range(heads)],
-        value=[Tensor(rng.uniform(-0.5, 0.5, (n, dh)), requires_grad=True) for _ in range(heads)],
-        output=Tensor(rng.uniform(-0.5, 0.5, (heads * dh, n)), requires_grad=True),
-    )
+    query = [mk((n, dh)) for _ in range(heads)]
+    key = [mk((n, dh)) for _ in range(heads)]
+    value = [Tensor(rng.uniform(-0.5, 0.5, (n, dh)), requires_grad=True) for _ in range(heads)]
+    output = Tensor(rng.uniform(-0.5, 0.5, (heads * dh, n)), requires_grad=True)
+    return list(zip(query, key, value)), output
 
 
 def test_zero_query_key_gives_uniform_attention():
     rng = np.random.default_rng(6)
     n = 5
-    params = _fusion(rng, n, heads=1, dh=3, zero_qk=True)
+    heads, output = _fusion(rng, n, heads=1, dh=3, zero_qk=True)
+    [(_, _, wv)] = heads
     a_s = Tensor(rng.uniform(0, 1, (n, n)))
     a_t = Tensor(rng.uniform(0, 1, (n, n)))
-    final, scores = fuse_graphs(a_s, a_t, 3.0, params, return_scores=True)
+    final, scores = fuse_graphs(a_s, a_t, 3.0, heads, output, return_scores=True)
     # a softmax of equal logits is exp(0) / n, exactly 1/n
     assert np.array_equal(scores[0].data, np.full((n, n), 1.0 / n))
     # uniform rows average the value matrix, replicated across rows
     fused = np.maximum(np.tanh(3.0 * (a_s.data @ a_t.data)), 0.0)
-    v = fused @ params.value[0].data
+    v = fused @ wv.data
     head = scores[0].data @ v
     assert np.allclose(head, np.tile(v.mean(axis=0), (n, 1)))
     # so every node gets the same mixture: final's rows are equal to rounding,
@@ -132,19 +132,18 @@ def test_zero_query_key_gives_uniform_attention():
 def test_zero_graphs_fuse_to_zero():
     rng = np.random.default_rng(7)
     n = 4
-    params = _fusion(rng, n, heads=2, dh=2)
     zero = Tensor(np.zeros((n, n)))
-    final = fuse_graphs(zero, zero, 3.0, params)
+    final = fuse_graphs(zero, zero, 3.0, *_fusion(rng, n, heads=2, dh=2))
     assert np.array_equal(final.data, np.zeros((n, n)))
 
 
 def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(8)
     n = 6
-    params = _fusion(rng, n, heads=3, dh=2)
+    fusion = _fusion(rng, n, heads=3, dh=2)
     a_s = Tensor(rng.uniform(0, 1, (n, n)))
     a_t = Tensor(rng.uniform(0, 1, (n, n)))
-    _, scores = fuse_graphs(a_s, a_t, 3.0, params, return_scores=True)
+    _, scores = fuse_graphs(a_s, a_t, 3.0, *fusion, return_scores=True)
     for s in scores:
         assert np.abs(s.data.sum(axis=-1) - 1.0).max() < 1e-9
 
@@ -153,12 +152,12 @@ def test_attention_rows_sum_to_one():
 def test_return_scores_leaves_final_unchanged(taped):
     rng = np.random.default_rng(18)
     n = 6
-    params = _fusion(rng, n, heads=3, dh=2)
+    fusion = _fusion(rng, n, heads=3, dh=2)
     a_s = Tensor(rng.uniform(0, 1, (n, n)))
     a_t = Tensor(rng.uniform(0, 1, (4, n, n)))  # a batch of temporal graphs, one per window
     with Tape() if taped else contextlib.nullcontext():
-        plain = fuse_graphs(a_s, a_t, 3.0, params)
-        final, scores = fuse_graphs(a_s, a_t, 3.0, params, return_scores=True)
+        plain = fuse_graphs(a_s, a_t, 3.0, *fusion)
+        final, scores = fuse_graphs(a_s, a_t, 3.0, *fusion, return_scores=True)
     assert final.data.tobytes() == plain.data.tobytes()
     assert [s.shape for s in scores] == [(4, n, n)] * 3
     assert not any(s.requires_grad for s in scores)  # a report, not part of the graph
@@ -168,25 +167,24 @@ def test_returned_scores_are_the_ones_the_heads_used():
     # final rebuilt in numpy from the returned scores and the heads' values
     rng = np.random.default_rng(19)
     n, beta = 7, 3.0
-    params = _fusion(rng, n, heads=2, dh=3)
+    heads, output = _fusion(rng, n, heads=2, dh=3)
     a_s = Tensor(rng.uniform(0, 1, (n, n)))
     a_t = Tensor(rng.uniform(0, 1, (2, n, n)))
-    final, scores = fuse_graphs(a_s, a_t, beta, params, return_scores=True)
+    final, scores = fuse_graphs(a_s, a_t, beta, heads, output, return_scores=True)
     assert min(np.ptp(s.data) for s in scores) > 1e-2  # not uniform, so the bits say something
     fused = T.saturated_top_k(T.matmul(a_s, a_t), beta, n).data
-    heads = [s.data @ (fused @ wv.data) for s, wv in zip(scores, params.value)]
-    rebuilt = np.maximum(np.concatenate(heads, axis=-1) @ params.output.data, 0.0)
+    outs = [s.data @ (fused @ wv.data) for s, (_, _, wv) in zip(scores, heads)]
+    rebuilt = np.maximum(np.concatenate(outs, axis=-1) @ output.data, 0.0)
     assert rebuilt.tobytes() == final.data.tobytes()
 
 
 def _pattern(rng, n, nd, d_time, heads=2, dh=2, scale=0.6):
+    """One pattern's graph weights, in generate_pattern_graph's order."""
     u = lambda shape: Tensor(rng.uniform(-scale, scale, shape), requires_grad=True)
-    return PatternGraphParams(
-        e1=u((n, nd)), e2=u((n, nd)),
-        spatial_w1=u((nd, nd)), spatial_w2=u((nd, nd)),
-        temporal_w1=u((d_time, d_time)), temporal_w2=u((d_time, d_time)),
-        fusion=_fusion(rng, n, heads, dh),
-    )
+    embeddings_and_scores = [u((n, nd)), u((n, nd)), u((nd, nd)), u((nd, nd)),
+                             u((d_time, d_time)), u((d_time, d_time))]
+    triples, output = _fusion(rng, n, heads, dh)
+    return embeddings_and_scores + triples + [output]
 
 
 def _time_features(rng, n, d_time, batch=None):
@@ -195,13 +193,13 @@ def _time_features(rng, n, d_time, batch=None):
 
 
 def _spatial(pattern, cfg):
-    return build_directed_graph(pattern.e1, pattern.e2, pattern.spatial_w1, pattern.spatial_w2,
-                                cfg.alpha, cfg.k_spatial)
+    e1, e2, spatial_w1, spatial_w2, *_ = pattern
+    return build_directed_graph(e1, e2, spatial_w1, spatial_w2, cfg.alpha, cfg.k_spatial)
 
 
 def _temporal(pattern, feats, cfg):
-    return build_directed_graph(*feats, pattern.temporal_w1, pattern.temporal_w2,
-                                cfg.alpha, cfg.k_temporal)
+    _, _, _, _, temporal_w1, temporal_w2, *_ = pattern
+    return build_directed_graph(*feats, temporal_w1, temporal_w2, cfg.alpha, cfg.k_temporal)
 
 
 def test_predefined_mode_passes_graph_through():
@@ -253,9 +251,10 @@ def test_temporal_only_mode_uses_time_features():
         out = generate_pattern_graph(pattern, feats, cfg)
         tape.backward(out)
     assert out.data.tobytes() == _temporal(pattern, feats, cfg).data.tobytes()
-    assert pattern.temporal_w1.grad is not None
+    e1, _, spatial_w1, _, temporal_w1, *_ = pattern
+    assert temporal_w1.grad is not None
     # the spatial graph is not built
-    assert pattern.e1.grad is None and pattern.spatial_w1.grad is None
+    assert e1.grad is None and spatial_w1.grad is None
 
 
 def test_fused_mode_is_deterministic_and_nonnegative():
@@ -267,8 +266,9 @@ def test_fused_mode_is_deterministic_and_nonnegative():
     b = generate_pattern_graph(pattern, feats, cfg)
     assert np.array_equal(a.data, b.data)
     assert np.all(a.data >= 0)
+    _, _, _, _, _, _, *heads, output = pattern
     expected = fuse_graphs(_spatial(pattern, cfg), _temporal(pattern, feats, cfg), cfg.beta,
-                           pattern.fusion)
+                           heads, output)
     assert a.data.tobytes() == expected.data.tobytes()
 
 
@@ -281,7 +281,8 @@ def test_fused_mode_broadcasts_batched_time_features():
     spatial = _spatial(pattern, cfg)
     assert out.shape == (3, 4, 4)
     assert spatial.shape == (4, 4)  # built once from the parameters, not per window
-    expected = fuse_graphs(spatial, _temporal(pattern, feats, cfg), cfg.beta, pattern.fusion)
+    _, _, _, _, _, _, *heads, output = pattern
+    expected = fuse_graphs(spatial, _temporal(pattern, feats, cfg), cfg.beta, heads, output)
     assert out.data.tobytes() == expected.data.tobytes()
 
 
@@ -296,14 +297,9 @@ def test_full_fuse_pipeline_gradients_match_finite_differences():
     def scalar():
         return (generate_pattern_graph(pattern, feats, cfg) * w).sum()
 
-    params = {
-        "e1": pattern.e1, "e2": pattern.e2,
-        "sw1": pattern.spatial_w1, "sw2": pattern.spatial_w2,
-        "tw1": pattern.temporal_w1, "tw2": pattern.temporal_w2,
-        "wo": pattern.fusion.output,
-        "wq0": pattern.fusion.query[0], "wk0": pattern.fusion.key[0],
-        "wv0": pattern.fusion.value[0],
-    }
+    e1, e2, sw1, sw2, tw1, tw2, (wq0, wk0, wv0), _, wo = pattern
+    params = {"e1": e1, "e2": e2, "sw1": sw1, "sw2": sw2, "tw1": tw1, "tw2": tw2, "wo": wo,
+              "wq0": wq0, "wk0": wk0, "wv0": wv0}
     with Tape() as tape:
         tape.backward(scalar())
     for name, p in params.items():

@@ -581,6 +581,29 @@ def test_parameter_order_and_seeded_values_are_the_checkpoint_contract():
     assert digest == "155a6d0eb3f225df23e5bc57d7d7a600797cbf1635a1cd3242581bd95dccbbda"
 
 
+@pytest.mark.parametrize("patterns", [1, 2, 3])
+def test_the_forward_groups_are_the_parameter_registry(patterns):
+    """The groups the forward reads, flattened in checkpoint order, are model.params' values.
+
+    Object for object and in order: the pools, then per pattern its graph
+    weights (each head's triple flattened), projection and block weights,
+    then the gates, the GRU and the head. So each group holds the tensors
+    the checkpoint saves, in the order of the seeded draws.
+    """
+    cfg = dataclasses.replace(toy_model_config(), patterns=patterns)
+    model = Forecaster(4, 8, cfg, toy_graph_config(), RAW, seed=0)
+    groups = [model.pools.daily, model.pools.weekly]
+    for graph, projection, blocks in zip(model.graph_weights, model.projections,
+                                         model.rgc_weights, strict=True):
+        e1, e2, spatial_w1, spatial_w2, temporal_w1, temporal_w2, *heads, wo = graph
+        groups += [e1, e2, spatial_w1, spatial_w2, temporal_w1, temporal_w2]
+        groups += [w for triple in heads for w in triple] + [wo, *projection, *blocks]
+    groups += [w for gate in model.gates for w in gate] + [*model.gru, *model.head]
+    registry = list(model.params.values())
+    assert len(model.graph_weights) == patterns and len(groups) == len(registry)
+    assert all(group is param for group, param in zip(groups, registry))
+
+
 def test_head_dim_invariant_enforced():
     cfg = toy_model_config()
     with pytest.raises(ConfigError, match="head_dim"):
@@ -841,15 +864,15 @@ def test_pattern_failure_on_a_worker_surfaces_after_pattern_0(toy_setup, monkeyp
     real = network.generate_pattern_graph
     failed, finished = threading.Event(), []
 
-    def generate(params, *args):
+    def generate(weights, *args):
         on_worker = threading.current_thread() is not threading.main_thread()
-        if on_worker and params is model.patterns[1]:
+        if on_worker and weights is model.graph_weights[1]:
             failed.set()
             raise ShapeError("pattern 1 graph")
         if not on_worker:
             assert failed.wait(timeout=10)  # the calling thread's half goes on after the failure
-        graphs = real(params, *args)
-        finished.append((on_worker, model.patterns.index(params)))
+        graphs = real(weights, *args)
+        finished.append((on_worker, model.graph_weights.index(weights)))
         return graphs
 
     monkeypatch.setattr(network, "generate_pattern_graph", generate)
@@ -878,12 +901,12 @@ def test_a_failed_forward_records_nothing(toy_setup, monkeypatch, batch, on_work
     hist, _, tod, dow = train_ws.batch(list(range(batch)))
     real, raised = network.generate_pattern_graph, []
 
-    def generate(params, *args):
+    def generate(weights, *args):
         worker = threading.current_thread() is not threading.main_thread()
-        if params is model.patterns[1] and worker == on_worker:
+        if weights is model.graph_weights[1] and worker == on_worker:
             raised.append(len(T._LOCAL.records))  # the half's records so far
             raise ShapeError("pattern 1 graph")
-        return real(params, *args)
+        return real(weights, *args)
 
     monkeypatch.setattr(network, "generate_pattern_graph", generate)
     x = Tensor([1.0], requires_grad=True)

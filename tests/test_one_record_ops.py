@@ -91,7 +91,7 @@ def _taped_gru(x_seq, weights):
         z = T.sigmoid(x_t @ wz + h @ uz + bz)
         r = T.sigmoid(x_t @ wr + h @ ur + br)
         cand = T.tanh(x_t @ wh + (r * h) @ uh + bh)
-        h = T.sub(1.0, z) * h + z * cand
+        h = T.sub(Tensor(np.asarray(1.0, dtype=z.dtype)), z) * h + z * cand
         outputs.append(h)
     return T.concat(outputs, axis=-3)
 

@@ -10,10 +10,13 @@ import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import fusecast
 from conftest import toy_graph_config, toy_model_config
+from fusecast import decouple, graphgen, network
 from fusecast import tensor as T
+from fusecast.data import fit_normalizer, make_synthetic, split_and_window
 from fusecast.network import Forecaster
 from fusecast.optim import Adam
 from fusecast.tensor import Tape, Tensor
@@ -77,37 +80,32 @@ def test_only_the_file_boundary_reads_writes_or_decodes_files():
         "data.py": [("_read_numeric_csv", "loadtxt")]}
 
 
-def _public_tensor_code():
-    """Each public fusecast.tensor function's and each Tensor method's code, with its name."""
-    named = {name: fn for name, fn in vars(T).items()
-             if inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_")}
-    for name, attr in vars(Tensor).items():
-        if inspect.isfunction(attr):
-            named[f"Tensor.{name}"] = attr
-        elif isinstance(attr, property):
-            named.update({f"Tensor.{name}.{part}": getattr(attr, part)
-                          for part in ("fget", "fset") if getattr(attr, part) is not None})
-    return {fn.__code__: name for name, fn in named.items()}
+def _public_functions(module) -> dict:
+    """The public functions that module defines, by name."""
+    return {name: fn for name, fn in vars(module).items()
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_")}
 
 
-def test_every_public_tensor_function_and_method_has_a_model_caller(toy_setup):
-    """A training step and an eval forward in each graph mode call the whole public tensor API.
+@pytest.fixture(scope="module")
+def model_calls():
+    """The code of every function a toy training step and an eval forward run, in each graph mode.
 
     The step has dropout, reads loss.item(), narrows the loss to a horizon
-    below the model's and takes an Adam step. A function or method that
-    none of this calls serves tests only, and is named here: it belongs in
-    the tests that need it, as the reference chains' reshape and div are in
-    test_one_record_ops.
+    below the model's and takes an Adam step. A function that none of this
+    calls serves tests only: it belongs in the tests that need it, as the
+    reference chains' reshape and div are in test_one_record_ops.
     """
-    series, train_ws, _, _, norm, _ = toy_setup
+    series, _ = make_synthetic(4, 6, seed=7, coupling=0.5, steps_per_day=8, noise_std=1.0)
+    train_ws, _, _ = split_and_window(series, 4, 2, (0.6, 0.2, 0.2))
+    norm = fit_normalizer(train_ws)
     hist, targ, tod, dow = train_ws.batch(list(range(5)))
     assert targ.shape[1] > 1
     road = np.random.default_rng(0).uniform(0.1, 1.0, (series.n_nodes, series.n_nodes))
-    code, called = _public_tensor_code(), set()
+    called = set()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in code:
-            called.add(code[frame.f_code])
+        if event == "call":
+            called.add(frame.f_code)
 
     sys.setprofile(profile)
     threading.setprofile(profile)
@@ -131,4 +129,29 @@ def test_every_public_tensor_function_and_method_has_a_model_caller(toy_setup):
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
-    assert sorted(set(code.values()) - called) == []
+    return called
+
+
+def test_every_public_tensor_function_and_method_has_a_model_caller(model_calls):
+    """The model calls every public fusecast.tensor function and Tensor method (see model_calls)."""
+    named = _public_functions(T)
+    for name, attr in vars(Tensor).items():
+        if inspect.isfunction(attr):
+            named[f"Tensor.{name}"] = attr
+        elif isinstance(attr, property):
+            named.update({f"Tensor.{name}.{part}": getattr(attr, part)
+                          for part in ("fget", "fset") if getattr(attr, part) is not None})
+    assert sorted(name for name, fn in named.items() if fn.__code__ not in model_calls) == []
+
+
+def test_every_public_model_function_has_a_model_caller(model_calls):
+    """The model calls every public function of graphgen, decouple and network (see model_calls).
+
+    TimeEmbeddingPools.lookup counts as one of graphgen's: perfbench times it.
+    """
+    named = {"graphgen.TimeEmbeddingPools.lookup": graphgen.TimeEmbeddingPools.lookup}
+    for module in (graphgen, decouple, network):
+        short = module.__name__.rpartition(".")[2]
+        named.update({f"{short}.{name}": fn for name, fn in _public_functions(module).items()})
+    assert len(named) > 8
+    assert sorted(name for name, fn in named.items() if fn.__code__ not in model_calls) == []
